@@ -4,7 +4,6 @@ overpartition generating functions, and coefficient-exact verification of
 the identity families connecting them."""
 
 from .series import (
-    SeriesPolynomial,
     TruncatedSeries,
     format_series,
     geometric_square,
@@ -31,7 +30,6 @@ from .families import (
 from .identities import (
     Mismatch,
     VerificationReport,
-    run_suite,
     verify_corollary_A,
     verify_corollary_C,
     verify_divisor_identities,
@@ -45,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TruncatedSeries",
-    "SeriesPolynomial",
     "make_series",
     "format_series",
     "pochhammer",
@@ -72,5 +69,4 @@ __all__ = [
     "verify_limit_A",
     "verify_limit_C",
     "verify_divisor_identities",
-    "run_suite",
 ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ from .partitions import (
     p3_series,
     theta_square,
 )
-from .series import TruncatedSeries, format_series, make_series
+from .series import TruncatedSeries, format_series
 
 COMPUTE_TARGETS = ("a", "c", "p3", "overp", "theta-cube", "theta-square")
 VERIFY_TARGETS = ("thm-a", "thm-c", "cor-a", "cor-c", "limit-a", "limit-c", "divisor")
@@ -63,7 +62,6 @@ class RunConfig:
     oracle_guard: int = 40
     use_oracle: bool = False
     bench_family_sizes: tuple[int, ...] = (100, 200, 400)
-    bench_mul_sizes: tuple[int, ...] = (128, 256, 512)
     repeat: int = 3
 
 
@@ -244,18 +242,9 @@ def _run_bench(config: RunConfig) -> list[dict]:
     if config.repeat < 1:
         raise UsageError(f"--repeat must be >= 1, got {config.repeat}")
     compute_A_family_uncached(min(cap, 4), 16)  # warm up allocators
-    for strategy in ("plain", "packed"):
-        for n in config.bench_family_sizes:
-            dt = _best_of(
-                config.repeat, lambda: compute_A_family_uncached(cap, n, strategy)
-            )
-            rows.append({"op": f"family-{strategy}", "K": cap, "N": n, "elapsed_s": dt})
-    rng = random.Random(987654321)
-    for n in config.bench_mul_sizes:
-        a = make_series([rng.randint(-9, 9) for _ in range(n + 1)], n)
-        b = make_series([rng.randint(-9, 9) for _ in range(n + 1)], n)
-        dt = _best_of(config.repeat, lambda: a * b)
-        rows.append({"op": "mul", "K": None, "N": n, "elapsed_s": dt})
+    for n in config.bench_family_sizes:
+        dt = _best_of(config.repeat, lambda: compute_A_family_uncached(cap, n))
+        rows.append({"op": "family", "K": cap, "N": n, "elapsed_s": dt})
     return rows
 
 
@@ -265,13 +254,11 @@ def _bench_output(rows: list[dict], fmt: str) -> str:
     if fmt == "csv":
         lines = ["op,K,N,elapsed_s"]
         for r in rows:
-            k = "" if r["K"] is None else str(r["K"])
-            lines.append(f"{r['op']},{k},{r['N']},{r['elapsed_s']:.6f}")
+            lines.append(f"{r['op']},{r['K']},{r['N']},{r['elapsed_s']:.6f}")
         return "\n".join(lines) + "\n"
     lines = [f"{'op':<14} {'K':>4} {'N':>7} {'elapsed_s':>12}"]
     for r in rows:
-        k = "-" if r["K"] is None else str(r["K"])
-        lines.append(f"{r['op']:<14} {k:>4} {r['N']:>7} {r['elapsed_s']:>12.6f}")
+        lines.append(f"{r['op']:<14} {r['K']:>4} {r['N']:>7} {r['elapsed_s']:>12.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -335,10 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--oracle", action="store_true", help="use brute-force enumeration")
     p_table.add_argument("--oracle-guard", type=int, default=40)
 
-    p_bench = sub.add_parser("bench", help="time family computation and multiplication")
+    p_bench = sub.add_parser("bench", help="time family computation")
     p_bench.add_argument("--K", type=int, default=12)
     p_bench.add_argument("--sizes", type=_parse_sizes, default=(100, 200, 400))
-    p_bench.add_argument("--mul-sizes", type=_parse_sizes, default=(128, 256, 512))
     p_bench.add_argument("--repeat", type=int, default=3, help="best-of repetitions per row")
 
     for p in (p_compute, p_verify, p_table, p_bench):
@@ -360,7 +346,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         oracle_guard=getattr(args, "oracle_guard", 40),
         use_oracle=getattr(args, "oracle", False),
         bench_family_sizes=getattr(args, "sizes", (100, 200, 400)),
-        bench_mul_sizes=getattr(args, "mul_sizes", (128, 256, 512)),
         repeat=getattr(args, "repeat", 3),
     )
 

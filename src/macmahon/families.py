@@ -6,19 +6,14 @@ Both families are the t-coefficients of the same kind of product,
 
 with s running over all positive integers for the A family and over odd
 integers for the C family.  The product is folded in one pass over s with all
-t-degrees carried jointly.  Two inner strategies implement the fold:
+t-degrees carried jointly.  Each t-degree's coefficient window lives in one
+big integer with fixed-width slots, so the two divisions by (1-q^s) become
+geometric doublings on machine-speed bignum adds; this is what makes
+truncation orders in the thousands (the deep corollary checks) practical.
 
-* plain  -- lists of Python ints, factor applied via its sparse terms
-            m*q^(m*s).  Simple, fast enough for orders in the hundreds.
-* packed -- each t-degree's coefficient window lives in one big integer with
-            fixed-width slots, so the two divisions by (1-q^s) become
-            geometric doublings on machine-speed bignum adds.  This is what
-            makes truncation orders in the thousands (the deep corollary
-            checks) practical.
-
-Both strategies exploit the valuation floor of each t-degree (k(k+1)/2 for A,
-k^2 for C) and the degree ramp: after f factors only t-degrees <= f can be
-nonzero.  The packed path uses gmpy2 integers when available.
+The fold exploits the valuation floor of each t-degree (k(k+1)/2 for A, k^2
+for C) and the degree ramp: after f factors only t-degrees <= f can be
+nonzero.  It uses gmpy2 integers when available.
 
 The literal nested-sum definition of A_k is kept as `a_k_directsum`, an
 independent oracle for small parameters; it never feeds the production path.
@@ -37,12 +32,6 @@ try:
     from gmpy2 import mpz as _bigint
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     _bigint = int
-
-# below this order the plain fold's lower constant factor wins
-_PACKED_MIN_ORDER = 32
-
-_STRATEGIES = ("auto", "plain", "packed")
-
 
 @dataclass(frozen=True)
 class MacmahonFamily:
@@ -78,32 +67,6 @@ def binomial(n: int, r: int) -> int:
     if r < 0 or r > n:
         return 0
     return math.comb(n, r)
-
-
-def _fold_plain(
-    factors: Iterable[int], lowvals: list[int], k_eff: int, order: int
-) -> list[list[int]]:
-    rows = [[0] * (order + 1) for _ in range(k_eff + 1)]
-    rows[0][0] = 1
-    applied = 0
-    for s in factors:
-        applied += 1
-        for k in range(min(k_eff, applied), 0, -1):
-            lv = lowvals[k - 1]
-            if lv + s > order:
-                continue
-            src = rows[k - 1]
-            dst = rows[k]
-            base = s
-            m = 1
-            while lv + base <= order:
-                for i in range(lv, order - base + 1):
-                    v = src[i]
-                    if v:
-                        dst[i + base] += m * v
-                m += 1
-                base += s
-    return rows
 
 
 def _slot_bits(order: int) -> int:
@@ -168,68 +131,61 @@ def _compute_family(
     tag: str,
     K: int,
     order: int,
-    strategy: str,
     factors: Callable[[int], Iterable[int]],
     lowval: Callable[[int], int],
 ) -> MacmahonFamily:
+    if isinstance(K, bool) or isinstance(order, bool):
+        raise TypeError("family cap and truncation order must be ints, not bool")
     if K < 0:
         raise ValueError("family cap must be non-negative")
     if order < 0:
         raise ValueError("truncation order must be non-negative")
-    if strategy not in _STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "auto":
-        strategy = "packed" if order >= _PACKED_MIN_ORDER else "plain"
 
     lowvals = [lowval(k) for k in range(K + 1)]
     k_eff = K
     while k_eff > 0 and lowvals[k_eff] > order:
         k_eff -= 1
 
-    if strategy == "plain":
-        raw_rows = _fold_plain(factors(order), lowvals, k_eff, order)
-        members = [TruncatedSeries(tuple(row), order) for row in raw_rows]
-    else:
-        bits = _slot_bits(order)
-        packed = _fold_packed(factors(order), lowvals, k_eff, order, bits)
-        members = [
-            TruncatedSeries(_unpack_packed_row(packed[k], lowvals[k], order, bits), order)
-            for k in range(k_eff + 1)
-        ]
+    bits = _slot_bits(order)
+    packed = _fold_packed(factors(order), lowvals, k_eff, order, bits)
+    members = [
+        TruncatedSeries(_unpack_packed_row(packed[k], lowvals[k], order, bits), order)
+        for k in range(k_eff + 1)
+    ]
     members.extend(TruncatedSeries.zero(order) for _ in range(k_eff + 1, K + 1))
     return MacmahonFamily(tag, tuple(members), order, K)
 
 
-def compute_A_family_uncached(K: int, order: int, strategy: str = "auto") -> MacmahonFamily:
+def compute_A_family_uncached(K: int, order: int) -> MacmahonFamily:
     """A_0..A_K at the given order; part sizes run over all positive integers,
     so member k has valuation k(k+1)/2."""
     return _compute_family(
         "A",
         K,
         order,
-        strategy,
         lambda n: range(1, n + 1),
         lambda k: k * (k + 1) // 2,
     )
 
 
-def compute_C_family_uncached(K: int, order: int, strategy: str = "auto") -> MacmahonFamily:
+def compute_C_family_uncached(K: int, order: int) -> MacmahonFamily:
     """C_0..C_K at the given order; part sizes run over odd integers, so
     member k has valuation k^2."""
     return _compute_family(
         "C",
         K,
         order,
-        strategy,
         lambda n: range(1, n + 1, 2),
         lambda k: k * k,
     )
 
 
 # verification suites reuse the same (K, order) family across many checks;
-# results are immutable, so sharing them through a cache is safe
-compute_A_family = lru_cache(maxsize=12)(compute_A_family_uncached)
-compute_C_family = lru_cache(maxsize=12)(compute_C_family_uncached)
+# results are immutable, so sharing them through a cache is safe.  typed=True
+# keeps True apart from 1, so a bool argument cannot hit a cached int entry
+# and skip the argument check.
+compute_A_family = lru_cache(maxsize=12, typed=True)(compute_A_family_uncached)
+compute_C_family = lru_cache(maxsize=12, typed=True)(compute_C_family_uncached)
 
 
 def a_k_directsum(k: int, order: int) -> TruncatedSeries:

@@ -16,11 +16,9 @@ function side upward; no series here ever carries a negative exponent.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .families import binomial, compute_A_family, compute_C_family
 from .partitions import overpartition_series, p3_series, sigma
@@ -286,23 +284,3 @@ def verify_divisor_identities(order: int) -> VerificationReport:
             break
     return _report("divisor", None, None, order, mm, 2, t0)
 
-
-# -- suite helper ----------------------------------------------------------------
-
-
-def run_suite(
-    tasks: Sequence[Callable[[], VerificationReport]],
-    max_workers: int | None = None,
-) -> list[VerificationReport]:
-    """Run independent verifications, preserving order.  Worker cap comes from
-    QSERIES_THREADS when not passed explicitly."""
-    if not tasks:
-        return []
-    if max_workers is None:
-        env = os.environ.get("QSERIES_THREADS")
-        max_workers = int(env) if env else (os.cpu_count() or 1)
-    max_workers = max(1, min(max_workers, len(tasks)))
-    if max_workers == 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(lambda task: task(), tasks))

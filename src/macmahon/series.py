@@ -3,9 +3,9 @@
 A series is a dense coefficient vector for q^0 .. q^N with an inclusive
 truncation order N: every stored coefficient is exact, and every operation
 propagates the minimum order of its operands so that no coefficient is ever
-fabricated.  On top lives a bounded-degree polynomial in an auxiliary
-variable t whose coefficients are series; that layer is what product
-extraction of the partition families runs on.
+fabricated.  The generating functions and the verifiers work on these
+series; the family fold in families.py packs its own coefficient windows and
+hands back TruncatedSeries.
 
 All values are immutable and all operations are pure, so everything here is
 safe to share across threads.
@@ -238,54 +238,3 @@ def geometric_square(s: int, order: int) -> TruncatedSeries:
         m += 1
     return TruncatedSeries(tuple(c), order)
 
-
-@dataclass(frozen=True)
-class SeriesPolynomial:
-    """Polynomial in an auxiliary variable t with series coefficients.
-
-    t stands for the squared symmetric variable the product expansion of the
-    partition families runs over; degrees above degree_cap are discarded.
-    """
-
-    t_coeffs: tuple[TruncatedSeries, ...]
-    degree_cap: int
-    truncation_order: int
-
-    def __post_init__(self) -> None:
-        if self.degree_cap < 0:
-            raise ValueError("degree cap must be non-negative")
-        if not self.t_coeffs:
-            raise ValueError("need at least the t^0 coefficient")
-        if len(self.t_coeffs) > self.degree_cap + 1:
-            raise ValueError("more t-coefficients than the degree cap allows")
-        for ts in self.t_coeffs:
-            if ts.truncation_order != self.truncation_order:
-                raise ValueError("all t-coefficients must share the truncation order")
-
-    @classmethod
-    def one(cls, order: int, degree_cap: int) -> "SeriesPolynomial":
-        return cls((TruncatedSeries.one(order),), degree_cap, order)
-
-    def mul_linear(self, g: TruncatedSeries) -> "SeriesPolynomial":
-        """Multiply by (1 + t*g), capping the t-degree."""
-        if g.truncation_order != self.truncation_order:
-            raise ValueError("factor must share the polynomial's truncation order")
-        old = self.t_coeffs
-        width = min(len(old) + 1, self.degree_cap + 1)
-        new = []
-        for k in range(width):
-            term = old[k] if k < len(old) else TruncatedSeries.zero(self.truncation_order)
-            if k >= 1:
-                term = term + old[k - 1] * g
-            new.append(term)
-        while len(new) > 1 and new[-1].is_zero():
-            new.pop()
-        return SeriesPolynomial(tuple(new), self.degree_cap, self.truncation_order)
-
-    def t_coefficient(self, k: int) -> TruncatedSeries:
-        """Coefficient of t^k; degrees within the cap but never produced are zero."""
-        if k < 0 or k > self.degree_cap:
-            raise ValueError(f"t-degree {k} exceeds the degree cap {self.degree_cap}")
-        if k < len(self.t_coeffs):
-            return self.t_coeffs[k]
-        return TruncatedSeries.zero(self.truncation_order)

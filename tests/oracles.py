@@ -8,6 +8,8 @@ overpartitions and multiplicity products from unpruned multiset enumeration.
 
 from __future__ import annotations
 
+from math import comb
+
 
 def partition_counts(top: int) -> list[int]:
     """p(0..top) via the classic coin-style recurrence over part sizes."""
@@ -34,6 +36,56 @@ def three_colored_counts(top: int) -> list[int]:
     """Triple self-convolution of the partition counts."""
     p = partition_counts(top)
     return convolve(convolve(p, p, top), p, top)
+
+
+def overpartition_counts(top: int) -> list[int]:
+    """Overpartition counts 0..top: distinct-part counts (0/1 knapsack)
+    convolved with the partition counts."""
+    distinct = [1] + [0] * top
+    for part in range(1, top + 1):
+        for n in range(top, part - 1, -1):
+            distinct[n] += distinct[n - part]
+    return convolve(distinct, partition_counts(top), top)
+
+
+def theta_family_A(K: int, top: int) -> list[list[int]]:
+    """A_0..A_K through q^top from the Andrews-Rose theta quotient
+    A_k = p3 * sum_{m>=k} (-1)^(m+k) (2m+1)/(2k+1) C(m+k, m-k) q^(m(m+1)/2)
+    (J. reine angew. Math. 676, 2013)."""
+    p3 = three_colored_counts(top)
+    rows = []
+    for k in range(K + 1):
+        theta = [0] * (top + 1)
+        m = k
+        while m * (m + 1) // 2 <= top:
+            num = (2 * m + 1) * comb(m + k, m - k)
+            assert num % (2 * k + 1) == 0
+            theta[m * (m + 1) // 2] = (-1) ** (m + k) * (num // (2 * k + 1))
+            m += 1
+        rows.append(convolve(theta, p3, top))
+    return rows
+
+
+def theta_family_C(K: int, top: int) -> list[list[int]]:
+    """C_0..C_K through q^top from the odd-part analogue
+    C_k = overp * sum_{m>=k} (-1)^(m+k) c(m, k) q^(m^2), with c(0, 0) = 1
+    and c(m, k) = 2m/(m+k) C(m+k, 2k)."""
+    overp = overpartition_counts(top)
+    rows = []
+    for k in range(K + 1):
+        theta = [0] * (top + 1)
+        m = k
+        while m * m <= top:
+            if m == 0:
+                c = 1
+            else:
+                num = 2 * m * comb(m + k, 2 * k)
+                assert num % (m + k) == 0
+                c = num // (m + k)
+            theta[m * m] = (-1) ** (m + k) * c
+            m += 1
+        rows.append(convolve(theta, overp, top))
+    return rows
 
 
 def overpartition_count(n: int) -> int:

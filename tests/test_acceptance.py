@@ -23,7 +23,6 @@ from macmahon.families import (
     compute_C_family,
 )
 from macmahon.identities import (
-    run_suite,
     theorem_rhs_A,
     theorem_rhs_C,
     verify_corollary_A,
@@ -103,14 +102,14 @@ def test_criterion_02_oracle_equivalence():
 
 def test_criterion_03_theorem_A_suite():
     t0 = time.perf_counter()
-    reports = run_suite([lambda k=k: verify_theorem_A(k, 120) for k in range(13)])
+    reports = [verify_theorem_A(k, 120) for k in range(13)]
     failures = [(r.k, r.first_mismatch) for r in reports if not r.passed]
     check(3, "main A identity exact for k=0..12 at order 120", failures, t0, 120)
 
 
 def test_criterion_04_theorem_C_suite():
     t0 = time.perf_counter()
-    reports = run_suite([lambda k=k: verify_theorem_C(k, 150) for k in range(13)])
+    reports = [verify_theorem_C(k, 150) for k in range(13)]
     failures = [(r.k, r.first_mismatch) for r in reports if not r.passed]
     check(4, "main C identity exact for k=0..12 at order 150", failures, t0, 120)
 
@@ -220,18 +219,18 @@ def test_criterion_10_bench_sanity(capsys):
     if t_fam >= 60:
         failures.append(("family K=12 N=500", t_fam))
     code = cli_main(
-        ["bench", "--K", "12", "--sizes", "100,200,400", "--mul-sizes", "128,256,512", "--format", "json"]
+        ["bench", "--K", "12", "--sizes", "100,200,400", "--format", "json"]
     )
     rows = json.loads(capsys.readouterr().out)
     if code != 0:
         failures.append(("bench exit", code))
-    for op in ("family-plain", "family-packed", "mul"):
-        group = [r for r in rows if r["op"] == op]
-        sizes = [r["N"] for r in group]
-        times = [r["elapsed_s"] for r in group]
-        if sizes != sorted(set(sizes)):
-            failures.append((op, "sizes not strictly increasing", sizes))
-        if times != sorted(times):
-            failures.append((op, "times not monotone", times))
+    if [r["op"] for r in rows] != ["family"] * 3:
+        failures.append(("bench ops", [r["op"] for r in rows]))
+    sizes = [r["N"] for r in rows]
+    times = [r["elapsed_s"] for r in rows]
+    if sizes != sorted(set(sizes)):
+        failures.append(("family", "sizes not strictly increasing", sizes))
+    if times != sorted(times):
+        failures.append(("family", "times not monotone", times))
     with capsys.disabled():
-        check(10, "family K=12 N=500 under 60s and monotone bench ladders", failures, t0, 60)
+        check(10, "family K=12 N=500 under 60s and a monotone bench ladder", failures, t0, 60)

@@ -1,5 +1,5 @@
 """CLI behavior: output formats, exit statuses, JSON round-trips, the oracle
-guard, and the bench ladder."""
+guard, and the family bench ladder."""
 
 import json
 
@@ -152,22 +152,19 @@ def test_table_text_grid(capsys):
 
 
 def test_bench_ladder(capsys):
-    assert main(
-        ["bench", "--K", "4", "--sizes", "20,40", "--mul-sizes", "32,64", "--format", "json"]
-    ) == 0
+    assert main(["bench", "--K", "4", "--sizes", "20,40", "--format", "json"]) == 0
     rows = json.loads(out_of(capsys))
-    for op in ("family-plain", "family-packed"):
-        assert [r["N"] for r in rows if r["op"] == op] == [20, 40]
-    assert [r["N"] for r in rows if r["op"] == "mul"] == [32, 64]
+    assert [(r["op"], r["K"], r["N"]) for r in rows] == [("family", 4, 20), ("family", 4, 40)]
     assert all(r["elapsed_s"] >= 0 for r in rows)
 
 
 def test_bench_csv_and_text(capsys):
-    assert main(["bench", "--K", "2", "--sizes", "10", "--mul-sizes", "16", "--format", "csv"]) == 0
+    assert main(["bench", "--K", "2", "--sizes", "10", "--format", "csv"]) == 0
     lines = out_of(capsys).splitlines()
     assert lines[0] == "op,K,N,elapsed_s"
-    assert main(["bench", "--K", "2", "--sizes", "10", "--mul-sizes", "16"]) == 0
-    assert "family-plain" in out_of(capsys)
+    assert lines[1].startswith("family,2,10,")
+    assert main(["bench", "--K", "2", "--sizes", "10"]) == 0
+    assert out_of(capsys).splitlines()[1].split()[:3] == ["family", "2", "10"]
 
 
 def test_bench_rejects_bad_sizes():

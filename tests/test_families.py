@@ -1,6 +1,6 @@
 """Production family computation against every independent route: the paper
-displays, the brute-force counters, the literal nested sum, the t-polynomial
-construction, and the packed fold against the plain one."""
+displays, the brute-force counters, the literal nested sum, the unpruned
+enumeration, and the theta-quotient closed forms."""
 
 import random
 
@@ -17,7 +17,7 @@ from macmahon.families import (
     compute_C_family_uncached,
 )
 from macmahon.partitions import mk_bruteforce, mk_odd_bruteforce, p3_series
-from macmahon.series import SeriesPolynomial, TruncatedSeries, geometric_square, make_series
+from macmahon.series import TruncatedSeries, make_series
 
 # initial segments as displayed: (k, first exponent, coefficients)
 A_SNAPSHOTS = [
@@ -115,14 +115,18 @@ def test_stabilized_prefix_for_k_at_least_4():
 
 
 def test_family_against_bruteforce_grid():
-    fam = compute_A_family(5, 20)
-    for k in range(6):
-        for n in range(21):
-            assert fam.members[k].coeffs[n] == mk_bruteforce(k, n).value, (k, n)
-    famC = compute_C_family(4, 20)
-    for k in range(5):
-        for n in range(21):
-            assert famC.members[k].coeffs[n] == mk_odd_bruteforce(k, n).value, (k, n)
+    # every order below 32 and caps past the reachable degree, where the
+    # members above it must come back zero
+    for build, counter in (
+        (compute_A_family_uncached, mk_bruteforce),
+        (compute_C_family_uncached, mk_odd_bruteforce),
+    ):
+        want = [[counter(k, n).value for n in range(32)] for k in range(7)]
+        for order in range(32):
+            for K in (0, 1, 3, 6):
+                fam = build(K, order)
+                for k in range(K + 1):
+                    assert list(fam.members[k].coeffs) == want[k][: order + 1], (K, order, k)
 
 
 def test_shifted_members_track_the_generating_function():
@@ -171,37 +175,23 @@ def test_directsum_matches_family():
         assert a_k_directsum(k, 25) == fam.members[k], k
 
 
-# -- the t-polynomial construction is the same product -------------------------------
+# -- the theta-quotient closed forms (test-only oracle) -------------------------------
 
 
-def poly_family(order, cap, odd=False):
-    p = SeriesPolynomial.one(order, cap)
-    sizes = range(1, order + 1, 2 if odd else 1)
-    for s in sizes:
-        p = p.mul_linear(geometric_square(s, order))
-    return [p.t_coefficient(k) for k in range(cap + 1)]
-
-
-def test_fold_equals_poly_mul_linear_construction():
-    assert list(compute_A_family(5, 25).members) == poly_family(25, 5)
-    assert list(compute_C_family(4, 25).members) == poly_family(25, 4, odd=True)
-
-
-# -- packed strategy --------------------------------------------------------------------
+def _oracle_members(rows, order):
+    return tuple(TruncatedSeries(tuple(row), order) for row in rows)
 
 
 @pytest.mark.parametrize("K,order", [(0, 0), (0, 10), (3, 17), (5, 50), (12, 120), (9, 300)])
-def test_packed_equals_plain_A(K, order):
-    plain = compute_A_family_uncached(K, order, "plain")
-    packed = compute_A_family_uncached(K, order, "packed")
-    assert plain.members == packed.members
+def test_fold_equals_theta_oracle_A(K, order):
+    fam = compute_A_family_uncached(K, order)
+    assert fam.members == _oracle_members(oracles.theta_family_A(K, order), order)
 
 
 @pytest.mark.parametrize("K,order", [(0, 0), (2, 9), (4, 60), (12, 150), (7, 300)])
-def test_packed_equals_plain_C(K, order):
-    plain = compute_C_family_uncached(K, order, "plain")
-    packed = compute_C_family_uncached(K, order, "packed")
-    assert plain.members == packed.members
+def test_fold_equals_theta_oracle_C(K, order):
+    fam = compute_C_family_uncached(K, order)
+    assert fam.members == _oracle_members(oracles.theta_family_C(K, order), order)
 
 
 def test_packed_fold_works_with_builtin_ints(monkeypatch):
@@ -210,14 +200,8 @@ def test_packed_fold_works_with_builtin_ints(monkeypatch):
     import macmahon.families as families_module
 
     monkeypatch.setattr(families_module, "_bigint", int)
-    packed = compute_A_family_uncached(5, 60, "packed")
-    plain = compute_A_family_uncached(5, 60, "plain")
-    assert packed.members == plain.members
-
-
-def test_unknown_strategy_rejected():
-    with pytest.raises(ValueError):
-        compute_A_family_uncached(2, 10, "turbo")
+    packed = compute_A_family_uncached(5, 60)
+    assert packed.members == _oracle_members(oracles.theta_family_A(5, 60), 60)
 
 
 def test_negative_parameters_rejected():
@@ -225,6 +209,20 @@ def test_negative_parameters_rejected():
         compute_A_family_uncached(-1, 10)
     with pytest.raises(ValueError):
         compute_C_family_uncached(1, -10)
+
+
+@pytest.mark.parametrize("build", [compute_A_family, compute_C_family], ids=["A", "C"])
+def test_bool_parameters_rejected_after_cache_hit(build):
+    # lru_cache would key True like 1; the cached entry must not answer it
+    build(1, 5)
+    with pytest.raises(TypeError):
+        build(True, 5)
+    with pytest.raises(TypeError):
+        build(1, True)
+    with pytest.raises(TypeError):
+        compute_A_family_uncached(False, 5)
+    with pytest.raises(TypeError):
+        compute_C_family_uncached(0, False)
 
 
 # -- binomial ------------------------------------------------------------------------------

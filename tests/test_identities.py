@@ -13,7 +13,6 @@ from macmahon.identities import (
     VerificationReport,
     corollary_A_weights,
     corollary_C_weights,
-    run_suite,
     theorem_rhs_A,
     theorem_rhs_C,
     verify_corollary_A,
@@ -286,15 +285,3 @@ def test_report_json_mismatch_values_are_strings(monkeypatch):
     assert mm["exponent"] == 3
     assert isinstance(mm["lhs"], str) and isinstance(mm["rhs"], str)
 
-
-def test_run_suite_preserves_order_and_honors_env(monkeypatch):
-    monkeypatch.setenv("QSERIES_THREADS", "2")
-    tasks = [
-        lambda: verify_theorem_A(0, 25),
-        lambda: verify_theorem_C(1, 25),
-        lambda: verify_divisor_identities(25),
-    ]
-    reports = run_suite(tasks)
-    assert [r.identity for r in reports] == ["thm-a", "thm-c", "divisor"]
-    assert all(r.passed for r in reports)
-    assert run_suite([]) == []

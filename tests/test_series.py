@@ -1,12 +1,11 @@
-"""Series-core contract: exact arithmetic, truncation propagation, the
-t-polynomial layer, and the ring/unit properties on seeded random inputs."""
+"""Series-core contract: exact arithmetic, truncation propagation, and the
+ring/unit properties on seeded random inputs."""
 
 import random
 
 import pytest
 
 from macmahon.series import (
-    SeriesPolynomial,
     TruncatedSeries,
     format_series,
     geometric_square,
@@ -258,75 +257,6 @@ def test_ring_axioms_on_random_series(seed=0xC3):
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-
-
-# -- t-polynomial layer --------------------------------------------------------------------------
-
-
-def test_poly_mul_linear_single_factor():
-    p = SeriesPolynomial.one(3, 1)
-    g = geometric_square(1, 3)
-    out = p.mul_linear(g)
-    assert out.t_coefficient(0) == TruncatedSeries.one(3)
-    assert out.t_coefficient(1) == make_series([0, 1, 2, 3], 3)
-
-
-def test_poly_mul_linear_two_factors_t2_coefficient():
-    p = SeriesPolynomial.one(3, 2)
-    p = p.mul_linear(geometric_square(1, 3))
-    p = p.mul_linear(geometric_square(2, 3))
-    # hand expansion of g1*g2 truncated at order 3
-    assert p.t_coefficient(2) == make_series([0, 0, 0, 1], 3)
-
-
-def test_poly_mul_linear_zero_factor_is_identity():
-    p = SeriesPolynomial.one(4, 3).mul_linear(geometric_square(2, 4))
-    assert p.mul_linear(TruncatedSeries.zero(4)).t_coeffs == p.t_coeffs
-
-
-def test_poly_mul_linear_rejects_order_mismatch():
-    p = SeriesPolynomial.one(4, 2)
-    with pytest.raises(ValueError):
-        p.mul_linear(geometric_square(1, 5))
-
-
-def full_product(order, cap):
-    p = SeriesPolynomial.one(order, cap)
-    for s in range(1, order + 1):
-        p = p.mul_linear(geometric_square(s, order))
-    return p
-
-
-def test_extract_t_coefficient_degree_zero_is_one():
-    assert full_product(6, 3).t_coefficient(0) == TruncatedSeries.one(6)
-
-
-def test_extract_t_coefficient_degree_one():
-    assert full_product(5, 2).t_coefficient(1) == make_series([0, 1, 3, 4, 7, 6], 5)
-
-
-def test_extract_t_coefficient_beyond_reachable_degree_is_zero():
-    # degree 3 first appears at exponent 6, beyond this order
-    assert full_product(5, 3).t_coefficient(3) == TruncatedSeries.zero(5)
-    # degree allowed by the cap but never produced
-    p = SeriesPolynomial.one(4, 6)
-    assert p.t_coefficient(5) == TruncatedSeries.zero(4)
-
-
-def test_extract_t_coefficient_rejects_beyond_cap():
-    with pytest.raises(ValueError):
-        SeriesPolynomial.one(4, 2).t_coefficient(3)
-
-
-def test_t_coefficient_valuation_is_triangular():
-    p = full_product(21, 6)
-    for k in range(7):
-        assert p.t_coefficient(k).valuation() == k * (k + 1) // 2
-
-
-def test_series_polynomial_rejects_mixed_orders():
-    with pytest.raises(ValueError):
-        SeriesPolynomial((TruncatedSeries.one(3), TruncatedSeries.zero(4)), 2, 3)
 
 
 # -- presentation and serialization -----------------------------------------------------------------
