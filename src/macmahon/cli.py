@@ -94,10 +94,10 @@ def _compute_series(config: RunConfig) -> TruncatedSeries:
     order = _need(config.N, "N")
     if target == "a":
         k = _need(config.K, "K")
-        return compute_A_family(k, order).members[k]
+        return compute_A_family(k, order, lowest=k).member(k)
     if target == "c":
         k = _need(config.K, "K")
-        return compute_C_family(k, order).members[k]
+        return compute_C_family(k, order, lowest=k).member(k)
     if target == "p3":
         return p3_series(order)
     if target == "overp":

@@ -8,12 +8,21 @@ with s running over all positive integers for the A family and over odd
 integers for the C family.  The product is folded in one pass over s with all
 t-degrees carried jointly.  Each t-degree's coefficient window lives in one
 big integer with fixed-width slots, so the two divisions by (1-q^s) become
-geometric doublings on machine-speed bignum adds; this is what makes
-truncation orders in the thousands (the deep corollary checks) practical.
+geometric doublings on machine-speed bignum adds (on gmpy2 integers when
+available).
 
 The fold exploits the valuation floor of each t-degree (k(k+1)/2 for A, k^2
-for C) and the degree ramp: after f factors only t-degrees <= f can be
-nonzero.  It uses gmpy2 integers when available.
+for C, the sum of the first k factors) and the degree ramp: after f factors
+only t-degrees <= f can be nonzero.  A caller that reads only members
+lowest..K gets only those: the rows it asked for keep the full window, while
+each row below lowest is cut to the exponents that can still reach row
+lowest, since the distinct factors it still needs sum to at least a known
+minimum.  This is what makes the deep corollary windows (k = 100 at
+truncation orders 5355 and 10608) cost a fraction of a second.
+
+Slot widths rest on the bound p3(order) < exp(pi*sqrt(2*order)) plus a
+margin; unpacking checks that every slot of every returned row stays below
+the bound, and raises ArithmeticError otherwise.
 
 The literal nested-sum definition of A_k is kept as `a_k_directsum`, an
 independent oracle for small parameters; it never feeds the production path.
@@ -24,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
 
 from .series import TruncatedSeries, geometric_square
 
@@ -35,25 +43,30 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 @dataclass(frozen=True)
 class MacmahonFamily:
-    """A_0..A_K or C_0..C_K at one shared truncation order."""
+    """Members lowest..K of A or C at one shared truncation order."""
 
     family: str  # "A" | "C"
     members: tuple[TruncatedSeries, ...]
     truncation_order: int
     degree_cap: int
+    lowest: int = 0
 
     def __post_init__(self) -> None:
         if self.family not in ("A", "C"):
             raise ValueError("family tag must be 'A' or 'C'")
-        if len(self.members) != self.degree_cap + 1:
-            raise ValueError("need exactly degree_cap+1 members")
-        if self.members[0].coeffs[0] != 1 or self.members[0].valuation() != 0:
+        if not 0 <= self.lowest <= self.degree_cap:
+            raise ValueError("lowest member must lie in 0..degree_cap")
+        if len(self.members) != self.degree_cap - self.lowest + 1:
+            raise ValueError("need exactly degree_cap-lowest+1 members")
+        if self.lowest == 0 and (
+            self.members[0].coeffs[0] != 1 or self.members[0].valuation() != 0
+        ):
             raise ValueError("member 0 must be the constant series 1")
 
     def member(self, k: int) -> TruncatedSeries:
-        if not 0 <= k <= self.degree_cap:
-            raise IndexError(f"family holds members 0..{self.degree_cap}")
-        return self.members[k]
+        if not self.lowest <= k <= self.degree_cap:
+            raise IndexError(f"family holds members {self.lowest}..{self.degree_cap}")
+        return self.members[k - self.lowest]
 
     def coefficient(self, k: int, n: int) -> int:
         """The multiplicity-product partition count encoded at q^n of member k."""
@@ -69,35 +82,51 @@ def binomial(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
-def _slot_bits(order: int) -> int:
+def _bound_bits(order: int) -> int:
     # Every accumulated coefficient is bounded by the 3-colored partition
-    # count p3(order) < exp(pi*sqrt(2*order)); the two prefix passes per
-    # factor multiply a slot by at most (order+1) each.  Byte-aligned for
-    # cheap unpacking.
-    bound_bits = int(math.pi * math.sqrt(2 * order) / math.log(2)) + 1
-    bits = bound_bits + 2 * (order + 1).bit_length() + 32
+    # count p3(order) < exp(pi*sqrt(2*order)).
+    return int(math.pi * math.sqrt(2 * order) / math.log(2)) + 1
+
+
+def _slot_bits(order: int) -> int:
+    # The two prefix passes per factor multiply a slot by at most (order+1)
+    # each; the margin on top of the bound is what unpacking checks stays
+    # zero.  Byte-aligned for cheap unpacking.
+    bits = _bound_bits(order) + 2 * (order + 1).bit_length() + 32
     return ((bits + 7) // 8) * 8
 
 
-def _fold_packed(
-    factors: Iterable[int], lowvals: list[int], k_eff: int, order: int, slot_bits: int
-) -> list:
+def _lowval(k: int, step: int) -> int:
+    # sum of the first k factors 1, 1+step, ..., 1+(k-1)*step
+    return k + step * k * (k - 1) // 2
+
+
+def _fold_packed(step: int, lowest: int, k_eff: int, order: int, slot_bits: int) -> list:
     b = slot_bits
     one = _bigint(1)
+    lowvals = [_lowval(k, step) for k in range(k_eff + 1)]
     rows = [_bigint(0) for _ in range(k_eff + 1)]
     rows[0] = one
     applied = 0
-    for s in factors:
+    for s in range(1, order + 1, step):
         applied += 1
         for k in range(min(k_eff, applied), 0, -1):
             lv = lowvals[k - 1]
-            if lv + s > order:
+            # a term of an intermediate row k < lowest still needs r more
+            # distinct factors above s, which add at least r*s+step*r(r+1)/2
+            r = max(lowest - k, 0)
+            cut = r * s + step * r * (r + 1) // 2
+            # slots of x that still matter once everything is lifted by q^s
+            w = order - cut - lv - s + 1
+            if w <= 0:
+                # for k <= lowest the cheapest way through row k to row
+                # lowest only grows as k falls: no lower row has a window
+                if k <= lowest:
+                    break
                 continue
             x = rows[k - 1]
             if not x:
                 continue
-            # slots of x that still matter once everything is lifted by q^s
-            w = order - lv - s + 1
             mask = (one << (b * w)) - 1
             t = x & mask
             # two geometric-doubling passes realize division by (1-q^s)^2;
@@ -113,77 +142,72 @@ def _fold_packed(
     return rows
 
 
-def _unpack_packed_row(row, lowval: int, order: int, slot_bits: int) -> tuple[int, ...]:
+def _unpack_packed_row(
+    row, lowval: int, order: int, slot_bits: int, bound_bits: int
+) -> tuple[int, ...]:
     width = order - lowval + 1
     b8 = slot_bits // 8
-    # to_bytes overflows if a slot ever escaped its window: structural guard
+    # to_bytes overflows if the top slot ever escaped its window
     raw = int(row).to_bytes(width * b8, "little")
     coeffs = [0] * (order + 1)
     for i in range(width):
-        chunk = raw[i * b8 : (i + 1) * b8]
-        c = int.from_bytes(chunk, "little")
+        c = int.from_bytes(raw[i * b8 : (i + 1) * b8], "little")
         if c:
+            # a slot past the p3 bound means the margin above it, and with it
+            # the slot width, can no longer be trusted
+            if c >> bound_bits:
+                raise ArithmeticError(
+                    f"packed slot at q^{lowval + i} exceeds {bound_bits} bits"
+                )
             coeffs[lowval + i] = c
     return tuple(coeffs)
 
 
-def _compute_family(
-    tag: str,
-    K: int,
-    order: int,
-    factors: Callable[[int], Iterable[int]],
-    lowval: Callable[[int], int],
-) -> MacmahonFamily:
-    if isinstance(K, bool) or isinstance(order, bool):
-        raise TypeError("family cap and truncation order must be ints, not bool")
+def _compute_family(tag: str, step: int, K: int, order: int, lowest: int) -> MacmahonFamily:
+    if isinstance(K, bool) or isinstance(order, bool) or isinstance(lowest, bool):
+        raise TypeError("family cap, truncation order and lowest member must be ints, not bool")
     if K < 0:
         raise ValueError("family cap must be non-negative")
     if order < 0:
         raise ValueError("truncation order must be non-negative")
+    if not 0 <= lowest <= K:
+        raise ValueError("lowest member must lie in 0..K")
 
-    lowvals = [lowval(k) for k in range(K + 1)]
     k_eff = K
-    while k_eff > 0 and lowvals[k_eff] > order:
+    while k_eff > 0 and _lowval(k_eff, step) > order:
         k_eff -= 1
 
-    bits = _slot_bits(order)
-    packed = _fold_packed(factors(order), lowvals, k_eff, order, bits)
-    members = [
-        TruncatedSeries(_unpack_packed_row(packed[k], lowvals[k], order, bits), order)
-        for k in range(k_eff + 1)
-    ]
-    members.extend(TruncatedSeries.zero(order) for _ in range(k_eff + 1, K + 1))
-    return MacmahonFamily(tag, tuple(members), order, K)
+    members = []
+    if lowest <= k_eff:
+        bits = _slot_bits(order)
+        bound = _bound_bits(order)
+        packed = _fold_packed(step, lowest, k_eff, order, bits)
+        members = [
+            TruncatedSeries(
+                _unpack_packed_row(packed[k], _lowval(k, step), order, bits, bound), order
+            )
+            for k in range(lowest, k_eff + 1)
+        ]
+    members.extend(TruncatedSeries.zero(order) for _ in range(lowest + len(members), K + 1))
+    return MacmahonFamily(tag, tuple(members), order, K, lowest)
 
 
-def compute_A_family_uncached(K: int, order: int) -> MacmahonFamily:
-    """A_0..A_K at the given order; part sizes run over all positive integers,
-    so member k has valuation k(k+1)/2."""
-    return _compute_family(
-        "A",
-        K,
-        order,
-        lambda n: range(1, n + 1),
-        lambda k: k * (k + 1) // 2,
-    )
+def compute_A_family_uncached(K: int, order: int, lowest: int = 0) -> MacmahonFamily:
+    """A_lowest..A_K at the given order; part sizes run over all positive
+    integers, so member k has valuation k(k+1)/2."""
+    return _compute_family("A", 1, K, order, lowest)
 
 
-def compute_C_family_uncached(K: int, order: int) -> MacmahonFamily:
-    """C_0..C_K at the given order; part sizes run over odd integers, so
+def compute_C_family_uncached(K: int, order: int, lowest: int = 0) -> MacmahonFamily:
+    """C_lowest..C_K at the given order; part sizes run over odd integers, so
     member k has valuation k^2."""
-    return _compute_family(
-        "C",
-        K,
-        order,
-        lambda n: range(1, n + 1, 2),
-        lambda k: k * k,
-    )
+    return _compute_family("C", 2, K, order, lowest)
 
 
-# verification suites reuse the same (K, order) family across many checks;
-# results are immutable, so sharing them through a cache is safe.  typed=True
-# keeps True apart from 1, so a bool argument cannot hit a cached int entry
-# and skip the argument check.
+# verification suites reuse the same (K, order, lowest) family across many
+# checks; results are immutable, so sharing them through a cache is safe.
+# typed=True keeps True apart from 1, so a bool argument cannot hit a cached
+# int entry and skip the argument check.
 compute_A_family = lru_cache(maxsize=12, typed=True)(compute_A_family_uncached)
 compute_C_family = lru_cache(maxsize=12, typed=True)(compute_C_family_uncached)
 

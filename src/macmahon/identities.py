@@ -88,6 +88,14 @@ def _report(
     )
 
 
+def _reject_bool(**params: int) -> None:
+    # bool is an int subclass; a True k would otherwise pass as 1 and be
+    # reported as true
+    for name, value in params.items():
+        if isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, not bool")
+
+
 def _compare(lhs: Sequence[int], rhs: Sequence[int], top: int) -> Mismatch | None:
     for n in range(top + 1):
         if lhs[n] != rhs[n]:
@@ -102,6 +110,7 @@ def theorem_rhs_A(k: int, order: int) -> tuple[TruncatedSeries, int]:
     """Weighted member sum of the main A identity, lowered by q^(k(k+1)/2) so
     it aligns with the 3-colored generating function window 0..order.
     Returns the series and the number of members that reach the window."""
+    _reject_bool(k=k, order=order)
     if k < 0:
         raise ValueError("k must be non-negative")
     shift = k * (k + 1) // 2
@@ -109,11 +118,11 @@ def theorem_rhs_A(k: int, order: int) -> tuple[TruncatedSeries, int]:
     m_top = k
     while (m_top + 1) * (m_top + 2) // 2 <= family_order:
         m_top += 1
-    fam = compute_A_family(m_top, family_order)
+    fam = compute_A_family(m_top, family_order, lowest=k)
     out = [0] * (order + 1)
     for m in range(k, m_top + 1):
         w = binomial(2 * m + 1, m + k + 1)
-        cs = fam.members[m].coeffs
+        cs = fam.member(m).coeffs
         for n in range(order + 1):
             c = cs[n + shift]
             if c:
@@ -123,6 +132,7 @@ def theorem_rhs_A(k: int, order: int) -> tuple[TruncatedSeries, int]:
 
 def theorem_rhs_C(k: int, order: int) -> tuple[TruncatedSeries, int]:
     """Weighted member sum of the main C identity, lowered by q^(k^2)."""
+    _reject_bool(k=k, order=order)
     if k < 0:
         raise ValueError("k must be non-negative")
     shift = k * k
@@ -130,11 +140,11 @@ def theorem_rhs_C(k: int, order: int) -> tuple[TruncatedSeries, int]:
     m_top = k
     while (m_top + 1) * (m_top + 1) <= family_order:
         m_top += 1
-    fam = compute_C_family(m_top, family_order)
+    fam = compute_C_family(m_top, family_order, lowest=k)
     out = [0] * (order + 1)
     for m in range(k, m_top + 1):
         w = binomial(2 * m, m + k)
-        cs = fam.members[m].coeffs
+        cs = fam.member(m).coeffs
         for n in range(order + 1):
             c = cs[n + shift]
             if c:
@@ -175,17 +185,18 @@ def corollary_C_weights(k: int, j: int) -> list[int]:
 def verify_corollary_A(k: int, j: int) -> VerificationReport:
     """p3(n) == sum of j+1 weighted member coefficients, for every n in the
     guaranteed window n < (j+1)(j+2k+2)/2."""
+    _reject_bool(k=k, j=j)
     if k < 0 or j < 0:
         raise ValueError("k and j must be non-negative")
     t0 = time.perf_counter()
     n_top = (j + 1) * (j + 2 * k + 2) // 2 - 1
     shift = k * (k + 1) // 2
-    fam = compute_A_family(k + j, n_top + shift)
+    fam = compute_A_family(k + j, n_top + shift, lowest=k)
     weights = corollary_A_weights(k, j)
     lhs = p3_series(n_top)
     rhs = [0] * (n_top + 1)
     for m, w in enumerate(weights):
-        cs = fam.members[k + m].coeffs
+        cs = fam.member(k + m).coeffs
         for n in range(n_top + 1):
             c = cs[n + shift]
             if c:
@@ -197,17 +208,18 @@ def verify_corollary_A(k: int, j: int) -> VerificationReport:
 def verify_corollary_C(k: int, j: int) -> VerificationReport:
     """Overpartition count == sum of j+1 weighted odd-family coefficients for
     n < (j+1)(j+2k+1)."""
+    _reject_bool(k=k, j=j)
     if k < 0 or j < 0:
         raise ValueError("k and j must be non-negative")
     t0 = time.perf_counter()
     n_top = (j + 1) * (j + 2 * k + 1) - 1
     shift = k * k
-    fam = compute_C_family(k + j, n_top + shift)
+    fam = compute_C_family(k + j, n_top + shift, lowest=k)
     weights = corollary_C_weights(k, j)
     lhs = overpartition_series(n_top)
     rhs = [0] * (n_top + 1)
     for m, w in enumerate(weights):
-        cs = fam.members[k + m].coeffs
+        cs = fam.member(k + m).coeffs
         for n in range(n_top + 1):
             c = cs[n + shift]
             if c:
@@ -221,15 +233,15 @@ def verify_corollary_C(k: int, j: int) -> VerificationReport:
 
 def verify_limit_A(k: int, order: int) -> VerificationReport:
     """The lowered member A_k alone matches the 3-colored generating function
-    through exponent k, i.e. the remainder has valuation >= k+1."""
+    through exponent k, i.e. the remainder has valuation >= k+1.  Only
+    exponents up to shift+k are compared, so the member is built only that far."""
+    _reject_bool(k=k, order=order)
     shift = k * (k + 1) // 2
     if shift > order:
         raise ValueError("order must be at least k(k+1)/2")
     t0 = time.perf_counter()
-    fam = compute_A_family(k, order)
-    member = fam.members[k].coeffs
-    window = order - shift
-    top = min(k, window)
+    top = min(k, order - shift)
+    member = compute_A_family(k, shift + top, lowest=k).member(k).coeffs
     lhs = p3_series(top)
     mm = None
     for n in range(top + 1):
@@ -241,15 +253,15 @@ def verify_limit_A(k: int, order: int) -> VerificationReport:
 
 def verify_limit_C(k: int, order: int) -> VerificationReport:
     """The lowered member C_k matches the overpartition generating function
-    through exponent 2k, i.e. the remainder has valuation >= 2k+1."""
+    through exponent 2k, i.e. the remainder has valuation >= 2k+1.  Only
+    exponents up to shift+2k are compared, so the member is built only that far."""
+    _reject_bool(k=k, order=order)
     shift = k * k
     if shift > order:
         raise ValueError("order must be at least k^2")
     t0 = time.perf_counter()
-    fam = compute_C_family(k, order)
-    member = fam.members[k].coeffs
-    window = order - shift
-    top = min(2 * k, window)
+    top = min(2 * k, order - shift)
+    member = compute_C_family(k, shift + top, lowest=k).member(k).coeffs
     lhs = overpartition_series(top)
     mm = None
     for n in range(top + 1):
@@ -266,12 +278,13 @@ def verify_divisor_identities(order: int) -> VerificationReport:
     """Member 1 carries sigma_1(n); member 2 satisfies
     8*coeff = (1-2n)*sigma_1(n) + sigma_3(n), which in particular forces the
     right side to be divisible by 8.  Checked for 1 <= n <= order."""
+    _reject_bool(order=order)
     if order < 1:
         raise ValueError("need order >= 1")
     t0 = time.perf_counter()
-    fam = compute_A_family(2, order)
-    a1 = fam.members[1].coeffs
-    a2 = fam.members[2].coeffs
+    fam = compute_A_family(2, order, lowest=1)
+    a1 = fam.member(1).coeffs
+    a2 = fam.member(2).coeffs
     mm = None
     for n in range(1, order + 1):
         s1 = sigma(1, n)

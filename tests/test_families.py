@@ -9,6 +9,10 @@ import pytest
 import oracles
 from macmahon.families import (
     MacmahonFamily,
+    _bound_bits,
+    _fold_packed,
+    _slot_bits,
+    _unpack_packed_row,
     a_k_directsum,
     binomial,
     compute_A_family,
@@ -143,6 +147,105 @@ def test_shifted_members_track_the_generating_function():
         )
         v = remainder.valuation()
         assert v is None or v >= k + 1, k
+
+
+# -- members-only builds ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build", [compute_A_family_uncached, compute_C_family_uncached], ids=["A", "C"]
+)
+def test_members_only_equals_full_fold(build):
+    # rows below lowest are cut to the window they can still feed; the rows
+    # that come back must not notice
+    for order in list(range(32)) + [201, 256, 333]:
+        for K in (0, 1, 3, 6, 12):
+            full = build(K, order)
+            for lowest in range(K + 1):
+                fam = build(K, order, lowest)
+                assert fam.lowest == lowest
+                assert fam.members == full.members[lowest:], (K, order, lowest)
+                for k in range(lowest, K + 1):
+                    assert fam.member(k) == full.member(k)
+
+
+@pytest.mark.parametrize("k", [12, 20, 32])
+def test_corollary_shapes_match_theta_and_bruteforce(k):
+    # the exact (cap, order, lowest) requests the corollary verifiers make
+    # at j = 3: both families, against the theta quotients, and near each
+    # member's valuation floor against brute force
+    j = 3
+    shapes = (
+        ("A", compute_A_family_uncached, oracles.theta_family_A, mk_bruteforce,
+         (j + 1) * (j + 2 * k + 2) // 2 - 1 + k * (k + 1) // 2, lambda m: m * (m + 1) // 2),
+        ("C", compute_C_family_uncached, oracles.theta_family_C, mk_odd_bruteforce,
+         (j + 1) * (j + 2 * k + 1) - 1 + k * k, lambda m: m * m),
+    )
+    for tag, build, theta, counter, order, lowval in shapes:
+        fam = build(k + j, order, k)
+        rows = theta(k + j, order)
+        for m in range(k, k + j + 1):
+            assert list(fam.member(m).coeffs) == rows[m], (tag, m)
+            floor = lowval(m)
+            for n in range(floor, min(floor + 8, order) + 1):
+                assert fam.member(m).coeffs[n] == counter(m, n).value, (tag, m, n)
+
+
+def test_member_below_lowest_raises():
+    fam = compute_C_family(5, 40, lowest=3)
+    assert len(fam.members) == 3
+    assert fam.member(3) == fam.members[0]
+    with pytest.raises(IndexError):
+        fam.member(2)
+    with pytest.raises(IndexError):
+        fam.coefficient(0, 0)
+    with pytest.raises(IndexError):
+        fam.member(6)
+
+
+def test_family_validates_member_count_for_lowest():
+    three = (TruncatedSeries.zero(3),) * 3
+    assert MacmahonFamily("A", three, 3, 4, 2).member(4) == TruncatedSeries.zero(3)
+    with pytest.raises(ValueError):
+        MacmahonFamily("A", three, 3, 4, 1)
+    with pytest.raises(ValueError):
+        MacmahonFamily("A", three, 3, 4, 3)
+    with pytest.raises(ValueError):
+        MacmahonFamily("A", three[:1], 3, 4, 5)
+
+
+def test_lowest_out_of_range_or_bool_rejected():
+    for bad in (-1, 4):
+        with pytest.raises(ValueError):
+            compute_A_family_uncached(3, 10, bad)
+    with pytest.raises(TypeError):
+        compute_C_family_uncached(3, 10, True)
+    compute_A_family(1, 5, lowest=1)
+    with pytest.raises(TypeError):
+        compute_A_family(1, 5, lowest=True)
+
+
+# -- the packed slot width ----------------------------------------------------------
+
+
+def test_slot_layout_leaves_guard_bits():
+    for order in (0, 1, 31, 600, 10608):
+        assert _slot_bits(order) % 8 == 0
+        assert _slot_bits(order) >= _bound_bits(order) + 32
+
+
+@pytest.mark.parametrize("slot_bits", [64, 16], ids=["guard-bits-set", "carried-out"])
+def test_unpack_rejects_a_slot_too_narrow_for_its_coefficients(slot_bits):
+    # A_3 reaches tens of thousands by q^60.  A claimed 8-bit bound leaves
+    # the true values in the guard bits of a 64-bit slot, and overflows a
+    # 16-bit slot into its neighbour; unpacking must refuse both
+    order, k = 60, 3
+    rows = _fold_packed(1, 0, k, order, slot_bits)
+    with pytest.raises(ArithmeticError):
+        _unpack_packed_row(rows[k], 6, order, slot_bits, 8)
+    wide = _fold_packed(1, 0, k, order, _slot_bits(order))
+    got = _unpack_packed_row(wide[k], 6, order, _slot_bits(order), _bound_bits(order))
+    assert list(got) == oracles.theta_family_A(k, order)[k]
 
 
 # -- the literal nested sum ---------------------------------------------------------

@@ -192,6 +192,27 @@ def test_corollary_rejects_negative_parameters():
         verify_corollary_C(0, -1)
 
 
+@pytest.mark.parametrize(
+    "verify,args",
+    [
+        (verify_theorem_A, (True, 20)),
+        (verify_theorem_C, (2, True)),
+        (verify_corollary_A, (True, 2)),
+        (verify_corollary_C, (1, False)),
+        (verify_limit_A, (True, 5)),
+        (verify_limit_C, (False, 5)),
+        (verify_divisor_identities, (True,)),
+    ],
+    ids=["thm-a", "thm-c", "cor-a", "cor-c", "limit-a", "limit-c", "divisor"],
+)
+def test_verifiers_reject_bool_parameters(verify, args):
+    # bool is an int subclass; without the check True would run as 1 and be
+    # reported back as true.  The verifier itself must refuse it, before any
+    # family build does
+    with pytest.raises(TypeError, match="must be an int, not bool"):
+        verify(*args)
+
+
 # -- limit relations -----------------------------------------------------------------------
 
 
