@@ -65,6 +65,20 @@ class RunConfig:
     repeat: int = 3
 
 
+# The highest truncation order any command builds: above the order 10608 of
+# the deep k=100 corollary window, below orders whose coefficient vectors and
+# folds would exhaust memory or run for hours.
+MAX_ORDER = 20_000
+
+
+def _check_order(order: int) -> int:
+    if order > MAX_ORDER:
+        raise UsageError(
+            f"this call builds truncation order {order}, above the order limit {MAX_ORDER}"
+        )
+    return order
+
+
 def _need(value: int | None, name: str, minimum: int = 0) -> int:
     if value is None:
         raise UsageError(f"--{name} is required for this target")
@@ -91,7 +105,7 @@ def _emit(text: str, path: str | None) -> None:
 
 def _compute_series(config: RunConfig) -> TruncatedSeries:
     target = config.target
-    order = _need(config.N, "N")
+    order = _check_order(_need(config.N, "N"))
     if target == "a":
         k = _need(config.K, "K")
         return compute_A_family(k, order, lowest=k).member(k)
@@ -123,21 +137,35 @@ def _series_output(series: TruncatedSeries, fmt: str) -> str:
 
 
 def _run_verifier(config: RunConfig) -> VerificationReport:
+    # each branch checks the highest order its verifier builds (see
+    # identities.py) before the verifier allocates anything
     target = config.target
     if target == "thm-a":
-        return verify_theorem_A(_need(config.k, "k"), _need(config.N, "N"))
+        k, order = _need(config.k, "k"), _need(config.N, "N")
+        _check_order(order + k * (k + 1) // 2)
+        return verify_theorem_A(k, order)
     if target == "thm-c":
-        return verify_theorem_C(_need(config.k, "k"), _need(config.N, "N"))
+        k, order = _need(config.k, "k"), _need(config.N, "N")
+        _check_order(order + k * k)
+        return verify_theorem_C(k, order)
     if target == "cor-a":
-        return verify_corollary_A(_need(config.k, "k"), _need(config.j, "j"))
+        k, j = _need(config.k, "k"), _need(config.j, "j")
+        _check_order((j + 1) * (j + 2 * k + 2) // 2 - 1 + k * (k + 1) // 2)
+        return verify_corollary_A(k, j)
     if target == "cor-c":
-        return verify_corollary_C(_need(config.k, "k"), _need(config.j, "j"))
+        k, j = _need(config.k, "k"), _need(config.j, "j")
+        _check_order((j + 1) * (j + 2 * k + 1) - 1 + k * k)
+        return verify_corollary_C(k, j)
     if target == "limit-a":
-        return verify_limit_A(_need(config.k, "k"), _need(config.N, "N"))
+        k, order = _need(config.k, "k"), _need(config.N, "N")
+        _check_order(min(k * (k + 1) // 2 + k, order))
+        return verify_limit_A(k, order)
     if target == "limit-c":
-        return verify_limit_C(_need(config.k, "k"), _need(config.N, "N"))
+        k, order = _need(config.k, "k"), _need(config.N, "N")
+        _check_order(min(k * k + 2 * k, order))
+        return verify_limit_C(k, order)
     if target == "divisor":
-        return verify_divisor_identities(_need(config.N, "N", minimum=1))
+        return verify_divisor_identities(_check_order(_need(config.N, "N", minimum=1)))
     raise UsageError(f"unknown verify target {target!r}")
 
 
@@ -181,7 +209,7 @@ def _report_output(report: VerificationReport, fmt: str) -> str:
 
 def _table_values(config: RunConfig) -> list[list[int]]:
     cap = _need(config.K, "K")
-    order = _need(config.N, "N")
+    order = _check_order(_need(config.N, "N"))
     if config.use_oracle:
         if order > config.oracle_guard:
             raise UsageError(
@@ -241,6 +269,8 @@ def _run_bench(config: RunConfig) -> list[dict]:
         raise UsageError(f"--K must be >= 0, got {cap}")
     if config.repeat < 1:
         raise UsageError(f"--repeat must be >= 1, got {config.repeat}")
+    for n in config.bench_family_sizes:
+        _check_order(n)
     compute_A_family_uncached(min(cap, 4), 16)  # warm up allocators
     for n in config.bench_family_sizes:
         dt = _best_of(config.repeat, lambda: compute_A_family_uncached(cap, n))

@@ -20,6 +20,12 @@ lowest, since the distinct factors it still needs sum to at least a known
 minimum.  This is what makes the deep corollary windows (k = 100 at
 truncation orders 5355 and 10608) cost a fraction of a second.
 
+`compute_A_family` and `compute_C_family` answer from a covering store: a
+request is cut out of any kept family that reaches as low, as far and as
+high, since a prefix of a truncated series is exact and member k depends
+neither on the cap nor on the lowest member asked for.  A miss builds
+exactly the request.  The `_uncached` functions always build.
+
 Slot widths rest on the bound p3(order) < exp(pi*sqrt(2*order)) plus a
 margin; unpacking checks that every slot of every returned row stays below
 the bound, and raises ArithmeticError otherwise.
@@ -30,9 +36,11 @@ independent oracle for small parameters; it never feeds the production path.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .series import TruncatedSeries, geometric_square
 
@@ -163,7 +171,7 @@ def _unpack_packed_row(
     return tuple(coeffs)
 
 
-def _compute_family(tag: str, step: int, K: int, order: int, lowest: int) -> MacmahonFamily:
+def _check_request(K: int, order: int, lowest: int) -> None:
     if isinstance(K, bool) or isinstance(order, bool) or isinstance(lowest, bool):
         raise TypeError("family cap, truncation order and lowest member must be ints, not bool")
     if K < 0:
@@ -173,10 +181,20 @@ def _compute_family(tag: str, step: int, K: int, order: int, lowest: int) -> Mac
     if not 0 <= lowest <= K:
         raise ValueError("lowest member must lie in 0..K")
 
-    k_eff = K
-    while k_eff > 0 and _lowval(k_eff, step) > order:
-        k_eff -= 1
 
+def _top_member(step: int, K: int, order: int) -> int:
+    # the highest member <= K whose valuation floor lies within the order;
+    # every member above it is zero there.  A floor within the order forces
+    # (k-1)^2 <= 2*order/step, so the loop starts at most a step or two high.
+    k = min(K, math.isqrt(2 * order // step) + 1)
+    while k > 0 and _lowval(k, step) > order:
+        k -= 1
+    return k
+
+
+def _compute_family(tag: str, step: int, K: int, order: int, lowest: int) -> MacmahonFamily:
+    _check_request(K, order, lowest)
+    k_eff = _top_member(step, K, order)
     members = []
     if lowest <= k_eff:
         bits = _slot_bits(order)
@@ -204,12 +222,96 @@ def compute_C_family_uncached(K: int, order: int, lowest: int = 0) -> MacmahonFa
     return _compute_family("C", 2, K, order, lowest)
 
 
-# verification suites reuse the same (K, order, lowest) family across many
-# checks; results are immutable, so sharing them through a cache is safe.
-# typed=True keeps True apart from 1, so a bool argument cannot hit a cached
-# int entry and skip the argument check.
-compute_A_family = lru_cache(maxsize=12, typed=True)(compute_A_family_uncached)
-compute_C_family = lru_cache(maxsize=12, typed=True)(compute_C_family_uncached)
+CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+
+# the most families one store keeps; the least recently used goes first
+_KEPT_FAMILIES = 12
+
+
+def _covers(fam: MacmahonFamily, order: int, lowest: int, top: int) -> bool:
+    # fam holds every member lowest..top that can be nonzero at the order,
+    # each at least that far
+    return fam.lowest <= lowest and fam.truncation_order >= order and fam.degree_cap >= top
+
+
+class _CoveringStore:
+    """Families built so far for one of A and C.  A request is served from
+    any kept family that covers it, truncated to exactly the requested K,
+    order and lowest; this is exact because a prefix of a truncated series is
+    exact and member k does not depend on the cap or on which members below
+    it were asked for.  A miss builds exactly the request, never wider, and
+    then drops the kept families the new one covers.
+
+    Arguments are checked before any lookup, so a bool or a negative value
+    raises whatever is kept.  Results are immutable and the bookkeeping is
+    under a lock, so one store is safe to share across threads."""
+
+    def __init__(self, build, step: int) -> None:
+        functools.update_wrapper(self, build)
+        self._build = build
+        self._step = step
+        self._kept: list[MacmahonFamily] = []  # least recently used first
+        self._hits = self._misses = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, K: int, order: int, lowest: int = 0) -> MacmahonFamily:
+        _check_request(K, order, lowest)
+        top = _top_member(self._step, K, order)
+        fam = self._lookup(order, lowest, top)
+        if fam is None:
+            fam = self._build(K, order, lowest)
+            self._keep(fam)
+            return fam
+        if (fam.degree_cap, fam.truncation_order, fam.lowest) == (K, order, lowest):
+            return fam
+        members = [
+            fam.member(k).truncate(order) if k <= top else TruncatedSeries.zero(order)
+            for k in range(lowest, K + 1)
+        ]
+        return MacmahonFamily(fam.family, tuple(members), order, K, lowest)
+
+    def _lookup(self, order: int, lowest: int, top: int) -> MacmahonFamily | None:
+        with self._lock:
+            for i in range(len(self._kept) - 1, -1, -1):
+                if _covers(self._kept[i], order, lowest, top):
+                    self._hits += 1
+                    self._kept.append(self._kept.pop(i))
+                    return self._kept[-1]
+            self._misses += 1
+            return None
+
+    def _keep(self, fam: MacmahonFamily) -> None:
+        with self._lock:
+            self._kept = [
+                kept
+                for kept in self._kept
+                if not _covers(
+                    fam,
+                    kept.truncation_order,
+                    kept.lowest,
+                    _top_member(self._step, kept.degree_cap, kept.truncation_order),
+                )
+            ]
+            self._kept.append(fam)
+            del self._kept[:-_KEPT_FAMILIES]
+
+    def cache_info(self) -> CacheInfo:
+        """Hits (covered requests), misses (builds), the bound and the number
+        of families kept."""
+        with self._lock:
+            return CacheInfo(self._hits, self._misses, _KEPT_FAMILIES, len(self._kept))
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._kept = []
+            self._hits = self._misses = 0
+
+
+# verification suites read overlapping members of one family at orders that
+# differ from call to call, so most requests are covered by an earlier build;
+# results are immutable, so sharing them is safe
+compute_A_family = _CoveringStore(compute_A_family_uncached, 1)
+compute_C_family = _CoveringStore(compute_C_family_uncached, 2)
 
 
 def a_k_directsum(k: int, order: int) -> TruncatedSeries:

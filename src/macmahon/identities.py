@@ -236,6 +236,8 @@ def verify_limit_A(k: int, order: int) -> VerificationReport:
     through exponent k, i.e. the remainder has valuation >= k+1.  Only
     exponents up to shift+k are compared, so the member is built only that far."""
     _reject_bool(k=k, order=order)
+    if k < 0:
+        raise ValueError("k must be non-negative")
     shift = k * (k + 1) // 2
     if shift > order:
         raise ValueError("order must be at least k(k+1)/2")
@@ -256,6 +258,8 @@ def verify_limit_C(k: int, order: int) -> VerificationReport:
     through exponent 2k, i.e. the remainder has valuation >= 2k+1.  Only
     exponents up to shift+2k are compared, so the member is built only that far."""
     _reject_bool(k=k, order=order)
+    if k < 0:
+        raise ValueError("k must be non-negative")
     shift = k * k
     if shift > order:
         raise ValueError("order must be at least k^2")

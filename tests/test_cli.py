@@ -173,6 +173,56 @@ def test_bench_rejects_bad_sizes():
     assert exc.value.code == 2
 
 
+# -- the order limit -----------------------------------------------------------
+
+
+def test_order_limit_sits_above_every_documented_order():
+    # the deep k=100 corollary windows build orders 5355 and 10608
+    assert cli.MAX_ORDER > 10608
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--target", "a", "--K", "0"],
+        ["compute", "--target", "theta-cube"],
+        ["compute", "--target", "theta-square"],
+    ],
+    ids=["table", "theta-cube", "theta-square"],
+)
+def test_order_past_the_limit_exits_two(argv, capsys):
+    # each of these stays cheap even if the limit were not checked
+    assert main(argv + ["--N", str(cli.MAX_ORDER + 1)]) == 2
+    assert f"order limit {cli.MAX_ORDER}" in capsys.readouterr().err
+
+
+# (argv, the highest truncation order the call builds)
+BUILT_ORDERS = [
+    (["compute", "--target", "p3", "--N", "30"], 30),
+    (["compute", "--target", "c", "--K", "2", "--N", "30"], 30),
+    (["table", "--target", "c", "--K", "3", "--N", "30"], 30),
+    (["table", "--target", "a", "--K", "1", "--N", "30", "--oracle"], 30),
+    (["bench", "--K", "2", "--sizes", "10,30"], 30),
+    (["verify", "--target", "thm-a", "--k", "5", "--N", "15"], 30),
+    (["verify", "--target", "thm-c", "--k", "4", "--N", "14"], 30),
+    (["verify", "--target", "cor-a", "--k", "4", "--j", "2"], 27),
+    (["verify", "--target", "cor-c", "--k", "2", "--j", "3"], 35),
+    (["verify", "--target", "limit-a", "--k", "4", "--N", "40"], 14),
+    (["verify", "--target", "limit-a", "--k", "4", "--N", "12"], 12),
+    (["verify", "--target", "limit-c", "--k", "3", "--N", "40"], 15),
+    (["verify", "--target", "divisor", "--N", "30"], 30),
+]
+
+
+@pytest.mark.parametrize("argv,order", BUILT_ORDERS, ids=[" ".join(a) for a, _ in BUILT_ORDERS])
+def test_order_limit_applies_to_the_order_each_call_builds(argv, order, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_ORDER", order)
+    assert main(argv) == 0
+    monkeypatch.setattr(cli, "MAX_ORDER", order - 1)
+    assert main(argv) == 2
+    assert f"truncation order {order}, above the order limit {order - 1}" in capsys.readouterr().err
+
+
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "series.json"
     assert main(

@@ -3,6 +3,8 @@ displays, the brute-force counters, the literal nested sum, the unpruned
 enumeration, and the theta-quotient closed forms."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -316,16 +318,116 @@ def test_negative_parameters_rejected():
 
 @pytest.mark.parametrize("build", [compute_A_family, compute_C_family], ids=["A", "C"])
 def test_bool_parameters_rejected_after_cache_hit(build):
-    # lru_cache would key True like 1; the cached entry must not answer it
-    build(1, 5)
-    with pytest.raises(TypeError):
-        build(True, 5)
-    with pytest.raises(TypeError):
-        build(1, True)
+    # every request below is covered by the kept family, so only the
+    # argument checks ahead of the lookup can refuse it
+    build(3, 20)
+    assert build(1, 5).lowest == 0 and build.cache_info().hits == 1
+    for bad in [(True, 5), (1, True), (1, 5, True), (True, 5, 1)]:
+        with pytest.raises(TypeError):
+            build(*bad)
+    for bad in [(-1, 5), (1, -5), (1, 5, -1), (1, 5, 2)]:
+        with pytest.raises(ValueError):
+            build(*bad)
+    assert build.cache_info().hits == 1
     with pytest.raises(TypeError):
         compute_A_family_uncached(False, 5)
     with pytest.raises(TypeError):
         compute_C_family_uncached(0, False)
+
+
+# -- the covering store ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build,fresh",
+    [(compute_A_family, compute_A_family_uncached), (compute_C_family, compute_C_family_uncached)],
+    ids=["A", "C"],
+)
+def test_store_serves_shuffled_requests_exactly(build, fresh):
+    # a served family equals a fresh build in every field, whether it was
+    # built, kept whole or cut out of a wider one
+    rng = random.Random(20241)
+    requests = []
+    for _ in range(70):
+        K = rng.randint(0, 12)
+        requests.append((K, rng.randint(0, 200), rng.randint(0, K)))
+    # repeat and narrow some requests so that covered ones come up often
+    requests += [(K, order // 2, K) for K, order, _ in requests[:30]]
+    rng.shuffle(requests)
+    for K, order, lowest in requests:
+        served = build(K, order, lowest)
+        expected = fresh(K, order, lowest)
+        assert served.members == expected.members, (K, order, lowest)
+        assert (served.family, served.truncation_order, served.degree_cap, served.lowest) == (
+            expected.family, order, K, lowest
+        )
+    info = build.cache_info()
+    assert info.hits + info.misses == len(requests)
+    assert info.hits >= 10 and info.misses >= 10
+
+
+@pytest.mark.parametrize("build", [compute_A_family, compute_C_family], ids=["A", "C"])
+def test_cache_info_counts_covered_requests(build):
+    build(4, 60)
+    assert build(2, 30, lowest=1).member(2).truncation_order == 30
+    assert build(4, 60) is build(4, 60)
+    # cap 40 reaches no further than cap 4 at order 9
+    build(40, 9, lowest=2)
+    assert build.cache_info() == (4, 1, 12, 1)
+    build(6, 100)  # covers the kept family, which is dropped
+    assert build.cache_info() == (4, 2, 12, 1)
+    build.cache_clear()
+    assert build.cache_info() == (0, 0, 12, 0)
+
+
+@pytest.mark.parametrize("build", [compute_A_family, compute_C_family], ids=["A", "C"])
+def test_store_keeps_at_most_twelve_families(build):
+    # each request reaches further than every earlier one but not as low,
+    # so none covers another and every one is a miss
+    keys = [(k, k * k + k + 5, k) for k in range(30)]
+    for key in keys:
+        build(*key)
+        assert build.cache_info().currsize <= 12
+    assert build.cache_info() == (0, 30, 12, 12)
+    build(*keys[-1])  # kept
+    build(*keys[0])  # dropped long ago as the least recently used
+    assert build.cache_info()[:2] == (1, 31)
+
+
+def test_store_shared_across_threads():
+    # a lost update under concurrent lookups and builds would break the
+    # hit and miss totals or the bound on kept families
+    rng = random.Random(7)
+    jobs = []
+    for _ in range(4):
+        keys = []
+        for _ in range(40):
+            K = rng.randint(0, 8)
+            keys.append((K, rng.randint(0, 80), rng.randint(0, K)))
+        jobs.append(keys)
+    results = [[] for _ in jobs]
+
+    def work(keys, out):
+        for key in keys:
+            out.append((key, compute_C_family(*key)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=job) for job in zip(jobs, results)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    info = compute_C_family.cache_info()
+    assert info.hits + info.misses == 160 and info.currsize <= 12
+    for out in results:
+        assert len(out) == 40
+        for key, fam in out:
+            assert fam == compute_C_family_uncached(*key), key
 
 
 # -- binomial ------------------------------------------------------------------------------

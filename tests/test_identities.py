@@ -245,6 +245,14 @@ def test_limit_rejects_too_small_order():
         verify_limit_C(4, 15)
 
 
+def test_limit_rejects_negative_k_at_entry():
+    # before any family build, whose own check would name the family cap
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        verify_limit_A(-3, 10)
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        verify_limit_C(-1, 10)
+
+
 # -- divisor identities ----------------------------------------------------------------------
 
 

@@ -87,6 +87,22 @@ def test_generating_functions_invert_their_theta_series():
     assert overpartition_series(order) * theta_square(order) == TruncatedSeries.one(order)
 
 
+@pytest.mark.parametrize(
+    "cached,theta",
+    [(p3_series, jacobi_cube), (overpartition_series, theta_square)],
+    ids=["p3", "overp"],
+)
+def test_generating_functions_serve_prefixes_of_the_longest(cached, theta):
+    # below, at and above the longest kept order, then below and at the new one
+    cached(50)
+    for order in (10, 50, 0, 90, 30, 90):
+        assert cached(order) == theta(order).invert(), order
+    with pytest.raises(TypeError):
+        cached(True)
+    with pytest.raises(ValueError):
+        cached(-1)
+
+
 # -- divisor sums -------------------------------------------------------------------
 
 
