@@ -26,6 +26,7 @@ from .families import (
     binomial,
     compute_A_family,
     compute_C_family,
+    members,
 )
 from .identities import (
     Mismatch,
@@ -58,6 +59,7 @@ __all__ = [
     "MacmahonFamily",
     "compute_A_family",
     "compute_C_family",
+    "members",
     "a_k_directsum",
     "binomial",
     "VerificationReport",

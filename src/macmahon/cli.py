@@ -14,10 +14,14 @@ import sys
 import time
 from dataclasses import dataclass
 
+# compute_A_family and compute_C_family serve no command directly; they stay
+# bound here, next to the generating functions and verifiers, because
+# perfbench/tracer.py wraps each layer at its name in this module
 from .families import (
     compute_A_family,
     compute_A_family_uncached,
     compute_C_family,
+    members,
 )
 from .identities import (
     VerificationReport,
@@ -79,6 +83,20 @@ def _check_order(order: int) -> int:
     return order
 
 
+# The most cells (K+1)*(N+1) one `table` call or one `bench` row builds:
+# above the 13 x 20001 grid of the cap-12 family at the order limit, below
+# caps whose members, zero ones included, would exhaust memory.
+MAX_CELLS = 300_000
+
+
+def _check_cells(cap: int, order: int) -> None:
+    cells = (cap + 1) * (order + 1)
+    if cells > MAX_CELLS:
+        raise UsageError(
+            f"this call builds {cells} cells (K+1)*(N+1), above the cell limit {MAX_CELLS}"
+        )
+
+
 def _need(value: int | None, name: str, minimum: int = 0) -> int:
     if value is None:
         raise UsageError(f"--{name} is required for this target")
@@ -106,12 +124,8 @@ def _emit(text: str, path: str | None) -> None:
 def _compute_series(config: RunConfig) -> TruncatedSeries:
     target = config.target
     order = _check_order(_need(config.N, "N"))
-    if target == "a":
-        k = _need(config.K, "K")
-        return compute_A_family(k, order, lowest=k).member(k)
-    if target == "c":
-        k = _need(config.K, "K")
-        return compute_C_family(k, order, lowest=k).member(k)
+    if target in ("a", "c"):
+        return members(target.upper(), (_need(config.K, "K"),), order)[0]
     if target == "p3":
         return p3_series(order)
     if target == "overp":
@@ -210,6 +224,7 @@ def _report_output(report: VerificationReport, fmt: str) -> str:
 def _table_values(config: RunConfig) -> list[list[int]]:
     cap = _need(config.K, "K")
     order = _check_order(_need(config.N, "N"))
+    _check_cells(cap, order)
     if config.use_oracle:
         if order > config.oracle_guard:
             raise UsageError(
@@ -218,8 +233,7 @@ def _table_values(config: RunConfig) -> list[list[int]]:
             )
         counter = mk_odd_bruteforce if config.target == "c" else mk_bruteforce
         return [[counter(k, n).value for n in range(order + 1)] for k in range(cap + 1)]
-    fam = compute_A_family(cap, order) if config.target == "a" else compute_C_family(cap, order)
-    return [list(fam.members[k].coeffs) for k in range(cap + 1)]
+    return [list(m.coeffs) for m in members(config.target.upper(), range(cap + 1), order)]
 
 
 def _table_output(values: list[list[int]], config: RunConfig) -> str:
@@ -271,6 +285,7 @@ def _run_bench(config: RunConfig) -> list[dict]:
         raise UsageError(f"--repeat must be >= 1, got {config.repeat}")
     for n in config.bench_family_sizes:
         _check_order(n)
+        _check_cells(cap, n)
     compute_A_family_uncached(min(cap, 4), 16)  # warm up allocators
     for n in config.bench_family_sizes:
         dt = _best_of(config.repeat, lambda: compute_A_family_uncached(cap, n))

@@ -26,9 +26,18 @@ high, since a prefix of a truncated series is exact and member k depends
 neither on the cap nor on the lowest member asked for.  A miss builds
 exactly the request.  The `_uncached` functions always build.
 
+`members(family, ks, order)` is the second route: each member is p3 (for
+A) or overp (for C) times a sparse theta row of O(sqrt(order)) terms, the
+closed form of Andrews and Rose.  It builds only the members asked for and
+is far cheaper than the fold, so it serves the CLI's `compute` and `table`.
+The identities the verifiers check are the binomial inverse of that closed
+form, so checking them on its output would prove little: every verifier,
+the two family stores, the `_uncached` functions and the bench run the fold.
+
 Slot widths rest on the bound p3(order) < exp(pi*sqrt(2*order)) plus a
 margin; unpacking checks that every slot of every returned row stays below
-the bound, and raises ArithmeticError otherwise.
+the bound, and raises ArithmeticError otherwise.  Both routes unpack the
+same way.
 
 The literal nested-sum definition of A_k is kept as `a_k_directsum`, an
 independent oracle for small parameters; it never feeds the production path.
@@ -42,6 +51,7 @@ import threading
 from collections import namedtuple
 from dataclasses import dataclass
 
+from .partitions import overpartition_series, p3_series
 from .series import TruncatedSeries, geometric_square
 
 try:
@@ -151,15 +161,18 @@ def _fold_packed(step: int, lowest: int, k_eff: int, order: int, slot_bits: int)
 
 
 def _unpack_packed_row(
-    row, lowval: int, order: int, slot_bits: int, bound_bits: int
+    row, lowval: int, order: int, slot_bits: int, bound_bits: int, byteorder: str = "little"
 ) -> tuple[int, ...]:
+    # "little": the lowest slot holds q^lowval (the fold); "big": the lowest
+    # slot holds q^order (the theta route).  Either way the bytes list the
+    # slots from q^lowval up.
     width = order - lowval + 1
     b8 = slot_bits // 8
     # to_bytes overflows if the top slot ever escaped its window
-    raw = int(row).to_bytes(width * b8, "little")
+    raw = int(row).to_bytes(width * b8, byteorder)
     coeffs = [0] * (order + 1)
     for i in range(width):
-        c = int.from_bytes(raw[i * b8 : (i + 1) * b8], "little")
+        c = int.from_bytes(raw[i * b8 : (i + 1) * b8], byteorder)
         if c:
             # a slot past the p3 bound means the margin above it, and with it
             # the slot width, can no longer be trusted
@@ -195,19 +208,19 @@ def _top_member(step: int, K: int, order: int) -> int:
 def _compute_family(tag: str, step: int, K: int, order: int, lowest: int) -> MacmahonFamily:
     _check_request(K, order, lowest)
     k_eff = _top_member(step, K, order)
-    members = []
+    built = []
     if lowest <= k_eff:
         bits = _slot_bits(order)
         bound = _bound_bits(order)
         packed = _fold_packed(step, lowest, k_eff, order, bits)
-        members = [
+        built = [
             TruncatedSeries(
                 _unpack_packed_row(packed[k], _lowval(k, step), order, bits, bound), order
             )
             for k in range(lowest, k_eff + 1)
         ]
-    members.extend(TruncatedSeries.zero(order) for _ in range(lowest + len(members), K + 1))
-    return MacmahonFamily(tag, tuple(members), order, K, lowest)
+    built.extend(TruncatedSeries.zero(order) for _ in range(lowest + len(built), K + 1))
+    return MacmahonFamily(tag, tuple(built), order, K, lowest)
 
 
 def compute_A_family_uncached(K: int, order: int, lowest: int = 0) -> MacmahonFamily:
@@ -264,11 +277,11 @@ class _CoveringStore:
             return fam
         if (fam.degree_cap, fam.truncation_order, fam.lowest) == (K, order, lowest):
             return fam
-        members = [
+        cut = tuple(
             fam.member(k).truncate(order) if k <= top else TruncatedSeries.zero(order)
             for k in range(lowest, K + 1)
-        ]
-        return MacmahonFamily(fam.family, tuple(members), order, K, lowest)
+        )
+        return MacmahonFamily(fam.family, cut, order, K, lowest)
 
     def _lookup(self, order: int, lowest: int, top: int) -> MacmahonFamily | None:
         with self._lock:
@@ -312,6 +325,83 @@ class _CoveringStore:
 # results are immutable, so sharing them is safe
 compute_A_family = _CoveringStore(compute_A_family_uncached, 1)
 compute_C_family = _CoveringStore(compute_C_family_uncached, 2)
+
+
+# -- the theta-quotient route ----------------------------------------------------------
+
+
+def _theta_row(step: int, k: int, order: int) -> list[tuple[int, int]]:
+    # (coefficient, exponent) of the sparse factor of member k: for A,
+    # (-1)^(m+k) (2m+1)/(2k+1) C(m+k, 2k) at q^(m(m+1)/2); for C,
+    # (-1)^(m+k) 2m/(m+k) C(m+k, 2k) at q^(m^2), with 1 at m = k = 0.  The
+    # exponent is the valuation floor of member m, and the divisions are exact.
+    row = []
+    m = k
+    while _lowval(m, step) <= order:
+        if step == 1:
+            c = (2 * m + 1) * math.comb(m + k, 2 * k) // (2 * k + 1)
+        else:
+            c = 2 * m * math.comb(m + k, 2 * k) // (m + k) if m else 1
+        row.append((-c if (m + k) % 2 else c, _lowval(m, step)))
+        m += 1
+    return row
+
+
+def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
+    """Members A_k (family "A") or C_k (family "C") for each k in ks, in the
+    order given, exact through q^order.
+
+    Each member is a dense generating function times a sparse theta row of
+    O(sqrt(order)) terms (Andrews-Rose, J. reine angew. Math. 676, 2013):
+
+        A_k = p3    * sum_{m>=k} (-1)^(m+k) (2m+1)/(2k+1) C(m+k, 2k) q^(m(m+1)/2)
+        C_k = overp * sum_{m>=k} (-1)^(m+k) 2m/(m+k) C(m+k, 2k) q^(m^2)
+
+    The dense series is packed once into slots of the fold's width, highest
+    exponent lowest, so a theta term c*q^e adds c times the packed series
+    with its e lowest slots dropped.  The sum then equals, as an integer,
+    the member's coefficients q^order down to its valuation floor packed the
+    same way; nothing is reduced, so negative partial sums are harmless.
+    Unpacking checks every slot against the p3 bound, as for the fold, so a
+    slot too narrow for its coefficient raises ArithmeticError.  A member
+    whose valuation floor lies above the order is the zero series.
+
+    These formulas are the binomial inverse of the identities the verifiers
+    check, so the verifiers never use this route; they read the fold.
+    """
+    if family not in ("A", "C"):
+        raise ValueError("family tag must be 'A' or 'C'")
+    ks = tuple(ks)
+    if isinstance(order, bool) or any(isinstance(k, bool) for k in ks):
+        raise TypeError("member indices and truncation order must be ints, not bool")
+    if order < 0:
+        raise ValueError("truncation order must be non-negative")
+    if any(k < 0 for k in ks):
+        raise ValueError("member indices must be non-negative")
+    step = 1 if family == "A" else 2
+    dense = p3_series(order) if step == 1 else overpartition_series(order)
+    bits, bound = _slot_bits(order), _bound_bits(order)
+    b8 = bits // 8
+    # highest exponent in the lowest slot: dropping the low e slots leaves
+    # the dense series shifted by q^e and cut at the order
+    packed = _bigint(
+        int.from_bytes(b"".join(c.to_bytes(b8, "big") for c in dense.coeffs), "big")
+    )
+    built = {}
+    for k in ks:
+        if k in built:
+            continue
+        lowval = _lowval(k, step)
+        if lowval > order:
+            built[k] = TruncatedSeries.zero(order)
+            continue
+        acc = 0
+        for c, e in _theta_row(step, k, order):
+            acc += c * (packed >> (bits * e))
+        built[k] = TruncatedSeries(
+            _unpack_packed_row(acc, lowval, order, bits, bound, "big"), order
+        )
+    return tuple(built[k] for k in ks)
 
 
 def a_k_directsum(k: int, order: int) -> TruncatedSeries:

@@ -7,6 +7,7 @@ import pytest
 
 import macmahon.cli as cli
 from macmahon.cli import RunConfig, main, run
+from macmahon.families import compute_A_family_uncached, compute_C_family_uncached
 from macmahon.identities import Mismatch, VerificationReport
 from macmahon.partitions import mk_bruteforce
 
@@ -173,6 +174,87 @@ def test_bench_rejects_bad_sizes():
     assert exc.value.code == 2
 
 
+# -- compute and table against the fold -----------------------------------------
+
+FAMILY_BUILDS = {"a": compute_A_family_uncached, "c": compute_C_family_uncached}
+
+# (target, K, N): N = 0, small and mid orders, and caps above the top member
+# (A_9 starts at q^45, C_5 at q^25)
+MEMBER_CASES = [
+    ("a", 0, 0), ("a", 3, 0), ("a", 2, 7), ("a", 6, 90), ("a", 9, 20),
+    ("c", 0, 0), ("c", 2, 0), ("c", 1, 3), ("c", 5, 120), ("c", 5, 20),
+]
+
+
+def _parse_text_series(line):
+    # inverse of format_series for series with non-negative coefficients
+    body, tail = line.split("   (truncation order ")
+    order = int(tail.rstrip(")\n"))
+    coeffs = [0] * (order + 1)
+    if body != "0":
+        for term in body.split(" + "):
+            head, q, power = term.partition("q")
+            n = int(power[1:]) if power else (1 if q else 0)
+            coeffs[n] = int(head) if head else 1
+    return coeffs
+
+
+def _parse_series(text, fmt):
+    if fmt == "json":
+        return [int(c) for c in json.loads(text)["coeffs"]]
+    if fmt == "csv":
+        return [int(line.split(",")[1]) for line in text.splitlines()[1:]]
+    return _parse_text_series(text)
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("target,K,N", MEMBER_CASES)
+def test_compute_member_matches_the_fold(target, K, N, fmt, capsys):
+    argv = ["compute", "--target", target, "--K", str(K), "--N", str(N), "--format", fmt]
+    assert main(argv) == 0
+    want = FAMILY_BUILDS[target](K, N).member(K)
+    assert _parse_series(out_of(capsys), fmt) == list(want.coeffs)
+
+
+def _parse_table(text, fmt, K, N):
+    if fmt == "json":
+        obj = json.loads(text)
+        assert (obj["K"], obj["N"]) == (K, N)
+        return [[int(v) for v in row] for row in obj["values"]]
+    values = [[None] * (N + 1) for _ in range(K + 1)]
+    if fmt == "csv":
+        for line in text.splitlines()[1:]:
+            k, n, v = map(int, line.split(","))
+            values[k][n] = v
+        return values
+    lines = text.splitlines()
+    assert lines[0].split() == ["n"] + [f"k={k}" for k in range(K + 1)]
+    for line in lines[1:]:
+        n, *row = map(int, line.split())
+        for k, v in enumerate(row):
+            values[k][n] = v
+    return values
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("target,K,N", MEMBER_CASES)
+def test_table_matches_the_fold(target, K, N, fmt, capsys):
+    argv = ["table", "--target", target, "--K", str(K), "--N", str(N), "--format", fmt]
+    assert main(argv) == 0
+    want = [list(m.coeffs) for m in FAMILY_BUILDS[target](K, N).members]
+    assert _parse_table(out_of(capsys), fmt, K, N) == want
+
+
+def test_cli_binds_every_layer_by_name():
+    # perfbench/tracer.py wraps these names in macmahon.cli; a name that
+    # disappears turns its whole layer into a missing metric
+    names = ["main", "compute_A_family", "compute_C_family", "p3_series",
+             "overpartition_series", "verify_theorem_A", "verify_theorem_C",
+             "verify_corollary_A", "verify_corollary_C", "verify_limit_A",
+             "verify_limit_C", "verify_divisor_identities"]
+    assert all(callable(getattr(cli, name, None)) for name in names)
+
+
 # -- the order limit -----------------------------------------------------------
 
 
@@ -221,6 +303,50 @@ def test_order_limit_applies_to_the_order_each_call_builds(argv, order, monkeypa
     monkeypatch.setattr(cli, "MAX_ORDER", order - 1)
     assert main(argv) == 2
     assert f"truncation order {order}, above the order limit {order - 1}" in capsys.readouterr().err
+
+
+# -- the cell limit ------------------------------------------------------------
+
+
+def test_cell_limit_sits_above_every_documented_grid():
+    # the cap-12 family at the order limit; README, the acceptance bench and
+    # perfbench stay at K = 12, N <= 500
+    assert cli.MAX_CELLS >= 13 * (cli.MAX_ORDER + 1)
+
+
+# (argv, the most cells (K+1)*(N+1) one table or bench row of the call builds)
+BUILT_CELLS = [
+    (["table", "--target", "a", "--K", "3", "--N", "30"], 124),
+    (["table", "--target", "c", "--K", "40", "--N", "2", "--format", "csv"], 123),
+    (["table", "--target", "a", "--K", "1", "--N", "30", "--oracle"], 62),
+    (["bench", "--K", "2", "--sizes", "10,30"], 93),
+]
+
+
+@pytest.mark.parametrize("argv,cells", BUILT_CELLS, ids=[" ".join(a) for a, _ in BUILT_CELLS])
+def test_cell_limit_applies_to_table_and_bench(argv, cells, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_CELLS", cells)
+    assert main(argv) == 0
+    monkeypatch.setattr(cli, "MAX_CELLS", cells - 1)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"builds {cells} cells (K+1)*(N+1), above the cell limit {cells - 1}" in err
+
+
+def test_cell_limit_is_checked_before_the_build(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("built past the cell limit")
+
+    monkeypatch.setattr(cli, "MAX_CELLS", 10)
+    for name in ("members", "mk_bruteforce", "mk_odd_bruteforce", "compute_A_family_uncached"):
+        monkeypatch.setattr(cli, name, refuse)
+    for argv in (
+        ["table", "--target", "a", "--K", "10", "--N", "0"],
+        ["table", "--target", "c", "--K", "1", "--N", "5", "--oracle"],
+        ["bench", "--K", "0", "--sizes", "3,10"],
+    ):
+        assert main(argv) == 2
+        assert "above the cell limit 10" in capsys.readouterr().err
 
 
 def test_output_file(tmp_path, capsys):

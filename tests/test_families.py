@@ -2,6 +2,7 @@
 displays, the brute-force counters, the literal nested sum, the unpruned
 enumeration, and the theta-quotient closed forms."""
 
+import functools
 import random
 import sys
 import threading
@@ -21,6 +22,7 @@ from macmahon.families import (
     compute_A_family_uncached,
     compute_C_family,
     compute_C_family_uncached,
+    members,
 )
 from macmahon.partitions import mk_bruteforce, mk_odd_bruteforce, p3_series
 from macmahon.series import TruncatedSeries, make_series
@@ -428,6 +430,100 @@ def test_store_shared_across_threads():
         assert len(out) == 40
         for key, fam in out:
             assert fam == compute_C_family_uncached(*key), key
+
+
+# -- the theta-quotient route ---------------------------------------------------------
+
+
+@functools.cache
+def _fold_20_800(tag):
+    # every member k <= 20 through q^800 from the fold; any prefix of it is
+    # exact, so one build serves every order below
+    build = compute_A_family_uncached if tag == "A" else compute_C_family_uncached
+    return build(20, 800)
+
+
+@pytest.mark.parametrize("tag", ["A", "C"])
+def test_members_equal_the_fold(tag):
+    fold = _fold_20_800(tag)
+    for order in list(range(41)) + [57, 97, 128, 210, 333, 401, 512, 677, 800]:
+        got = members(tag, range(21), order)
+        assert len(got) == 21
+        for k in range(21):
+            assert got[k] == fold.member(k).truncate(order), (tag, k, order)
+
+
+@pytest.mark.parametrize(
+    "tag,counter", [("A", mk_bruteforce), ("C", mk_odd_bruteforce)], ids=["A", "C"]
+)
+def test_members_equal_bruteforce(tag, counter):
+    got = members(tag, range(7), 25)
+    for k in range(7):
+        assert list(got[k].coeffs) == [counter(k, n).value for n in range(26)], (tag, k)
+
+
+def test_members_above_the_top_are_zero():
+    # A_6 starts at q^21 and C_5 at q^25: past order 20 and 24 respectively
+    assert members("A", [6, 7, 100], 20) == (TruncatedSeries.zero(20),) * 3
+    assert members("C", [5, 1000], 24) == (TruncatedSeries.zero(24),) * 2
+    assert members("A", [5], 15)[0].valuation() == 15
+    assert members("C", [4], 16)[0].valuation() == 16
+
+
+@pytest.mark.parametrize("tag", ["A", "C"])
+def test_members_keep_the_order_of_ks(tag):
+    fold = _fold_20_800(tag)
+    ks = [5, 0, 20, 5, 3, 3, 11]
+    got = members(tag, ks, 300)
+    assert got == tuple(fold.member(k).truncate(300) for k in ks)
+    assert members(tag, iter([2, 1]), 50) == (
+        fold.member(2).truncate(50),
+        fold.member(1).truncate(50),
+    )
+    assert members(tag, [], 50) == ()
+
+
+def test_members_validate_their_arguments():
+    for bad in [("A", [True], 10), ("C", [1], True), ("A", [1, False], 10)]:
+        with pytest.raises(TypeError):
+            members(*bad)
+    for bad, message in [
+        (("A", [-1], 10), "member indices"),
+        (("C", [2, -3], 10), "member indices"),
+        (("C", [1], -1), "truncation order"),
+        (("B", [1], 10), "family tag"),
+        (("a", [1], 10), "family tag"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            members(*bad)
+
+
+@pytest.mark.parametrize(
+    "slot_bits,message",
+    [(64, "exceeds 8 bits"), (16, "too big")],
+    ids=["guard-bits-set", "dense-overflows"],
+)
+def test_members_reject_a_slot_too_narrow(slot_bits, message, monkeypatch):
+    # A_3 reaches tens of thousands by q^60 and p3 about 10^15.  A claimed
+    # 8-bit bound leaves A_3 in the guard bits of a 64-bit slot; a 16-bit
+    # slot cannot even hold p3.  Both must raise, never return
+    import macmahon.families as families_module
+
+    order = 60
+    monkeypatch.setattr(families_module, "_slot_bits", lambda order: slot_bits)
+    monkeypatch.setattr(families_module, "_bound_bits", lambda order: 8)
+    with pytest.raises(ArithmeticError, match=message):
+        members("A", [3], order)
+    monkeypatch.undo()
+    assert list(members("A", [3], order)[0].coeffs) == oracles.theta_family_A(3, order)[3]
+
+
+def test_verifiers_do_not_read_the_theta_route():
+    # the identities are the binomial inverse of the theta closed form, so
+    # the verifiers must keep checking the fold
+    import macmahon.identities as identities_module
+
+    assert all(value is not members for value in vars(identities_module).values())
 
 
 # -- binomial ------------------------------------------------------------------------------
