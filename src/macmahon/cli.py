@@ -2,13 +2,15 @@
 and benchmarks.
 
 Exit status: 0 success (and verification passed), 1 verification mismatch,
-2 usage error.  Coefficients are always emitted as decimal strings; they
-outgrow anything a JSON number can hold exactly almost immediately.
+2 usage error, an --output path that cannot be written included.
+Coefficients are always emitted as decimal strings; they outgrow anything a
+JSON number can hold exactly almost immediately.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -25,6 +27,7 @@ from .families import (
 )
 from .identities import (
     VerificationReport,
+    family_order,
     verify_corollary_A,
     verify_corollary_C,
     verify_divisor_identities,
@@ -44,7 +47,18 @@ from .partitions import (
 from .series import TruncatedSeries, format_series
 
 COMPUTE_TARGETS = ("a", "c", "p3", "overp", "theta-cube", "theta-square")
-VERIFY_TARGETS = ("thm-a", "thm-c", "cor-a", "cor-c", "limit-a", "limit-c", "divisor")
+# verify target -> the name of its verifier here, looked up at call time, and
+# the options it takes, in order
+_VERIFIERS = {
+    "thm-a": ("verify_theorem_A", "k", "N"),
+    "thm-c": ("verify_theorem_C", "k", "N"),
+    "cor-a": ("verify_corollary_A", "k", "j"),
+    "cor-c": ("verify_corollary_C", "k", "j"),
+    "limit-a": ("verify_limit_A", "k", "N"),
+    "limit-c": ("verify_limit_C", "k", "N"),
+    "divisor": ("verify_divisor_identities", "N"),
+}
+VERIFY_TARGETS = tuple(_VERIFIERS)
 TABLE_TARGETS = ("a", "c")
 FORMATS = ("text", "json", "csv")
 
@@ -114,8 +128,13 @@ def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        # a path that cannot be written is a usage error (status 2), not a
+        # verification mismatch (status 1)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output {path}: {exc.strerror}") from exc
 
 
 # -- compute -------------------------------------------------------------------
@@ -151,36 +170,14 @@ def _series_output(series: TruncatedSeries, fmt: str) -> str:
 
 
 def _run_verifier(config: RunConfig) -> VerificationReport:
-    # each branch checks the highest order its verifier builds (see
-    # identities.py) before the verifier allocates anything
-    target = config.target
-    if target == "thm-a":
-        k, order = _need(config.k, "k"), _need(config.N, "N")
-        _check_order(order + k * (k + 1) // 2)
-        return verify_theorem_A(k, order)
-    if target == "thm-c":
-        k, order = _need(config.k, "k"), _need(config.N, "N")
-        _check_order(order + k * k)
-        return verify_theorem_C(k, order)
-    if target == "cor-a":
-        k, j = _need(config.k, "k"), _need(config.j, "j")
-        _check_order((j + 1) * (j + 2 * k + 2) // 2 - 1 + k * (k + 1) // 2)
-        return verify_corollary_A(k, j)
-    if target == "cor-c":
-        k, j = _need(config.k, "k"), _need(config.j, "j")
-        _check_order((j + 1) * (j + 2 * k + 1) - 1 + k * k)
-        return verify_corollary_C(k, j)
-    if target == "limit-a":
-        k, order = _need(config.k, "k"), _need(config.N, "N")
-        _check_order(min(k * (k + 1) // 2 + k, order))
-        return verify_limit_A(k, order)
-    if target == "limit-c":
-        k, order = _need(config.k, "k"), _need(config.N, "N")
-        _check_order(min(k * k + 2 * k, order))
-        return verify_limit_C(k, order)
-    if target == "divisor":
-        return verify_divisor_identities(_check_order(_need(config.N, "N", minimum=1)))
-    raise UsageError(f"unknown verify target {target!r}")
+    if config.target not in _VERIFIERS:
+        raise UsageError(f"unknown verify target {config.target!r}")
+    name, *options = _VERIFIERS[config.target]
+    minimum = 1 if config.target == "divisor" else 0  # divisor sums start at n = 1
+    args = [_need(getattr(config, option), option, minimum) for option in options]
+    # the highest order the verifier builds, checked before it allocates anything
+    _check_order(family_order(config.target, config.k, config.j, config.N))
+    return globals()[name](*args)
 
 
 def _report_output(report: VerificationReport, fmt: str) -> str:
@@ -348,51 +345,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact q-series engine for the MacMahon partition families",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # an option left out is left out of the namespace too, so every default
+    # comes from RunConfig (and the bench cap from _run_bench)
+    sub_parser = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p_compute = sub.add_parser("compute", help="emit a series")
+    p_compute = sub_parser("compute", help="emit a series")
     p_compute.add_argument("--target", required=True, choices=COMPUTE_TARGETS)
     p_compute.add_argument("--K", type=int, help="family member index (targets a, c)")
     p_compute.add_argument("--N", type=int, required=True, help="truncation order")
 
-    p_verify = sub.add_parser("verify", help="verify one identity")
+    p_verify = sub_parser("verify", help="verify one identity")
     p_verify.add_argument("--target", required=True, choices=VERIFY_TARGETS)
     p_verify.add_argument("--k", type=int)
     p_verify.add_argument("--j", type=int)
     p_verify.add_argument("--N", type=int)
 
-    p_table = sub.add_parser("table", help="emit a partition-count grid")
+    p_table = sub_parser("table", help="emit a partition-count grid")
     p_table.add_argument("--target", required=True, choices=TABLE_TARGETS)
     p_table.add_argument("--K", type=int, required=True)
     p_table.add_argument("--N", type=int, required=True)
-    p_table.add_argument("--oracle", action="store_true", help="use brute-force enumeration")
-    p_table.add_argument("--oracle-guard", type=int, default=40)
+    p_table.add_argument(
+        "--oracle", dest="use_oracle", action="store_true", help="use brute-force enumeration"
+    )
+    p_table.add_argument("--oracle-guard", type=int)
 
-    p_bench = sub.add_parser("bench", help="time family computation")
-    p_bench.add_argument("--K", type=int, default=12)
-    p_bench.add_argument("--sizes", type=_parse_sizes, default=(100, 200, 400))
-    p_bench.add_argument("--repeat", type=int, default=3, help="best-of repetitions per row")
+    p_bench = sub_parser("bench", help="time family computation")
+    p_bench.add_argument("--K", type=int)
+    p_bench.add_argument("--sizes", dest="bench_family_sizes", type=_parse_sizes)
+    p_bench.add_argument("--repeat", type=int, help="best-of repetitions per row")
 
     for p in (p_compute, p_verify, p_table, p_bench):
-        p.add_argument("--format", choices=FORMATS, default="text")
+        p.add_argument("--format", choices=FORMATS)
         p.add_argument("--output", dest="output_path")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        target=getattr(args, "target", None),
-        k=getattr(args, "k", None),
-        j=getattr(args, "j", None),
-        K=getattr(args, "K", None),
-        N=getattr(args, "N", None),
-        format=args.format,
-        output_path=args.output_path,
-        oracle_guard=getattr(args, "oracle_guard", 40),
-        use_oracle=getattr(args, "oracle", False),
-        bench_family_sizes=getattr(args, "sizes", (100, 200, 400)),
-        repeat=getattr(args, "repeat", 3),
-    )
+    # the parser names each option after its RunConfig field
+    return RunConfig(**vars(args))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,10 +5,29 @@ reports rather than raises: a failed identity comes back as a report whose
 first_mismatch pins the exponent and both values, which is what you want when
 bisecting a bad coefficient pipeline.
 
-The infinite sums of the two main theorems are truncated by valuation: the
-shifted member for index m first contributes at exponent m(m+1)/2 - k(k+1)/2
-(family A) or m^2 - k^2 (family C), so only finitely many members reach the
-compared window.  terms_used records exactly how many did.
+Six of the seven verifiers check one shape.  For family A (part sizes 1, 2,
+3, ..., generating function p3) and family C (odd part sizes, generating
+function overp), and every k,
+
+    gf = sum over m >= k of w(m, k) * member m lowered by q^lowval(k),
+
+where lowval(k), the valuation floor of member k, is k(k+1)/2 for A and k^2
+for C, and w(m, k) is C(2m+1, m+k+1) for A and C(2m, m+k) for C.  The two
+families differ only in that data.  Member m first contributes at exponent
+lowval(m) - lowval(k), so each verifier cuts the sum to finitely many members
+and a window:
+
+- thm-*: every member that reaches the window 0..N; terms_used records how
+  many did;
+- cor-*: members k..k+j, on the window below lowval(k+j+1) - lowval(k), where
+  the first omitted member begins;
+- limit-*: member k alone, on the j = 0 corollary window, cut short where
+  the order built would pass N.
+
+family_order(identity, k, j, N) is the highest truncation order a verifier
+builds; the verifiers derive their windows from it, and the CLI checks it
+against its order limit before the verifier allocates anything.  The divisor
+formulas read members 1 and 2 directly.
 
 All negative-power normalizations are realized by shifting the generating
 function side upward; no series here ever carries a negative exponent.
@@ -20,7 +39,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .families import binomial, compute_A_family, compute_C_family
+from .families import _lowval, _top_member, binomial, compute_A_family, compute_C_family
 from .partitions import overpartition_series, p3_series, sigma
 from .series import TruncatedSeries
 
@@ -88,12 +107,14 @@ def _report(
     )
 
 
-def _reject_bool(**params: int) -> None:
+def _check_params(**params: int | None) -> None:
     # bool is an int subclass; a True k would otherwise pass as 1 and be
-    # reported as true
+    # reported as true.  None marks a parameter the verifier does not take.
     for name, value in params.items():
         if isinstance(value, bool):
             raise TypeError(f"{name} must be an int, not bool")
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be non-negative")
 
 
 def _compare(lhs: Sequence[int], rhs: Sequence[int], top: int) -> Mismatch | None:
@@ -103,129 +124,121 @@ def _compare(lhs: Sequence[int], rhs: Sequence[int], top: int) -> Mismatch | Non
     return None
 
 
+# -- the weighted member sum ---------------------------------------------------
+
+# tag -> (step between part sizes, weight w(m, k) of member m in the identity
+# for k, name of the store, name of the generating function).  The names are
+# looked up on every call, so a store or series replaced on this module is
+# what the verifiers read.
+_FAMILIES = {
+    "A": (1, lambda m, k: binomial(2 * m + 1, m + k + 1), "compute_A_family", "p3_series"),
+    "C": (2, lambda m, k: binomial(2 * m, m + k), "compute_C_family", "overpartition_series"),
+}
+
+
+def _family(tag: str):
+    step, weight, store, gf = _FAMILIES[tag]
+    names = globals()
+    return step, weight, names[store], names[gf]
+
+
+def _lowered_sum(tag: str, k: int, top: int, window: int) -> list[int]:
+    """Coefficients 0..window of the sum of w(m, k) times member m lowered by
+    q^lowval(k), over m = k..top."""
+    step, weight, store, _ = _family(tag)
+    shift = _lowval(k, step)
+    fam = store(top, window + shift, lowest=k)
+    out = [0] * (window + 1)
+    for m in range(k, top + 1):
+        w = weight(m, k)
+        cs = fam.member(m).coeffs
+        for n in range(window + 1):
+            c = cs[n + shift]
+            if c:
+                out[n] += w * c
+    return out
+
+
+def family_order(identity: str, k: int | None, j: int | None, N: int | None) -> int:
+    """The highest truncation order the verifier of `identity` (a `macmahon
+    verify` target) builds for these parameters; those it takes no part in
+    are ignored."""
+    if identity == "divisor":
+        return N
+    step = _FAMILIES[identity[-1].upper()][0]
+    if identity.startswith("thm"):
+        return N + _lowval(k, step)
+    if identity.startswith("cor"):
+        return _lowval(k + j + 1, step) - 1
+    return min(_lowval(k + 1, step) - 1, N)
+
+
+def _cut(identity: str, k: int, j: int | None, order: int | None) -> tuple[int, int]:
+    """The top member and the window the sum of `identity` is cut to."""
+    step = _FAMILIES[identity[-1].upper()][0]
+    shift = _lowval(k, step)
+    if identity.startswith("limit") and order < shift:
+        raise ValueError(f"order must be at least {shift}, the valuation of member {k}")
+    built = family_order(identity, k, j, order)
+    if identity.startswith("thm"):
+        # lowval(m) >= m, so no member above `built` reaches it: that is the cap
+        top = _top_member(step, built, built)
+    else:
+        top = k if j is None else k + j
+    return top, built - shift
+
+
+def theorem_rhs(tag: str, k: int, order: int) -> tuple[TruncatedSeries, int]:
+    """The member sum of the main identity for family `tag` ("A" or "C") and
+    k on the window 0..order, and the number of members that reach it."""
+    _check_params(k=k, order=order)
+    top, window = _cut(f"thm-{tag.lower()}", k, None, order)
+    return TruncatedSeries(tuple(_lowered_sum(tag, k, top, window)), order), top - k + 1
+
+
+def corollary_weights(tag: str, k: int, j: int) -> list[int]:
+    weight = _FAMILIES[tag][1]
+    return [weight(m, k) for m in range(k, k + j + 1)]
+
+
+def _verify(identity: str, k: int, j: int | None, order: int | None) -> VerificationReport:
+    _check_params(k=k, j=j, order=order)
+    t0 = time.perf_counter()
+    tag = identity[-1].upper()
+    top, window = _cut(identity, k, j, order)
+    rhs = _lowered_sum(tag, k, top, window)
+    gf = _family(tag)[3]
+    mm = _compare(gf(window).coeffs, rhs, window)
+    return _report(identity, k, j, window if order is None else order, mm, top - k + 1, t0)
+
+
 # -- main theorems ------------------------------------------------------------
-
-
-def theorem_rhs_A(k: int, order: int) -> tuple[TruncatedSeries, int]:
-    """Weighted member sum of the main A identity, lowered by q^(k(k+1)/2) so
-    it aligns with the 3-colored generating function window 0..order.
-    Returns the series and the number of members that reach the window."""
-    _reject_bool(k=k, order=order)
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    shift = k * (k + 1) // 2
-    family_order = order + shift
-    m_top = k
-    while (m_top + 1) * (m_top + 2) // 2 <= family_order:
-        m_top += 1
-    fam = compute_A_family(m_top, family_order, lowest=k)
-    out = [0] * (order + 1)
-    for m in range(k, m_top + 1):
-        w = binomial(2 * m + 1, m + k + 1)
-        cs = fam.member(m).coeffs
-        for n in range(order + 1):
-            c = cs[n + shift]
-            if c:
-                out[n] += w * c
-    return TruncatedSeries(tuple(out), order), m_top - k + 1
-
-
-def theorem_rhs_C(k: int, order: int) -> tuple[TruncatedSeries, int]:
-    """Weighted member sum of the main C identity, lowered by q^(k^2)."""
-    _reject_bool(k=k, order=order)
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    shift = k * k
-    family_order = order + shift
-    m_top = k
-    while (m_top + 1) * (m_top + 1) <= family_order:
-        m_top += 1
-    fam = compute_C_family(m_top, family_order, lowest=k)
-    out = [0] * (order + 1)
-    for m in range(k, m_top + 1):
-        w = binomial(2 * m, m + k)
-        cs = fam.member(m).coeffs
-        for n in range(order + 1):
-            c = cs[n + shift]
-            if c:
-                out[n] += w * c
-    return TruncatedSeries(tuple(out), order), m_top - k + 1
 
 
 def verify_theorem_A(k: int, order: int) -> VerificationReport:
     """3-colored generating function == weighted sum of A members, exactly,
     on coefficients 0..order."""
-    t0 = time.perf_counter()
-    rhs, terms = theorem_rhs_A(k, order)
-    lhs = p3_series(order)
-    mm = _compare(lhs.coeffs, rhs.coeffs, order)
-    return _report("thm-a", k, None, order, mm, terms, t0)
+    return _verify("thm-a", k, None, order)
 
 
 def verify_theorem_C(k: int, order: int) -> VerificationReport:
     """Overpartition generating function == weighted sum of C members."""
-    t0 = time.perf_counter()
-    rhs, terms = theorem_rhs_C(k, order)
-    lhs = overpartition_series(order)
-    mm = _compare(lhs.coeffs, rhs.coeffs, order)
-    return _report("thm-c", k, None, order, mm, terms, t0)
+    return _verify("thm-c", k, None, order)
 
 
 # -- truncated corollary formulas ---------------------------------------------
 
 
-def corollary_A_weights(k: int, j: int) -> list[int]:
-    return [binomial(2 * m + 2 * k + 1, m + 2 * k + 1) for m in range(j + 1)]
-
-
-def corollary_C_weights(k: int, j: int) -> list[int]:
-    return [binomial(2 * m + 2 * k, m + 2 * k) for m in range(j + 1)]
-
-
 def verify_corollary_A(k: int, j: int) -> VerificationReport:
     """p3(n) == sum of j+1 weighted member coefficients, for every n in the
     guaranteed window n < (j+1)(j+2k+2)/2."""
-    _reject_bool(k=k, j=j)
-    if k < 0 or j < 0:
-        raise ValueError("k and j must be non-negative")
-    t0 = time.perf_counter()
-    n_top = (j + 1) * (j + 2 * k + 2) // 2 - 1
-    shift = k * (k + 1) // 2
-    fam = compute_A_family(k + j, n_top + shift, lowest=k)
-    weights = corollary_A_weights(k, j)
-    lhs = p3_series(n_top)
-    rhs = [0] * (n_top + 1)
-    for m, w in enumerate(weights):
-        cs = fam.member(k + m).coeffs
-        for n in range(n_top + 1):
-            c = cs[n + shift]
-            if c:
-                rhs[n] += w * c
-    mm = _compare(lhs.coeffs, rhs, n_top)
-    return _report("cor-a", k, j, n_top, mm, j + 1, t0)
+    return _verify("cor-a", k, j, None)
 
 
 def verify_corollary_C(k: int, j: int) -> VerificationReport:
     """Overpartition count == sum of j+1 weighted odd-family coefficients for
     n < (j+1)(j+2k+1)."""
-    _reject_bool(k=k, j=j)
-    if k < 0 or j < 0:
-        raise ValueError("k and j must be non-negative")
-    t0 = time.perf_counter()
-    n_top = (j + 1) * (j + 2 * k + 1) - 1
-    shift = k * k
-    fam = compute_C_family(k + j, n_top + shift, lowest=k)
-    weights = corollary_C_weights(k, j)
-    lhs = overpartition_series(n_top)
-    rhs = [0] * (n_top + 1)
-    for m, w in enumerate(weights):
-        cs = fam.member(k + m).coeffs
-        for n in range(n_top + 1):
-            c = cs[n + shift]
-            if c:
-                rhs[n] += w * c
-    mm = _compare(lhs.coeffs, rhs, n_top)
-    return _report("cor-c", k, j, n_top, mm, j + 1, t0)
+    return _verify("cor-c", k, j, None)
 
 
 # -- single-member limit relations ---------------------------------------------
@@ -235,44 +248,14 @@ def verify_limit_A(k: int, order: int) -> VerificationReport:
     """The lowered member A_k alone matches the 3-colored generating function
     through exponent k, i.e. the remainder has valuation >= k+1.  Only
     exponents up to shift+k are compared, so the member is built only that far."""
-    _reject_bool(k=k, order=order)
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    shift = k * (k + 1) // 2
-    if shift > order:
-        raise ValueError("order must be at least k(k+1)/2")
-    t0 = time.perf_counter()
-    top = min(k, order - shift)
-    member = compute_A_family(k, shift + top, lowest=k).member(k).coeffs
-    lhs = p3_series(top)
-    mm = None
-    for n in range(top + 1):
-        if lhs.coeffs[n] != member[n + shift]:
-            mm = Mismatch(n, lhs.coeffs[n], member[n + shift])
-            break
-    return _report("limit-a", k, None, order, mm, 1, t0)
+    return _verify("limit-a", k, None, order)
 
 
 def verify_limit_C(k: int, order: int) -> VerificationReport:
     """The lowered member C_k matches the overpartition generating function
     through exponent 2k, i.e. the remainder has valuation >= 2k+1.  Only
     exponents up to shift+2k are compared, so the member is built only that far."""
-    _reject_bool(k=k, order=order)
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    shift = k * k
-    if shift > order:
-        raise ValueError("order must be at least k^2")
-    t0 = time.perf_counter()
-    top = min(2 * k, order - shift)
-    member = compute_C_family(k, shift + top, lowest=k).member(k).coeffs
-    lhs = overpartition_series(top)
-    mm = None
-    for n in range(top + 1):
-        if lhs.coeffs[n] != member[n + shift]:
-            mm = Mismatch(n, lhs.coeffs[n], member[n + shift])
-            break
-    return _report("limit-c", k, None, order, mm, 1, t0)
+    return _verify("limit-c", k, None, order)
 
 
 # -- divisor-sum formulas -------------------------------------------------------
@@ -282,7 +265,7 @@ def verify_divisor_identities(order: int) -> VerificationReport:
     """Member 1 carries sigma_1(n); member 2 satisfies
     8*coeff = (1-2n)*sigma_1(n) + sigma_3(n), which in particular forces the
     right side to be divisible by 8.  Checked for 1 <= n <= order."""
-    _reject_bool(order=order)
+    _check_params(order=order)
     if order < 1:
         raise ValueError("need order >= 1")
     t0 = time.perf_counter()

@@ -359,6 +359,24 @@ def test_output_file(tmp_path, capsys):
     assert obj["coeffs"] == ["1", "3", "9", "22", "51", "108"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--target", "p3", "--N", "5"],
+        ["verify", "--target", "thm-a", "--k", "1", "--N", "5"],
+        ["table", "--target", "a", "--K", "1", "--N", "5"],
+    ],
+    ids=["compute", "verify", "table"],
+)
+def test_output_into_a_missing_directory_exits_two(argv, tmp_path, capsys):
+    # status 1 means a verification mismatch; a bad path is a usage error
+    path = tmp_path / "missing" / "out.json"
+    assert main(argv + ["--output", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write --output") and "Traceback" not in err
+    assert not path.parent.exists()
+
+
 def test_run_rejects_unknown_command(capsys):
     assert run(RunConfig(command="fly")) == 2
 
@@ -366,3 +384,20 @@ def test_run_rejects_unknown_command(capsys):
 def test_run_config_defaults():
     cfg = RunConfig(command="bench")
     assert cfg.format == "text" and cfg.oracle_guard == 40
+
+
+@pytest.mark.parametrize(
+    "argv,fields",
+    [
+        (["compute", "--target", "p3", "--N", "5"], dict(target="p3", N=5)),
+        (["verify", "--target", "cor-a", "--k", "2", "--j", "1"], dict(target="cor-a", k=2, j=1)),
+        (["table", "--target", "c", "--K", "3", "--N", "4"], dict(target="c", K=3, N=4)),
+        (["bench"], {}),
+    ],
+    ids=["compute", "verify", "table", "bench"],
+)
+def test_parsed_defaults_are_the_run_config_defaults(argv, fields):
+    # every default is written once, in RunConfig; the bench cap stays unset
+    # here and is chosen by the bench itself
+    config = cli.config_from_args(cli.build_parser().parse_args(argv))
+    assert config == RunConfig(command=argv[0], **fields)

@@ -11,10 +11,9 @@ from macmahon.families import binomial, compute_A_family, compute_C_family
 from macmahon.identities import (
     Mismatch,
     VerificationReport,
-    corollary_A_weights,
-    corollary_C_weights,
-    theorem_rhs_A,
-    theorem_rhs_C,
+    corollary_weights,
+    family_order,
+    theorem_rhs,
     verify_corollary_A,
     verify_corollary_C,
     verify_divisor_identities,
@@ -67,7 +66,7 @@ def test_theorem_A_perturbed_weight_fails_at_k_plus_1():
     # exactly k+1, where that member's lowered expansion begins
     k, order = 2, 30
     shift = k * (k + 1) // 2
-    rhs, _ = theorem_rhs_A(k, order)
+    rhs, _ = theorem_rhs("A", k, order)
     fam = compute_A_family(k + 1, order + shift)
     lifted_next = [fam.members[k + 1].coeffs[n + shift] for n in range(order + 1)]
     perturbed = [rhs.coeffs[n] + lifted_next[n] for n in range(order + 1)]
@@ -79,7 +78,7 @@ def test_theorem_A_perturbed_weight_fails_at_k_plus_1():
 def test_theorem_C_dropped_term_fails_at_2k_plus_1():
     k, order = 3, 40
     shift = k * k
-    rhs, _ = theorem_rhs_C(k, order)
+    rhs, _ = theorem_rhs("C", k, order)
     fam = compute_C_family(k + 1, order + shift)
     w = binomial(2 * (k + 1), (k + 1) + k)
     dropped = [
@@ -92,47 +91,100 @@ def test_theorem_C_dropped_term_fails_at_2k_plus_1():
 
 def test_truncation_soundness_of_theorem_sums():
     for k, small, big in [(0, 20, 35), (3, 25, 60)]:
-        rhs_small, _ = theorem_rhs_A(k, small)
-        rhs_big, _ = theorem_rhs_A(k, big)
+        rhs_small, _ = theorem_rhs("A", k, small)
+        rhs_big, _ = theorem_rhs("A", k, big)
         assert rhs_big.truncate(small) == rhs_small
-        rhs_small, _ = theorem_rhs_C(k, small)
-        rhs_big, _ = theorem_rhs_C(k, big)
+        rhs_small, _ = theorem_rhs("C", k, small)
+        rhs_big, _ = theorem_rhs("C", k, big)
         assert rhs_big.truncate(small) == rhs_small
 
 
 def test_adjacent_theorem_instances_agree():
     # both lowered sums equal the same generating function, so they agree
     # with each other exactly on the shared window
-    a1, _ = theorem_rhs_A(1, 40)
-    a2, _ = theorem_rhs_A(2, 40)
+    a1, _ = theorem_rhs("A", 1, 40)
+    a2, _ = theorem_rhs("A", 2, 40)
     assert a1 == a2
-    c1, _ = theorem_rhs_C(1, 40)
-    c2, _ = theorem_rhs_C(2, 40)
+    c1, _ = theorem_rhs("C", 1, 40)
+    c2, _ = theorem_rhs("C", 2, 40)
     assert c1 == c2
 
 
-def test_failing_comparison_is_reported_not_raised(monkeypatch):
-    # corrupt the generating function; the verifier must return data
-    real = p3_series(25)
+# (target, verifier, arguments, the doctored exponent inside its window)
+DOCTORED = [
+    ("thm-a", verify_theorem_A, (0, 25), 7),
+    ("thm-c", verify_theorem_C, (1, 25), 7),
+    ("cor-a", verify_corollary_A, (1, 2), 5),
+    ("cor-c", verify_corollary_C, (1, 2), 9),
+    ("limit-a", verify_limit_A, (3, 20), 2),
+    ("limit-c", verify_limit_C, (2, 20), 3),
+]
+
+
+@pytest.mark.parametrize("target,verify,args,n", DOCTORED, ids=[d[0] for d in DOCTORED])
+def test_failing_comparison_is_reported_not_raised(target, verify, args, n, monkeypatch):
+    # corrupt the generating function; the verifier must return data, with
+    # the generating function on the left and the member sum on the right
+    name = "p3_series" if target.endswith("a") else "overpartition_series"
+    real = getattr(identities, name)(60)
     doctored = list(real.coeffs)
-    doctored[7] += 1
+    doctored[n] += 1
     monkeypatch.setattr(
-        identities, "p3_series", lambda order: make_series(doctored[: order + 1], order)
+        identities, name, lambda order: make_series(doctored[: order + 1], order)
     )
-    report = verify_theorem_A(0, 25)
+    report = verify(*args)
     assert not report.passed
-    assert report.first_mismatch == Mismatch(7, real.coeffs[7] + 1, real.coeffs[7])
+    assert report.first_mismatch == Mismatch(n, lhs=real.coeffs[n] + 1, rhs=real.coeffs[n])
+
+
+def test_family_order_is_the_highest_order_each_verifier_builds(monkeypatch):
+    requested = []
+
+    def recording(fn, position):
+        def wrapper(*args, **kwargs):
+            requested.append(args[position])
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, position in [("compute_A_family", 1), ("compute_C_family", 1),
+                           ("p3_series", 0), ("overpartition_series", 0)]:
+        monkeypatch.setattr(identities, name, recording(getattr(identities, name), position))
+    verifiers = {
+        "thm-a": lambda k, j, N: verify_theorem_A(k, N),
+        "thm-c": lambda k, j, N: verify_theorem_C(k, N),
+        "cor-a": lambda k, j, N: verify_corollary_A(k, j),
+        "cor-c": lambda k, j, N: verify_corollary_C(k, j),
+        "limit-a": lambda k, j, N: verify_limit_A(k, N),
+        "limit-c": lambda k, j, N: verify_limit_C(k, N),
+        "divisor": lambda k, j, N: verify_divisor_identities(N),
+    }
+    checked = 0
+    for target, verify in verifiers.items():
+        for k in range(9):
+            for j in range(4):
+                for N in (1, 3, 7, 20, 45):
+                    requested.clear()
+                    try:
+                        assert verify(k, j, N).passed
+                    except ValueError as exc:
+                        # a limit order below the valuation of member k
+                        assert target.startswith("limit") and f"member {k}" in str(exc)
+                        continue
+                    assert max(requested) == family_order(target, k, j, N), (target, k, j, N)
+                    checked += 1
+    assert checked > 1000
 
 
 # -- corollaries ------------------------------------------------------------------------
 
 
 def test_corollary_A_weights_at_k100():
-    assert corollary_A_weights(100, 2) == [1, 203, 20910]
+    assert corollary_weights("A", 100, 2) == [1, 203, 20910]
 
 
 def test_corollary_C_weights_at_k100():
-    assert corollary_C_weights(100, 2) == [1, 202, 20706]
+    assert corollary_weights("C", 100, 2) == [1, 202, 20706]
 
 
 @pytest.mark.parametrize("k,j", [(0, 3), (1, 2), (2, 2), (20, 2)])
@@ -170,7 +222,7 @@ def test_corollary_windows_are_sharp_where_the_oracle_confirms():
         fam = compute_A_family(k + j, bound + shift)
         rhs = sum(
             w * fam.members[k + m].coeffs[bound + shift]
-            for m, w in enumerate(corollary_A_weights(k, j))
+            for m, w in enumerate(corollary_weights("A", k, j))
         )
         assert p3_series(bound).coeffs[bound] != rhs, (k, j)
 
@@ -180,7 +232,7 @@ def test_corollary_windows_are_sharp_where_the_oracle_confirms():
         famC = compute_C_family(k + j, boundC + k * k)
         rhsC = sum(
             w * famC.members[k + m].coeffs[boundC + k * k]
-            for m, w in enumerate(corollary_C_weights(k, j))
+            for m, w in enumerate(corollary_weights("C", k, j))
         )
         assert overpartition_series(boundC).coeffs[boundC] != rhsC, (k, j)
 
@@ -222,7 +274,8 @@ def test_limit_A_trivial_window():
 
 
 def test_limit_A_examples():
-    assert verify_limit_A(4, 30).passed
+    report = verify_limit_A(4, 30)
+    assert report.passed and report.terms_used == 1
     assert verify_limit_A(10, 80).passed
     # the lowered member begins with the stabilized prefix
     fam = compute_A_family(4, 30)
@@ -233,7 +286,7 @@ def test_limit_C_examples():
     assert verify_limit_C(0, 20).passed
     assert verify_limit_C(5, 40).passed
     report = verify_limit_C(3, 30)
-    assert report.passed
+    assert report.passed and report.terms_used == 1
     fam = compute_C_family(3, 30)
     assert [fam.members[3].coeffs[9 + i] for i in range(7)] == [1, 2, 4, 8, 14, 24, 40]
 
