@@ -3,13 +3,7 @@ functions: the families A_k and C_k, the 3-colored partition and
 overpartition generating functions, and coefficient-exact verification of
 the identity families connecting them."""
 
-from .series import (
-    TruncatedSeries,
-    format_series,
-    geometric_square,
-    make_series,
-    pochhammer,
-)
+from .series import TruncatedSeries, format_series, geometric_square
 from .partitions import (
     PartitionOracleResult,
     jacobi_cube,
@@ -23,7 +17,6 @@ from .partitions import (
 from .families import (
     MacmahonFamily,
     a_k_directsum,
-    binomial,
     compute_A_family,
     compute_C_family,
     members,
@@ -44,9 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TruncatedSeries",
-    "make_series",
     "format_series",
-    "pochhammer",
     "geometric_square",
     "jacobi_cube",
     "theta_square",
@@ -61,7 +52,6 @@ __all__ = [
     "compute_C_family",
     "members",
     "a_k_directsum",
-    "binomial",
     "VerificationReport",
     "Mismatch",
     "verify_theorem_A",

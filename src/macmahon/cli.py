@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 import time
+from collections.abc import Container
 from dataclasses import dataclass
 
 # compute_A_family and compute_C_family serve no command directly; they stay
@@ -119,6 +120,13 @@ def _need(value: int | None, name: str, minimum: int = 0) -> int:
     return value
 
 
+def _check_options(config: RunConfig, taken: Container[str]) -> None:
+    # an option the target does not take is refused rather than ignored
+    for option in ("k", "j", "K", "N"):
+        if option not in taken and getattr(config, option) is not None:
+            raise UsageError(f"--{option} is not an option of target {config.target}")
+
+
 def _dump_json(obj) -> str:
     # canonical form so emitted JSON round-trips byte-identically
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -142,6 +150,7 @@ def _emit(text: str, path: str | None) -> None:
 
 def _compute_series(config: RunConfig) -> TruncatedSeries:
     target = config.target
+    _check_options(config, ("K", "N") if target in ("a", "c") else ("N",))
     order = _check_order(_need(config.N, "N"))
     if target in ("a", "c"):
         return members(target.upper(), (_need(config.K, "K"),), order)[0]
@@ -173,6 +182,7 @@ def _run_verifier(config: RunConfig) -> VerificationReport:
     if config.target not in _VERIFIERS:
         raise UsageError(f"unknown verify target {config.target!r}")
     name, *options = _VERIFIERS[config.target]
+    _check_options(config, options)
     minimum = 1 if config.target == "divisor" else 0  # divisor sums start at n = 1
     args = [_need(getattr(config, option), option, minimum) for option in options]
     # the highest order the verifier builds, checked before it allocates anything

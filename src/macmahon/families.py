@@ -91,15 +91,6 @@ class MacmahonFamily:
         return self.member(k).coefficient(n)
 
 
-def binomial(n: int, r: int) -> int:
-    """Binomial coefficient, zero outside 0 <= r <= n."""
-    if n < 0:
-        raise ValueError("binomial needs n >= 0")
-    if r < 0 or r > n:
-        return 0
-    return math.comb(n, r)
-
-
 def _bound_bits(order: int) -> int:
     # Every accumulated coefficient is bounded by the 3-colored partition
     # count p3(order) < exp(pi*sqrt(2*order)).

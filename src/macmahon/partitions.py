@@ -3,9 +3,9 @@
 The two generating functions the identity verifiers target are produced by
 inverting sparse theta expansions (O(sqrt N) nonzero terms), which keeps the
 inversion recurrence cheap.  Each keeps the longest series it has inverted
-and answers shorter orders with a prefix of it, which is exact.  The
-equivalent infinite-product forms stay available through `series.pochhammer`
-as an independent cross-check path; the test suite insists both routes agree.
+and answers shorter orders with a prefix of it, which is exact.  The test
+suite checks both theta expansions against their infinite-product forms,
+which it builds from plain coefficient lists (tests/oracles.py).
 
 The brute-force counters at the bottom enumerate partitions directly
 (decreasing part size, then a multiplicity loop per size) and are the ground

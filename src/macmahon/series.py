@@ -1,11 +1,13 @@
 """Exact truncated formal power series over arbitrary-precision integers.
 
 A series is a dense coefficient vector for q^0 .. q^N with an inclusive
-truncation order N: every stored coefficient is exact, and every operation
-propagates the minimum order of its operands so that no coefficient is ever
-fabricated.  The generating functions and the verifiers work on these
-series; the family fold in families.py packs its own coefficient windows and
-hands back TruncatedSeries.
+truncation order N, and every stored coefficient is exact.  The generating
+functions invert a sparse theta series (`invert`, which keeps the order);
+the family fold in families.py packs its own coefficient windows and hands
+back TruncatedSeries; the verifiers and the CLI read coefficients, cut
+prefixes (`truncate`) and serialize (`to_json_dict`, `format_series`).  The
+one product, series times series at the smaller of the two orders, serves
+the literal nested sum `families.a_k_directsum` and the test suite.
 
 All values are immutable and all operations are pure, so everything here is
 safe to share across threads.
@@ -13,15 +15,8 @@ safe to share across threads.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-
-def _int_tuple(coeffs: Iterable[int]) -> tuple[int, ...]:
-    # operator.index accepts ints and int-like types (e.g. gmpy2.mpz),
-    # rejects floats; coefficients must stay exact.
-    return tuple(operator.index(c) for c in coeffs)
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -54,9 +49,6 @@ class TruncatedSeries:
             raise IndexError(f"exponent {n} outside exact range 0..{self.truncation_order}")
         return self.coeffs[n]
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None for the zero series."""
         for i, c in enumerate(self.coeffs):
@@ -73,30 +65,9 @@ class TruncatedSeries:
     def nonzero_terms(self) -> Iterator[tuple[int, int]]:
         return ((i, c) for i, c in enumerate(self.coeffs) if c)
 
-    # -- ring operations ----------------------------------------------------
+    # -- arithmetic ------------------------------------------------------------
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        order = min(self.truncation_order, other.truncation_order)
-        a, b = self.coeffs, other.coeffs
-        return TruncatedSeries(tuple(a[i] + b[i] for i in range(order + 1)), order)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        order = min(self.truncation_order, other.truncation_order)
-        a, b = self.coeffs, other.coeffs
-        return TruncatedSeries(tuple(a[i] - b[i] for i in range(order + 1)), order)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coeffs), self.truncation_order)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return TruncatedSeries(
-                tuple(other * c for c in self.coeffs), self.truncation_order
-            )
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         order = min(self.truncation_order, other.truncation_order)
@@ -116,22 +87,6 @@ class TruncatedSeries:
                 if bj:
                     out[i + j] += ai * bj
         return TruncatedSeries(tuple(out), order)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def shift(self, s: int) -> "TruncatedSeries":
-        """Multiply by q^s.  Order is unchanged; the top s coefficients drop off,
-        so callers must compare only the still-exact range."""
-        s = operator.index(s)
-        if s < 0:
-            raise ValueError("shift amount must be non-negative")
-        n = self.truncation_order
-        if s > n:
-            return TruncatedSeries.zero(n)
-        return TruncatedSeries((0,) * s + self.coeffs[: n + 1 - s], n)
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires constant term +1 or -1 so the
@@ -169,20 +124,6 @@ class TruncatedSeries:
             "coeffs": [str(c) for c in self.coeffs],
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "TruncatedSeries":
-        return cls(tuple(int(c) for c in obj["coeffs"]), int(obj["truncation"]))
-
-
-def make_series(coeffs: Iterable[int], order: int) -> TruncatedSeries:
-    """Series from at most order+1 leading coefficients, zero-padded to q^order."""
-    cs = _int_tuple(coeffs)
-    if order < 0:
-        raise ValueError("truncation order must be non-negative")
-    if len(cs) > order + 1:
-        raise ValueError(f"got {len(cs)} coefficients for truncation order {order}")
-    return TruncatedSeries(cs + (0,) * (order + 1 - len(cs)), order)
-
 
 def format_series(ts: TruncatedSeries, max_terms: int | None = None) -> str:
     """Human form: '1 - 3q + 5q^3 - 7q^6'."""
@@ -206,25 +147,6 @@ def format_series(ts: TruncatedSeries, max_terms: int | None = None) -> str:
     if not parts:
         return "0"
     return " ".join(parts)
-
-
-def pochhammer(a: int, b: int, order: int) -> TruncatedSeries:
-    """Truncated infinite product (1-q^a)(1-q^(a+b))(1-q^(a+2b))...
-
-    Factors whose exponent exceeds the order cannot touch any stored
-    coefficient and are skipped.
-    """
-    if a < 1 or b < 1:
-        raise ValueError("pochhammer exponents must be positive")
-    c = [1] + [0] * order
-    e = a
-    while e <= order:
-        # multiply by (1 - q^e) in place, descending so c[i-e] is still old
-        for i in range(order, e - 1, -1):
-            if c[i - e]:
-                c[i] -= c[i - e]
-        e += b
-    return TruncatedSeries(tuple(c), order)
 
 
 def geometric_square(s: int, order: int) -> TruncatedSeries:

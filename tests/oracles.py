@@ -4,11 +4,21 @@ Everything here is built from first principles with plain loops and shares
 no code path with the library it checks: partition counts come from the
 bounded-part recurrence, generating functions from explicit convolution,
 overpartitions and multiplicity products from unpruned multiset enumeration.
+The one exception is `as_series`, a tool rather than an oracle: it wraps a
+coefficient list in the library's series type for tests that hand one to the
+library.
 """
 
 from __future__ import annotations
 
 from math import comb
+
+from macmahon.series import TruncatedSeries
+
+
+def as_series(coeffs: list[int], order: int) -> TruncatedSeries:
+    """`coeffs` zero-padded to q^order as a TruncatedSeries."""
+    return TruncatedSeries(tuple(coeffs) + (0,) * (order + 1 - len(coeffs)), order)
 
 
 def partition_counts(top: int) -> list[int]:
@@ -30,6 +40,20 @@ def convolve(a: list[int], b: list[int], top: int) -> list[int]:
             if b[j]:
                 out[i + j] += ai * b[j]
     return out
+
+
+def pochhammer(a: int, b: int, top: int) -> list[int]:
+    """Coefficients 0..top of (1-q^a)(1-q^(a+b))(1-q^(a+2b))..., the product
+    form the theta expansions are checked against.  Factors above q^top
+    cannot touch a kept coefficient and are skipped."""
+    if a < 1 or b < 1:
+        raise ValueError("pochhammer exponents must be positive")
+    c = [1] + [0] * top
+    for e in range(a, top + 1, b):
+        # multiply by (1 - q^e) in place, descending so c[i-e] is still old
+        for i in range(top, e - 1, -1):
+            c[i] -= c[i - e]
+    return c
 
 
 def three_colored_counts(top: int) -> list[int]:

@@ -85,24 +85,54 @@ def test_verify_infeasible_parameter_combination_is_usage_error(capsys):
 
 
 def test_verify_mismatch_exit_one(capsys, monkeypatch):
-    fake = VerificationReport(
-        "thm-a", 0, None, 10, False, Mismatch(3, 4, 5), 2, 1.0
-    )
+    fake = VerificationReport("thm-a", 0, None, 10, Mismatch(3, 4, 5), 2, 1.0)
     monkeypatch.setattr(cli, "verify_theorem_A", lambda k, order: fake)
     assert main(["verify", "--target", "thm-a", "--k", "0", "--N", "10"]) == 1
     assert "FAIL at q^3" in out_of(capsys)
 
 
 def test_verify_mismatch_csv(capsys, monkeypatch):
-    fake = VerificationReport(
-        "thm-a", 0, None, 10, False, Mismatch(3, 4, 5), 2, 1.0
-    )
+    fake = VerificationReport("thm-a", 0, None, 10, Mismatch(3, 4, 5), 2, 1.0)
     monkeypatch.setattr(cli, "verify_theorem_A", lambda k, order: fake)
     assert main(
         ["verify", "--target", "thm-a", "--k", "0", "--N", "10", "--format", "csv"]
     ) == 1
     lines = out_of(capsys).splitlines()
     assert lines[1].startswith("thm-a,0,,10,false,3,4,5,")
+
+
+# the options each target takes; any other one it is given is refused
+TAKEN = {
+    ("verify", "thm-a"): ("k", "N"),
+    ("verify", "thm-c"): ("k", "N"),
+    ("verify", "cor-a"): ("k", "j"),
+    ("verify", "cor-c"): ("k", "j"),
+    ("verify", "limit-a"): ("k", "N"),
+    ("verify", "limit-c"): ("k", "N"),
+    ("verify", "divisor"): ("N",),
+    ("compute", "p3"): ("N",),
+    ("compute", "overp"): ("N",),
+    ("compute", "theta-cube"): ("N",),
+    ("compute", "theta-square"): ("N",),
+}
+UNTAKEN = [
+    (command, target, option)
+    for (command, target), taken in TAKEN.items()
+    for option in (("k", "j", "N") if command == "verify" else ("K",))
+    if option not in taken
+]
+OPTION_VALUES = {"k": "3", "j": "2", "K": "3", "N": "30"}
+
+
+@pytest.mark.parametrize("command,target,option", UNTAKEN, ids=[" ".join(u) for u in UNTAKEN])
+def test_an_option_the_target_does_not_take_exits_two(command, target, option, capsys):
+    argv = [command, "--target", target]
+    for name in TAKEN[command, target]:
+        argv += [f"--{name}", OPTION_VALUES[name]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + [f"--{option}", OPTION_VALUES[option]]) == 2
+    assert capsys.readouterr() == ("", f"error: --{option} is not an option of target {target}\n")
 
 
 def test_unknown_flag_exits_two():
