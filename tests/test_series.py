@@ -100,9 +100,17 @@ def test_valuation_of_family_members():
 
     assert compute_A_family(2, 10).members[2].valuation() == 3
     assert compute_A_family(5, 20).members[5].valuation() == 15
-    # member k starts with 1 at q^(k(k+1)/2), like the constant member 0
-    member = compute_A_family(3, 10).members[3]
-    assert member.valuation() == 6 and member.coeffs[6] == 1
+
+
+def test_shift_matches_family_leading_term():
+    # lifting the constant member by k(k+1)/2 reproduces member k's first term
+    from macmahon.families import compute_A_family
+
+    fam = compute_A_family(3, 10)
+    lifted = fam.members[0] * as_series([0] * 6 + [1], 10)
+    assert lifted.valuation() == 6
+    assert fam.members[3].valuation() == 6
+    assert fam.members[3].coeffs[6] == lifted.coeffs[6] == 1
 
 
 def test_valuation_of_zero_is_none():
