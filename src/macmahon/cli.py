@@ -397,6 +397,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # RunConfig cannot tell a guard given from its default, so a guard
+    # without --oracle is refused here rather than ignored
+    if "oracle_guard" in vars(args) and "use_oracle" not in vars(args):
+        print("error: --oracle-guard applies only with --oracle", file=sys.stderr)
+        return 2
     return run(config_from_args(args))
 
 

@@ -34,10 +34,18 @@ The identities the verifiers check are the binomial inverse of that closed
 form, so checking them on its output would prove little: every verifier,
 the two family stores, the `_uncached` functions and the bench run the fold.
 
-Slot widths rest on the bound p3(order) < exp(pi*sqrt(2*order)) plus a
-margin; unpacking checks that every slot of every returned row stays below
-the bound, and raises ArithmeticError otherwise.  Both routes unpack the
-same way.
+Every coefficient either route returns is at most p2(order), the count of
+2-colored partitions: both families sit coefficientwise under
+prod_s 1/(1-q^s)^2, since 1 + x/(1-x)^2 <= 1/(1-x)^2, and p2(n) <
+exp(pi*sqrt(4n/3)) (checked at every order up to the CLI's order limit, as
+is the p3 bound below).  Every slot the fold holds is a partial sum of
+non-negative terms of one such coefficient, so the fold's slots are sized by
+this p2 bound.  The theta route packs the dense p3 or overp series itself,
+so its slots are sized by the bound p3(n) < exp(pi*sqrt(2n)).  Either width
+leaves at least 8 guard bits above its bound, and unpacking checks every
+slot of every returned row against the p2 bound and raises ArithmeticError
+if one exceeds it: a wrong bound shows up in the guard bits instead of
+passing silently.
 
 The literal nested-sum definition of A_k is kept as `a_k_directsum`, an
 independent oracle for small parameters; it never feeds the production path.
@@ -92,17 +100,22 @@ class MacmahonFamily:
 
 
 def _bound_bits(order: int) -> int:
-    # Every accumulated coefficient is bounded by the 3-colored partition
-    # count p3(order) < exp(pi*sqrt(2*order)).
+    # Every slot the fold holds and every returned coefficient of either
+    # family is bounded by the 2-colored partition count
+    # p2(order) < exp(pi*sqrt(4*order/3)).
+    return int(math.pi * math.sqrt(4 * order / 3) / math.log(2)) + 1
+
+
+def _dense_bound_bits(order: int) -> int:
+    # The theta route packs p3 or overp (overp <= p2 <= p3) through the
+    # order, so its slots must hold p3(order) < exp(pi*sqrt(2*order)).
     return int(math.pi * math.sqrt(2 * order) / math.log(2)) + 1
 
 
-def _slot_bits(order: int) -> int:
-    # The two prefix passes per factor multiply a slot by at most (order+1)
-    # each; the margin on top of the bound is what unpacking checks stays
+def _slot_bits(bound_bits: int) -> int:
+    # At least 8 guard bits above the bound, which unpacking checks stay
     # zero.  Byte-aligned for cheap unpacking.
-    bits = _bound_bits(order) + 2 * (order + 1).bit_length() + 32
-    return ((bits + 7) // 8) * 8
+    return (bound_bits + 15) // 8 * 8
 
 
 def _lowval(k: int, step: int) -> int:
@@ -165,8 +178,8 @@ def _unpack_packed_row(
     for i in range(width):
         c = int.from_bytes(raw[i * b8 : (i + 1) * b8], byteorder)
         if c:
-            # a slot past the p3 bound means the margin above it, and with it
-            # the slot width, can no longer be trusted
+            # a slot past the p2 bound means the bound, and with it the slot
+            # width, can no longer be trusted
             if c >> bound_bits:
                 raise ArithmeticError(
                     f"packed slot at q^{lowval + i} exceeds {bound_bits} bits"
@@ -201,8 +214,8 @@ def _compute_family(tag: str, step: int, K: int, order: int, lowest: int) -> Mac
     k_eff = _top_member(step, K, order)
     built = []
     if lowest <= k_eff:
-        bits = _slot_bits(order)
         bound = _bound_bits(order)
+        bits = _slot_bits(bound)
         packed = _fold_packed(step, lowest, k_eff, order, bits)
         built = [
             TruncatedSeries(
@@ -348,14 +361,15 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
         A_k = p3    * sum_{m>=k} (-1)^(m+k) (2m+1)/(2k+1) C(m+k, 2k) q^(m(m+1)/2)
         C_k = overp * sum_{m>=k} (-1)^(m+k) 2m/(m+k) C(m+k, 2k) q^(m^2)
 
-    The dense series is packed once into slots of the fold's width, highest
-    exponent lowest, so a theta term c*q^e adds c times the packed series
-    with its e lowest slots dropped.  The sum then equals, as an integer,
-    the member's coefficients q^order down to its valuation floor packed the
-    same way; nothing is reduced, so negative partial sums are harmless.
-    Unpacking checks every slot against the p3 bound, as for the fold, so a
-    slot too narrow for its coefficient raises ArithmeticError.  A member
-    whose valuation floor lies above the order is the zero series.
+    The dense series is packed once into slots wide enough for p3(order)
+    plus at least 8 guard bits, highest exponent lowest, so a theta term
+    c*q^e adds c times the packed series with its e lowest slots dropped.
+    The sum then equals, as an integer, the member's coefficients q^order
+    down to its valuation floor packed the same way; nothing is masked, so
+    negative partial sums are harmless.  Unpacking checks every slot against
+    the p2 bound, as for the fold, so a slot too narrow for its coefficient
+    raises ArithmeticError.  A member whose valuation floor lies above the
+    order is the zero series.
 
     These formulas are the binomial inverse of the identities the verifiers
     check, so the verifiers never use this route; they read the fold.
@@ -371,7 +385,7 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
         raise ValueError("member indices must be non-negative")
     step = 1 if family == "A" else 2
     dense = p3_series(order) if step == 1 else overpartition_series(order)
-    bits, bound = _slot_bits(order), _bound_bits(order)
+    bits, bound = _slot_bits(_dense_bound_bits(order)), _bound_bits(order)
     b8 = bits // 8
     # highest exponent in the lowest slot: dropping the low e slots leaves
     # the dense series shifted by q^e and cut at the order

@@ -175,6 +175,15 @@ def test_table_oracle_guard(capsys):
     ) == 0
 
 
+@pytest.mark.parametrize("guard", ["60", "40"])
+def test_table_oracle_guard_without_oracle_exits_two(guard, capsys):
+    assert main(["table", "--target", "a", "--K", "1", "--N", "3", "--oracle-guard", guard]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --oracle-guard applies only with --oracle\n"
+    assert captured.out == ""
+    assert main(["table", "--target", "a", "--K", "1", "--N", "3"]) == 0
+
+
 def test_table_text_grid(capsys):
     assert main(["table", "--target", "c", "--K", "1", "--N", "3"]) == 0
     lines = out_of(capsys).splitlines()

@@ -3,6 +3,7 @@ displays, the brute-force counters, the literal nested sum, the unpruned
 enumeration, and the theta-quotient closed forms."""
 
 import functools
+import operator
 import random
 import sys
 import threading
@@ -13,6 +14,7 @@ import oracles
 from macmahon.families import (
     MacmahonFamily,
     _bound_bits,
+    _dense_bound_bits,
     _fold_packed,
     _slot_bits,
     _unpack_packed_row,
@@ -23,7 +25,8 @@ from macmahon.families import (
     compute_C_family_uncached,
     members,
 )
-from macmahon.partitions import mk_bruteforce, mk_odd_bruteforce, p3_series
+from macmahon.cli import MAX_ORDER
+from macmahon.partitions import mk_bruteforce, mk_odd_bruteforce, overpartition_series, p3_series
 from macmahon.series import TruncatedSeries
 from oracles import as_series
 
@@ -232,10 +235,62 @@ def test_lowest_out_of_range_or_bool_rejected():
 # -- the packed slot width ----------------------------------------------------------
 
 
-def test_slot_layout_leaves_guard_bits():
-    for order in (0, 1, 31, 600, 10608):
-        assert _slot_bits(order) % 8 == 0
-        assert _slot_bits(order) >= _bound_bits(order) + 32
+def test_slot_widths_leave_guard_bits_above_their_bounds():
+    for order in (0, 1, 31, 600, 1295, 10608, MAX_ORDER):
+        for bound in (_bound_bits(order), _dense_bound_bits(order)):
+            assert _slot_bits(bound) % 8 == 0
+            assert _slot_bits(bound) >= bound + 8
+
+
+def test_bounds_hold_through_the_order_limit():
+    # p2 = p3 * (q;q)_inf, and (q;q)_inf is the sparse pentagonal series
+    # sum over m != 0 of (-1)^m q^(m(3m-1)/2), plus 1
+    p3 = list(p3_series(MAX_ORDER).coeffs)
+    p2 = p3[:]
+    m = 1
+    while m * (3 * m - 1) // 2 <= MAX_ORDER:
+        op = operator.sub if m % 2 else operator.add
+        for e in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2):
+            p2[e:] = map(op, p2[e:], p3)
+        m += 1
+    overp = overpartition_series(MAX_ORDER).coeffs
+    assert p2[:6] == [1, 2, 5, 10, 20, 36]
+    for n in range(MAX_ORDER + 1):
+        assert p2[n].bit_length() <= _bound_bits(n), n
+        assert p3[n].bit_length() <= _dense_bound_bits(n), n
+        assert overp[n].bit_length() <= _dense_bound_bits(n), n
+
+
+@pytest.mark.parametrize(
+    "build,theta,K,order,lowest",
+    [
+        (compute_A_family_uncached, oracles.theta_family_A, 12, 500, 0),
+        (compute_C_family_uncached, oracles.theta_family_C, 14, 600, 12),
+    ],
+    ids=["A-full", "C-members-only"],
+)
+def test_fold_catches_a_bound_one_bit_short(build, theta, K, order, lowest, monkeypatch):
+    # the true bound is the largest bit length of any coefficient built; one
+    # bit less leaves that coefficient in the guard bits, and a slot one byte
+    # narrower than the coefficients need carries out of the row
+    import macmahon.families as families_module
+
+    want = theta(K, order)[lowest:]
+    true_bits = max(c.bit_length() for row in want for c in row)
+    cases = [
+        (true_bits - 1, _slot_bits(true_bits - 1), ArithmeticError),
+        (true_bits, _slot_bits(true_bits), None),
+        (true_bits, (true_bits + 7) // 8 * 8 - 8, ArithmeticError),
+    ]
+    for bound, slot, error in cases:
+        monkeypatch.setattr(families_module, "_bound_bits", lambda order: bound)
+        monkeypatch.setattr(families_module, "_slot_bits", lambda bound_bits: slot)
+        if error is None:
+            fam = build(K, order, lowest)
+            assert [list(m.coeffs) for m in fam.members] == want
+        else:
+            with pytest.raises(error):
+                build(K, order, lowest)
 
 
 @pytest.mark.parametrize("slot_bits", [64, 16], ids=["guard-bits-set", "carried-out"])
@@ -247,8 +302,9 @@ def test_unpack_rejects_a_slot_too_narrow_for_its_coefficients(slot_bits):
     rows = _fold_packed(1, 0, k, order, slot_bits)
     with pytest.raises(ArithmeticError):
         _unpack_packed_row(rows[k], 6, order, slot_bits, 8)
-    wide = _fold_packed(1, 0, k, order, _slot_bits(order))
-    got = _unpack_packed_row(wide[k], 6, order, _slot_bits(order), _bound_bits(order))
+    bits = _slot_bits(_bound_bits(order))
+    wide = _fold_packed(1, 0, k, order, bits)
+    got = _unpack_packed_row(wide[k], 6, order, bits, _bound_bits(order))
     assert list(got) == oracles.theta_family_A(k, order)[k]
 
 
