@@ -39,8 +39,6 @@ from .identities import (
 )
 from .partitions import (
     jacobi_cube,
-    mk_bruteforce,
-    mk_odd_bruteforce,
     overpartition_series,
     p3_series,
     theta_square,
@@ -78,15 +76,14 @@ class RunConfig:
     N: int | None = None
     format: str = "text"
     output_path: str | None = None
-    oracle_guard: int = 40
-    use_oracle: bool = False
-    bench_family_sizes: tuple[int, ...] = (100, 200, 400)
-    repeat: int = 3
+    bench_family_sizes: tuple[int, ...] | None = None
+    repeat: int | None = None
 
 
 # The highest truncation order any command builds: above the order 10608 of
-# the deep k=100 corollary window, below orders whose coefficient vectors and
-# folds would exhaust memory or run for hours.
+# the deep k=100 corollary window. It bounds the size of every coefficient
+# vector and of every fold's packed integers; it does not bound time, since a
+# verifier's fold grows about 8x per doubling of its order.
 MAX_ORDER = 20_000
 
 
@@ -121,10 +118,12 @@ def _need(value: int | None, name: str, minimum: int = 0) -> int:
 
 
 def _check_options(config: RunConfig, taken: Container[str]) -> None:
-    # an option the target does not take is refused rather than ignored
-    for option in ("k", "j", "K", "N"):
-        if option not in taken and getattr(config, option) is not None:
-            raise UsageError(f"--{option} is not an option of target {config.target}")
+    # a field the call does not read is refused rather than ignored
+    owner = f"target {config.target}" if "target" in taken else config.command
+    for field in ("target", "k", "j", "K", "N", "bench_family_sizes", "repeat"):
+        if field not in taken and getattr(config, field) is not None:
+            flag = "sizes" if field == "bench_family_sizes" else field
+            raise UsageError(f"--{flag} is not an option of {owner}")
 
 
 def _dump_json(obj) -> str:
@@ -150,7 +149,9 @@ def _emit(text: str, path: str | None) -> None:
 
 def _compute_series(config: RunConfig) -> TruncatedSeries:
     target = config.target
-    _check_options(config, ("K", "N") if target in ("a", "c") else ("N",))
+    if target not in COMPUTE_TARGETS:
+        raise UsageError(f"unknown compute target {target!r}")
+    _check_options(config, ("target", "K", "N") if target in ("a", "c") else ("target", "N"))
     order = _check_order(_need(config.N, "N"))
     if target in ("a", "c"):
         return members(target.upper(), (_need(config.K, "K"),), order)[0]
@@ -160,9 +161,7 @@ def _compute_series(config: RunConfig) -> TruncatedSeries:
         return overpartition_series(order)
     if target == "theta-cube":
         return jacobi_cube(order)
-    if target == "theta-square":
-        return theta_square(order)
-    raise UsageError(f"unknown compute target {target!r}")
+    return theta_square(order)
 
 
 def _series_output(series: TruncatedSeries, fmt: str) -> str:
@@ -182,7 +181,7 @@ def _run_verifier(config: RunConfig) -> VerificationReport:
     if config.target not in _VERIFIERS:
         raise UsageError(f"unknown verify target {config.target!r}")
     name, *options = _VERIFIERS[config.target]
-    _check_options(config, options)
+    _check_options(config, ("target", *options))
     minimum = 1 if config.target == "divisor" else 0  # divisor sums start at n = 1
     args = [_need(getattr(config, option), option, minimum) for option in options]
     # the highest order the verifier builds, checked before it allocates anything
@@ -229,17 +228,12 @@ def _report_output(report: VerificationReport, fmt: str) -> str:
 
 
 def _table_values(config: RunConfig) -> list[list[int]]:
+    if config.target not in TABLE_TARGETS:
+        raise UsageError(f"unknown table target {config.target!r}")
+    _check_options(config, ("target", "K", "N"))
     cap = _need(config.K, "K")
     order = _check_order(_need(config.N, "N"))
     _check_cells(cap, order)
-    if config.use_oracle:
-        if order > config.oracle_guard:
-            raise UsageError(
-                f"--N {order} exceeds the oracle guard {config.oracle_guard}; "
-                "raise --oracle-guard explicitly for long brute-force runs"
-            )
-        counter = mk_odd_bruteforce if config.target == "c" else mk_bruteforce
-        return [[counter(k, n).value for n in range(order + 1)] for k in range(cap + 1)]
     return [list(m.coeffs) for m in members(config.target.upper(), range(cap + 1), order)]
 
 
@@ -284,18 +278,21 @@ def _best_of(repeats: int, fn) -> float:
 
 
 def _run_bench(config: RunConfig) -> list[dict]:
+    _check_options(config, ("K", "bench_family_sizes", "repeat"))
     rows: list[dict] = []
-    cap = config.K if config.K is not None else 12
+    cap = 12 if config.K is None else config.K
+    sizes = (100, 200, 400) if config.bench_family_sizes is None else config.bench_family_sizes
+    repeat = 3 if config.repeat is None else config.repeat
     if cap < 0:
         raise UsageError(f"--K must be >= 0, got {cap}")
-    if config.repeat < 1:
-        raise UsageError(f"--repeat must be >= 1, got {config.repeat}")
-    for n in config.bench_family_sizes:
+    if repeat < 1:
+        raise UsageError(f"--repeat must be >= 1, got {repeat}")
+    for n in sizes:
         _check_order(n)
         _check_cells(cap, n)
     compute_A_family_uncached(min(cap, 4), 16)  # warm up allocators
-    for n in config.bench_family_sizes:
-        dt = _best_of(config.repeat, lambda: compute_A_family_uncached(cap, n))
+    for n in sizes:
+        dt = _best_of(repeat, lambda: compute_A_family_uncached(cap, n))
         rows.append({"op": "family", "K": cap, "N": n, "elapsed_s": dt})
     return rows
 
@@ -356,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # an option left out is left out of the namespace too, so every default
-    # comes from RunConfig (and the bench cap from _run_bench)
+    # comes from RunConfig (and the bench cap, sizes and repeat from _run_bench)
     sub_parser = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
     p_compute = sub_parser("compute", help="emit a series")
@@ -374,10 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--target", required=True, choices=TABLE_TARGETS)
     p_table.add_argument("--K", type=int, required=True)
     p_table.add_argument("--N", type=int, required=True)
-    p_table.add_argument(
-        "--oracle", dest="use_oracle", action="store_true", help="use brute-force enumeration"
-    )
-    p_table.add_argument("--oracle-guard", type=int)
 
     p_bench = sub_parser("bench", help="time family computation")
     p_bench.add_argument("--K", type=int)
@@ -396,13 +389,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    # RunConfig cannot tell a guard given from its default, so a guard
-    # without --oracle is refused here rather than ignored
-    if "oracle_guard" in vars(args) and "use_oracle" not in vars(args):
-        print("error: --oracle-guard applies only with --oracle", file=sys.stderr)
-        return 2
-    return run(config_from_args(args))
+    return run(config_from_args(build_parser().parse_args(argv)))
 
 
 if __name__ == "__main__":

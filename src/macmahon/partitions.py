@@ -153,8 +153,7 @@ def _multiplicity_product_sum(k: int, n: int, odd_parts_only: bool) -> int:
 
 def mk_bruteforce(k: int, n: int) -> PartitionOracleResult:
     """Exhaustive value of the multiplicity-product partition count
-    (k distinct part sizes, any parity).  Intended for small n; the CLI
-    guards the range."""
+    (k distinct part sizes, any parity).  Intended for small n."""
     return PartitionOracleResult(k, n, _multiplicity_product_sum(k, n, False), False)
 
 

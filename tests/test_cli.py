@@ -1,5 +1,5 @@
-"""CLI behavior: output formats, exit statuses, JSON round-trips, the oracle
-guard, and the family bench ladder."""
+"""CLI behavior: output formats, exit statuses, JSON round-trips, the fields
+each command reads, and the family bench ladder."""
 
 import json
 
@@ -9,7 +9,7 @@ import macmahon.cli as cli
 from macmahon.cli import RunConfig, main, run
 from macmahon.families import compute_A_family_uncached, compute_C_family_uncached
 from macmahon.identities import Mismatch, VerificationReport
-from macmahon.partitions import mk_bruteforce
+from macmahon.partitions import mk_bruteforce, mk_odd_bruteforce
 
 
 def out_of(capsys):
@@ -136,9 +136,16 @@ def test_an_option_the_target_does_not_take_exits_two(command, target, option, c
 
 
 def test_unknown_flag_exits_two():
-    with pytest.raises(SystemExit) as exc:
-        main(["compute", "--bogus", "1"])
-    assert exc.value.code == 2
+    table = ["table", "--target", "a", "--K", "1", "--N", "3"]
+    # --oracle and --oracle-guard selected a brute-force table route, now gone
+    for argv in (
+        ["compute", "--bogus", "1"],
+        table + ["--oracle"],
+        table + ["--oracle-guard", "60"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_unknown_target_exits_two():
@@ -157,31 +164,14 @@ def test_table_csv_matches_family(capsys):
     assert len(lines) == 1 + 3 * 6
 
 
-def test_table_oracle_matches_bruteforce(capsys):
-    assert main(
-        ["table", "--target", "a", "--K", "2", "--N", "8", "--oracle", "--format", "json"]
-    ) == 0
-    obj = json.loads(out_of(capsys))
-    for k in range(3):
-        for n in range(9):
-            assert int(obj["values"][k][n]) == mk_bruteforce(k, n).value
-
-
-def test_table_oracle_guard(capsys):
-    assert main(["table", "--target", "a", "--K", "1", "--N", "50", "--oracle"]) == 2
-    assert "oracle guard" in capsys.readouterr().err
-    assert main(
-        ["table", "--target", "a", "--K", "1", "--N", "50", "--oracle", "--oracle-guard", "60"]
-    ) == 0
-
-
-@pytest.mark.parametrize("guard", ["60", "40"])
-def test_table_oracle_guard_without_oracle_exits_two(guard, capsys):
-    assert main(["table", "--target", "a", "--K", "1", "--N", "3", "--oracle-guard", guard]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "error: --oracle-guard applies only with --oracle\n"
-    assert captured.out == ""
-    assert main(["table", "--target", "a", "--K", "1", "--N", "3"]) == 0
+@pytest.mark.parametrize(
+    "target,counter", [("a", mk_bruteforce), ("c", mk_odd_bruteforce)], ids=["a", "c"]
+)
+def test_table_matches_bruteforce(target, counter, capsys):
+    # brute-force enumeration shares no code with the theta route table uses
+    assert main(["table", "--target", target, "--K", "3", "--N", "12", "--format", "json"]) == 0
+    values = json.loads(out_of(capsys))["values"]
+    assert values == [[str(counter(k, n).value) for n in range(13)] for k in range(4)]
 
 
 def test_table_text_grid(capsys):
@@ -322,7 +312,6 @@ BUILT_ORDERS = [
     (["compute", "--target", "p3", "--N", "30"], 30),
     (["compute", "--target", "c", "--K", "2", "--N", "30"], 30),
     (["table", "--target", "c", "--K", "3", "--N", "30"], 30),
-    (["table", "--target", "a", "--K", "1", "--N", "30", "--oracle"], 30),
     (["bench", "--K", "2", "--sizes", "10,30"], 30),
     (["verify", "--target", "thm-a", "--k", "5", "--N", "15"], 30),
     (["verify", "--target", "thm-c", "--k", "4", "--N", "14"], 30),
@@ -357,7 +346,6 @@ def test_cell_limit_sits_above_every_documented_grid():
 BUILT_CELLS = [
     (["table", "--target", "a", "--K", "3", "--N", "30"], 124),
     (["table", "--target", "c", "--K", "40", "--N", "2", "--format", "csv"], 123),
-    (["table", "--target", "a", "--K", "1", "--N", "30", "--oracle"], 62),
     (["bench", "--K", "2", "--sizes", "10,30"], 93),
 ]
 
@@ -377,11 +365,10 @@ def test_cell_limit_is_checked_before_the_build(monkeypatch, capsys):
         raise AssertionError("built past the cell limit")
 
     monkeypatch.setattr(cli, "MAX_CELLS", 10)
-    for name in ("members", "mk_bruteforce", "mk_odd_bruteforce", "compute_A_family_uncached"):
+    for name in ("members", "compute_A_family_uncached"):
         monkeypatch.setattr(cli, name, refuse)
     for argv in (
         ["table", "--target", "a", "--K", "10", "--N", "0"],
-        ["table", "--target", "c", "--K", "1", "--N", "5", "--oracle"],
         ["bench", "--K", "0", "--sizes", "3,10"],
     ):
         assert main(argv) == 2
@@ -422,7 +409,61 @@ def test_run_rejects_unknown_command(capsys):
 
 def test_run_config_defaults():
     cfg = RunConfig(command="bench")
-    assert cfg.format == "text" and cfg.oracle_guard == 40
+    assert (cfg.format, cfg.output_path, cfg.bench_family_sizes, cfg.repeat) == (
+        "text", None, None, None
+    )
+    assert (cfg.target, cfg.k, cfg.j, cfg.K, cfg.N) == (None,) * 5
+
+
+# (a call run accepts, a field it does not read, the flag that sets the field,
+# and the owner the refusal names); bench's fields are set only through run
+BASE_CALLS = {
+    "compute": dict(command="compute", target="p3", N=3),
+    "verify": dict(command="verify", target="divisor", N=3),
+    "table": dict(command="table", target="a", K=1, N=3),
+    "bench": dict(command="bench", K=1, bench_family_sizes=(10,), repeat=1),
+}
+UNREAD = [
+    ("table", dict(k=5), "k", "target a"),
+    ("table", dict(j=5), "j", "target a"),
+    ("table", dict(bench_family_sizes=(10,)), "sizes", "target a"),
+    ("table", dict(repeat=1), "repeat", "target a"),
+    ("compute", dict(bench_family_sizes=(10,)), "sizes", "target p3"),
+    ("compute", dict(repeat=1), "repeat", "target p3"),
+    ("verify", dict(bench_family_sizes=(10,)), "sizes", "target divisor"),
+    ("verify", dict(repeat=1), "repeat", "target divisor"),
+    ("bench", dict(target="c"), "target", "bench"),
+    ("bench", dict(k=5), "k", "bench"),
+    ("bench", dict(j=5), "j", "bench"),
+    ("bench", dict(N=5), "N", "bench"),
+]
+
+
+def _refuse_to_build(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built for a refused call")
+
+    for name in ("members", "compute_A_family_uncached", "p3_series", "verify_divisor_identities"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "command,extra,flag,owner", UNREAD, ids=[f"{u[0]} {u[2]}" for u in UNREAD]
+)
+def test_run_refuses_a_field_the_command_does_not_read(
+    command, extra, flag, owner, monkeypatch, capsys
+):
+    assert run(RunConfig(**BASE_CALLS[command])) == 0
+    capsys.readouterr()
+    _refuse_to_build(monkeypatch)
+    assert run(RunConfig(**BASE_CALLS[command], **extra)) == 2
+    assert capsys.readouterr() == ("", f"error: --{flag} is not an option of {owner}\n")
+
+
+def test_table_without_a_target_exits_two(monkeypatch, capsys):
+    _refuse_to_build(monkeypatch)
+    assert run(RunConfig(command="table", K=1, N=3)) == 2
+    assert capsys.readouterr() == ("", "error: unknown table target None\n")
 
 
 @pytest.mark.parametrize(
