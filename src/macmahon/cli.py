@@ -15,7 +15,6 @@ import json
 import sys
 import time
 from collections.abc import Container
-from dataclasses import dataclass
 
 # compute_A_family and compute_C_family serve no command directly; they stay
 # bound here, next to the generating functions and verifiers, because
@@ -43,7 +42,7 @@ from .partitions import (
     p3_series,
     theta_square,
 )
-from .series import TruncatedSeries, format_series
+from .series import TruncatedSeries, _Record, _setfield, format_series
 
 COMPUTE_TARGETS = ("a", "c", "p3", "overp", "theta-cube", "theta-square")
 # verify target -> the name of its verifier here, looked up at call time, and
@@ -66,18 +65,38 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    target: str | None = None
-    k: int | None = None
-    j: int | None = None
-    K: int | None = None
-    N: int | None = None
-    format: str = "text"
-    output_path: str | None = None
-    bench_family_sizes: tuple[int, ...] | None = None
-    repeat: int | None = None
+class RunConfig(_Record):
+    """One command and its options; the parser names each option after its
+    field, and an unknown field raises TypeError."""
+
+    __slots__ = (
+        "command", "target", "k", "j", "K", "N",
+        "format", "output_path", "bench_family_sizes", "repeat",
+    )
+
+    def __init__(
+        self,
+        command: str,
+        target: str | None = None,
+        k: int | None = None,
+        j: int | None = None,
+        K: int | None = None,
+        N: int | None = None,
+        format: str = "text",
+        output_path: str | None = None,
+        bench_family_sizes: tuple[int, ...] | None = None,
+        repeat: int | None = None,
+    ) -> None:
+        _setfield(self, "command", command)
+        _setfield(self, "target", target)
+        _setfield(self, "k", k)
+        _setfield(self, "j", j)
+        _setfield(self, "K", K)
+        _setfield(self, "N", N)
+        _setfield(self, "format", format)
+        _setfield(self, "output_path", output_path)
+        _setfield(self, "bench_family_sizes", bench_family_sizes)
+        _setfield(self, "repeat", repeat)
 
 
 # The highest truncation order any command builds: above the order 10608 of

@@ -57,37 +57,41 @@ import functools
 import math
 import threading
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .partitions import overpartition_series, p3_series
-from .series import TruncatedSeries, geometric_square
+from .series import TruncatedSeries, _Record, _setfield, geometric_square
 
 try:
     from gmpy2 import mpz as _bigint
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     _bigint = int
 
-@dataclass(frozen=True)
-class MacmahonFamily:
+class MacmahonFamily(_Record):
     """Members lowest..K of A or C at one shared truncation order."""
 
-    family: str  # "A" | "C"
-    members: tuple[TruncatedSeries, ...]
-    truncation_order: int
-    degree_cap: int
-    lowest: int = 0
+    __slots__ = ("family", "members", "truncation_order", "degree_cap", "lowest")
 
-    def __post_init__(self) -> None:
-        if self.family not in ("A", "C"):
+    def __init__(
+        self,
+        family: str,  # "A" | "C"
+        members: tuple[TruncatedSeries, ...],
+        truncation_order: int,
+        degree_cap: int,
+        lowest: int = 0,
+    ) -> None:
+        if family not in ("A", "C"):
             raise ValueError("family tag must be 'A' or 'C'")
-        if not 0 <= self.lowest <= self.degree_cap:
+        if not 0 <= lowest <= degree_cap:
             raise ValueError("lowest member must lie in 0..degree_cap")
-        if len(self.members) != self.degree_cap - self.lowest + 1:
+        if len(members) != degree_cap - lowest + 1:
             raise ValueError("need exactly degree_cap-lowest+1 members")
-        if self.lowest == 0 and (
-            self.members[0].coeffs[0] != 1 or self.members[0].valuation() != 0
-        ):
+        if lowest == 0 and (members[0].coeffs[0] != 1 or members[0].valuation() != 0):
             raise ValueError("member 0 must be the constant series 1")
+        _setfield(self, "family", family)
+        _setfield(self, "members", members)
+        _setfield(self, "truncation_order", truncation_order)
+        _setfield(self, "degree_cap", degree_cap)
+        _setfield(self, "lowest", lowest)
 
     def member(self, k: int) -> TruncatedSeries:
         if not self.lowest <= k <= self.degree_cap:

@@ -37,30 +37,46 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .families import _lowval, _top_member, compute_A_family, compute_C_family
 from .partitions import overpartition_series, p3_series, sigma
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _Record, _setfield
 
 
-@dataclass(frozen=True)
-class Mismatch:
-    exponent: int
-    lhs: int
-    rhs: int
+class Mismatch(_Record):
+    """The first exponent at which the two sides of an identity differ."""
+
+    __slots__ = ("exponent", "lhs", "rhs")
+
+    def __init__(self, exponent: int, lhs: int, rhs: int) -> None:
+        _setfield(self, "exponent", exponent)
+        _setfield(self, "lhs", lhs)
+        _setfield(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    identity: str
-    k: int | None
-    j: int | None
-    order: int
-    first_mismatch: Mismatch | None
-    terms_used: int
-    elapsed_ms: float
+class VerificationReport(_Record):
+    """The outcome of one verifier call."""
+
+    __slots__ = ("identity", "k", "j", "order", "first_mismatch", "terms_used", "elapsed_ms")
+
+    def __init__(
+        self,
+        identity: str,
+        k: int | None,
+        j: int | None,
+        order: int,
+        first_mismatch: Mismatch | None,
+        terms_used: int,
+        elapsed_ms: float,
+    ) -> None:
+        _setfield(self, "identity", identity)
+        _setfield(self, "k", k)
+        _setfield(self, "j", j)
+        _setfield(self, "order", order)
+        _setfield(self, "first_mismatch", first_mismatch)
+        _setfield(self, "terms_used", terms_used)
+        _setfield(self, "elapsed_ms", elapsed_ms)
 
     @property
     def passed(self) -> bool:

@@ -15,9 +15,8 @@ truth the production family computation is measured against.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _Record, _setfield
 
 
 def jacobi_cube(order: int) -> TruncatedSeries:
@@ -100,14 +99,16 @@ def sigma(nu: int, n: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class PartitionOracleResult:
+class PartitionOracleResult(_Record):
     """Exact multiplicity-product count from exhaustive enumeration."""
 
-    k: int
-    n: int
-    value: int
-    odd_parts_only: bool
+    __slots__ = ("k", "n", "value", "odd_parts_only")
+
+    def __init__(self, k: int, n: int, value: int, odd_parts_only: bool) -> None:
+        _setfield(self, "k", k)
+        _setfield(self, "n", n)
+        _setfield(self, "value", value)
+        _setfield(self, "odd_parts_only", odd_parts_only)
 
 
 def _multiplicity_product_sum(k: int, n: int, odd_parts_only: bool) -> int:

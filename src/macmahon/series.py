@@ -10,30 +10,69 @@ one product, series times series at the smaller of the two orders, serves
 the literal nested sum `families.a_k_directsum` and the test suite.
 
 All values are immutable and all operations are pure, so everything here is
-safe to share across threads.
+safe to share across threads.  `_Record`, the base of TruncatedSeries, is
+also the base of the package's other records (the family, the verification
+report and its mismatch, the brute-force result and the CLI's RunConfig).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
+
+# Sets a field of a record, past the __setattr__ that refuses assignment.
+_setfield = object.__setattr__
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class _Record:
+    """Base of the package's immutable records.  A record's fields are its
+    class's __slots__, in constructor order, each set once by its __init__
+    through _setfield.  Equality holds between records of one class with
+    equal fields, any other operand gets NotImplemented, and the hash is the
+    fields'.  Assigning or deleting a field raises AttributeError.  Pickle
+    and copy rebuild a record by calling its class with its fields, so the
+    constructor's checks run again."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({body})"
+
+
+class TruncatedSeries(_Record):
     """Series in q truncated at order N; coeffs[i] is the coefficient of q^i."""
 
-    coeffs: tuple[int, ...]
-    truncation_order: int
+    __slots__ = ("coeffs", "truncation_order")
 
-    def __post_init__(self) -> None:
-        if self.truncation_order < 0:
+    def __init__(self, coeffs: tuple[int, ...], truncation_order: int) -> None:
+        if truncation_order < 0:
             raise ValueError("truncation order must be non-negative")
-        if len(self.coeffs) != self.truncation_order + 1:
+        if len(coeffs) != truncation_order + 1:
             raise ValueError(
-                f"need exactly {self.truncation_order + 1} coefficients, "
-                f"got {len(self.coeffs)}"
+                f"need exactly {truncation_order + 1} coefficients, got {len(coeffs)}"
             )
+        _setfield(self, "coeffs", coeffs)
+        _setfield(self, "truncation_order", truncation_order)
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":

@@ -158,3 +158,23 @@ def multiplicity_product_total(n: int, k: int, odd_only: bool = False) -> int:
 def divisor_power_sum(n: int, power: int) -> int:
     """Plain full-scan divisor sum."""
     return sum(d**power for d in range(1, n + 1) if n % d == 0)
+
+
+def divisor_power_sums(top: int, power: int) -> list[int]:
+    """sigma_power(n) for n = 0..top by a sieve over the divisors; 0 at n = 0."""
+    out = [0] * (top + 1)
+    for d in range(1, top + 1):
+        dp = d**power
+        for n in range(d, top + 1, d):
+            out[n] += dp
+    return out
+
+
+def odd_divisor_cofactor_sums(top: int) -> list[int]:
+    """Sum of n/d over the odd divisors d of n, for n = 0..top, by a sieve;
+    0 at n = 0."""
+    out = [0] * (top + 1)
+    for d in range(1, top + 1, 2):
+        for cofactor, n in enumerate(range(d, top + 1, d), 1):
+            out[n] += cofactor
+    return out

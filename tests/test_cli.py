@@ -2,6 +2,10 @@
 each command reads, and the family bench ladder."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -481,3 +485,37 @@ def test_parsed_defaults_are_the_run_config_defaults(argv, fields):
     # here and is chosen by the bench itself
     config = cli.config_from_args(cli.build_parser().parse_args(argv))
     assert config == RunConfig(command=argv[0], **fields)
+
+
+# -- the entry point as a process ----------------------------------------------------
+
+
+def _run_module(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "macmahon", *argv], env=env, capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--target", "a", "--K", "3", "--N", "12", "--format", "json"],
+        ["verify", "--target", "thm-c", "--k", "2", "--N", "40", "--format", "json"],
+    ],
+    ids=["compute", "verify"],
+)
+def test_module_entry_point_exits_zero_with_the_in_process_json(argv, capsys):
+    done = _run_module(*argv)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert main(argv) == 0
+    got, want = json.loads(done.stdout), json.loads(out_of(capsys))
+    for obj in (got, want):
+        obj.pop("elapsed_ms", None)  # a report's timing differs from run to run
+    assert got == want
+
+
+def test_module_entry_point_exits_two_on_an_option_the_target_does_not_take():
+    done = _run_module("verify", "--target", "divisor", "--N", "10", "--k", "1")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: --k is not an option of target divisor\n"

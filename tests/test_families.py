@@ -574,6 +574,37 @@ def test_members_reject_a_slot_too_narrow(slot_bits, message, monkeypatch):
     assert list(members("A", [3], order)[0].coeffs) == oracles.theta_family_A(3, order)[3]
 
 
+@pytest.mark.parametrize("tag", ["A", "C"])
+def test_members_at_the_order_limit(tag):
+    """The theta route at MAX_ORDER, where `compute` and `table` may still
+    ask for any member, against two oracles that do not use its closed
+    form.  The low members go against MacMahon's divisor sums:
+
+        A_1(n) = sigma_1(n),  8 A_2(n) = (1 - 2n) sigma_1(n) + sigma_3(n),
+        C_1(n) = sum of n/d over the odd divisors d of n,
+
+    the last from q^s/(1-q^s)^2 = sum_j j q^(sj).  The top four members (A_196
+    to A_199, C_138 to C_141) go against the members-only fold.  The middle
+    band (A_3 to A_195, C_2 to C_137) stays unchecked above order 800, where
+    test_members_equal_the_fold stops: the fold would take minutes there."""
+    order = MAX_ORDER
+    if tag == "A":
+        low, top, fold = [1, 2], 199, compute_A_family_uncached(199, order, 196)
+    else:
+        low, top, fold = [1], 141, compute_C_family_uncached(141, order, 138)
+    got = members(tag, low + list(range(top - 3, top + 1)), order)
+    assert got[len(low):] == fold.members
+    if tag == "A":
+        s1 = oracles.divisor_power_sums(order, 1)
+        s3 = oracles.divisor_power_sums(order, 3)
+        assert list(got[0].coeffs) == s1
+        assert got[1].coeffs[0] == 0
+        for n in range(1, order + 1):
+            assert 8 * got[1].coeffs[n] == (1 - 2 * n) * s1[n] + s3[n], n
+    else:
+        assert list(got[0].coeffs) == oracles.odd_divisor_cofactor_sums(order)
+
+
 def test_verifiers_do_not_read_the_theta_route():
     # the identities are the binomial inverse of the theta closed form, so
     # the verifiers must keep checking the fold

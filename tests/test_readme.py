@@ -1,5 +1,6 @@
 """The README's examples run as written: every `macmahon ...` line of the
-"Command line" block exits 0, and the "Library quickstart" block executes."""
+"Command line" block exits 0, and every line the "Library quickstart" block
+prints is the value its `# ...` comment shows."""
 
 import contextlib
 import io
@@ -31,6 +32,20 @@ def test_every_command_line_example_exits_zero():
 
 
 def test_library_quickstart_runs():
+    # every print call writes one line: the value in its `# ...` comment, or,
+    # where the comment ends in "...", a line that starts with it
+    block = _block("Library quickstart", "python")
+    shown = [
+        line.partition("#")[2].strip()
+        for line in block.splitlines()
+        if line.startswith("print(")
+    ]
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        exec(_block("Library quickstart", "python"), {})
-    assert out.getvalue()
+        exec(block, {})
+    printed = out.getvalue().splitlines()
+    assert shown and len(printed) == len(shown)
+    for line, value in zip(printed, shown):
+        if value.endswith("..."):
+            assert line.startswith(value[:-3]), (line, value)
+        else:
+            assert line == value
