@@ -13,11 +13,12 @@ available).
 
 The fold exploits the valuation floor of each t-degree (k(k+1)/2 for A, k^2
 for C, the sum of the first k factors) and the degree ramp: after f factors
-only t-degrees <= f can be nonzero.  A caller that reads only members
-lowest..K gets only those: the rows it asked for keep the full window, while
-each row below lowest is cut to the exponents that can still reach row
-lowest, since the distinct factors it still needs sum to at least a known
-minimum.  This is what makes the deep corollary windows (k = 100 at
+only t-degrees <= f can be nonzero.  Its loop visits only the (part size,
+t-degree) pairs whose window can still be open.  A caller that reads only
+members lowest..K gets only those: the rows it asked for keep the full
+window, while each row below lowest is cut to the exponents that can still
+reach row lowest, since the distinct factors it still needs sum to at least
+a known minimum.  This is what makes the deep corollary windows (k = 100 at
 truncation orders 5355 and 10608) cost a fraction of a second.
 
 `compute_A_family` and `compute_C_family` answer from a covering store: a
@@ -34,18 +35,20 @@ The identities the verifiers check are the binomial inverse of that closed
 form, so checking them on its output would prove little: every verifier,
 the two family stores, the `_uncached` functions and the bench run the fold.
 
-Every coefficient either route returns is at most p2(order), the count of
-2-colored partitions: both families sit coefficientwise under
-prod_s 1/(1-q^s)^2, since 1 + x/(1-x)^2 <= 1/(1-x)^2, and p2(n) <
-exp(pi*sqrt(4n/3)) (checked at every order up to the CLI's order limit, as
-is the p3 bound below).  Every slot the fold holds is a partial sum of
-non-negative terms of one such coefficient, so the fold's slots are sized by
-this p2 bound.  The theta route packs the dense p3 or overp series itself,
-so its slots are sized by the bound p3(n) < exp(pi*sqrt(2n)).  Either width
-leaves at least 8 guard bits above its bound, and unpacking checks every
-slot of every returned row against the p2 bound and raises ArithmeticError
-if one exceeds it: a wrong bound shows up in the guard bits instead of
-passing silently.
+Every coefficient either route returns is bounded by the coefficient at the
+order of prod over the family's part sizes s of 1/(1-q^s)^2, since 1 +
+x/(1-x)^2 <= 1/(1-x)^2 coefficientwise.  For A that product is the 2-colored
+partition count p2(n) < exp(pi*sqrt(4n/3)); for C, with s odd, it is
+(-q;q)^2 (odd parts are equinumerous with distinct parts), and
+(-q;q)^2(n) < exp(pi*sqrt(2n/3)).  Every slot the fold holds is a partial
+sum of non-negative terms of one such coefficient, so A's fold slots are
+sized by the p2 bound and C's by the (-q;q)^2 bound.  The theta route packs
+the dense series itself, so its slots are sized by p3(n) < exp(pi*sqrt(2n))
+for A and overp(n) < exp(pi*sqrt(n)) for C.  Each bound is checked at every
+order up to the CLI's order limit.  Every width leaves at least 8 guard bits
+above its bound, and unpacking checks every slot of every returned row
+against the family's fold bound and raises ArithmeticError if one exceeds
+it: a wrong bound shows up in the guard bits instead of passing silently.
 
 The literal nested-sum definition of A_k is kept as `a_k_directsum`, an
 independent oracle for small parameters; it never feeds the production path.
@@ -103,17 +106,19 @@ class MacmahonFamily(_Record):
         return self.member(k).coefficient(n)
 
 
-def _bound_bits(order: int) -> int:
-    # Every slot the fold holds and every returned coefficient of either
-    # family is bounded by the 2-colored partition count
-    # p2(order) < exp(pi*sqrt(4*order/3)).
-    return int(math.pi * math.sqrt(4 * order / 3) / math.log(2)) + 1
+def _bound_bits(step: int, order: int) -> int:
+    # Every slot the fold holds and every returned coefficient is bounded by
+    # the coefficient at the order of prod over the family's part sizes s of
+    # 1/(1-q^s)^2: for A the 2-colored count p2 < exp(pi*sqrt(4*order/3)),
+    # for C (odd s only) (-q;q)^2 < exp(pi*sqrt(2*order/3)).
+    return int(math.pi * math.sqrt(4 * order / (3 * step)) / math.log(2)) + 1
 
 
-def _dense_bound_bits(order: int) -> int:
-    # The theta route packs p3 or overp (overp <= p2 <= p3) through the
-    # order, so its slots must hold p3(order) < exp(pi*sqrt(2*order)).
-    return int(math.pi * math.sqrt(2 * order) / math.log(2)) + 1
+def _dense_bound_bits(step: int, order: int) -> int:
+    # The theta route packs p3 (A) or overp (C) through the order, so its
+    # slots must hold p3(order) < exp(pi*sqrt(2*order)) or overp(order) <
+    # exp(pi*sqrt(order)).
+    return int(math.pi * math.sqrt(2 * order / step) / math.log(2)) + 1
 
 
 def _slot_bits(bound_bits: int) -> int:
@@ -133,10 +138,21 @@ def _fold_packed(step: int, lowest: int, k_eff: int, order: int, slot_bits: int)
     lowvals = [_lowval(k, step) for k in range(k_eff + 1)]
     rows = [_bigint(0) for _ in range(k_eff + 1)]
     rows[0] = one
-    applied = 0
-    for s in range(1, order + 1, step):
-        applied += 1
-        for k in range(min(k_eff, applied), 0, -1):
+    # Row k takes factor s on the window w below, which is open only while
+    # cut + lowval(k-1) + s <= order.  Row k-1 is nonzero only once s is at
+    # least the k-th factor, and then cut + lowval(k-1) >= lowval(lowest-1):
+    # for k >= lowest the cut is 0 and lowval rises with k; for k < lowest
+    # the r cut terms s+step, ..., s+r*step each exceed one of the factors
+    # k..lowest-1 that lowval(lowest-1) adds to lowval(k-1).  So no window
+    # opens for s > order - lowval(max(lowest, 1) - 1), and for k >= lowest
+    # it is open exactly while lowval(k-1) + s <= order, the bound `top`
+    # tracks as s grows.
+    top = k_eff
+    last = order - lowvals[max(lowest, 1) - 1]
+    for applied, s in enumerate(range(1, last + 1, step), 1):
+        while lowvals[top - 1] + s > order:
+            top -= 1
+        for k in range(min(top, applied), 0, -1):
             lv = lowvals[k - 1]
             # a term of an intermediate row k < lowest still needs r more
             # distinct factors above s, which add at least r*s+step*r(r+1)/2
@@ -145,11 +161,10 @@ def _fold_packed(step: int, lowest: int, k_eff: int, order: int, slot_bits: int)
             # slots of x that still matter once everything is lifted by q^s
             w = order - cut - lv - s + 1
             if w <= 0:
-                # for k <= lowest the cheapest way through row k to row
-                # lowest only grows as k falls: no lower row has a window
-                if k <= lowest:
-                    break
-                continue
+                # only a row k < lowest gets here, and the cheapest way
+                # through row k to row lowest only grows as k falls: no lower
+                # row has a window
+                break
             x = rows[k - 1]
             if not x:
                 continue
@@ -182,8 +197,8 @@ def _unpack_packed_row(
     for i in range(width):
         c = int.from_bytes(raw[i * b8 : (i + 1) * b8], byteorder)
         if c:
-            # a slot past the p2 bound means the bound, and with it the slot
-            # width, can no longer be trusted
+            # a slot past the family's bound means the bound, and with it
+            # the slot width, can no longer be trusted
             if c >> bound_bits:
                 raise ArithmeticError(
                     f"packed slot at q^{lowval + i} exceeds {bound_bits} bits"
@@ -218,7 +233,7 @@ def _compute_family(tag: str, step: int, K: int, order: int, lowest: int) -> Mac
     k_eff = _top_member(step, K, order)
     built = []
     if lowest <= k_eff:
-        bound = _bound_bits(order)
+        bound = _bound_bits(step, order)
         bits = _slot_bits(bound)
         packed = _fold_packed(step, lowest, k_eff, order, bits)
         built = [
@@ -365,15 +380,15 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
         A_k = p3    * sum_{m>=k} (-1)^(m+k) (2m+1)/(2k+1) C(m+k, 2k) q^(m(m+1)/2)
         C_k = overp * sum_{m>=k} (-1)^(m+k) 2m/(m+k) C(m+k, 2k) q^(m^2)
 
-    The dense series is packed once into slots wide enough for p3(order)
-    plus at least 8 guard bits, highest exponent lowest, so a theta term
-    c*q^e adds c times the packed series with its e lowest slots dropped.
-    The sum then equals, as an integer, the member's coefficients q^order
-    down to its valuation floor packed the same way; nothing is masked, so
-    negative partial sums are harmless.  Unpacking checks every slot against
-    the p2 bound, as for the fold, so a slot too narrow for its coefficient
-    raises ArithmeticError.  A member whose valuation floor lies above the
-    order is the zero series.
+    The dense series is packed once into slots wide enough for its own
+    bound at the order plus at least 8 guard bits, highest exponent lowest,
+    so a theta term c*q^e adds c times the packed series with its e lowest
+    slots dropped.  The sum then equals, as an integer, the member's
+    coefficients q^order down to its valuation floor packed the same way;
+    nothing is masked, so negative partial sums are harmless.  Unpacking
+    checks every slot against the family's fold bound, as for the fold, so a
+    slot too narrow for its coefficient raises ArithmeticError.  A member
+    whose valuation floor lies above the order is the zero series.
 
     These formulas are the binomial inverse of the identities the verifiers
     check, so the verifiers never use this route; they read the fold.
@@ -389,7 +404,7 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
         raise ValueError("member indices must be non-negative")
     step = 1 if family == "A" else 2
     dense = p3_series(order) if step == 1 else overpartition_series(order)
-    bits, bound = _slot_bits(_dense_bound_bits(order)), _bound_bits(order)
+    bits, bound = _slot_bits(_dense_bound_bits(step, order)), _bound_bits(step, order)
     b8 = bits // 8
     # highest exponent in the lowest slot: dropping the low e slots leaves
     # the dense series shifted by q^e and cut at the order

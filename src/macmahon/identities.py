@@ -158,13 +158,18 @@ def _lowered_sum(tag: str, k: int, top: int, window: int) -> list[int]:
     shift = _lowval(k, step)
     fam = store(top, window + shift, lowest=k)
     out = [0] * (window + 1)
+    floor = 0  # lowval(m) - lowval(k): member m is zero below it
     for m in range(k, top + 1):
         w = weight(m, k)
         cs = fam.member(m).coeffs
-        for n in range(window + 1):
+        # a member that is not zero below its floor is read in full, so the
+        # comparison reports where it is not
+        start = 0 if floor and any(cs[shift : shift + floor]) else floor
+        for n in range(start, window + 1):
             c = cs[n + shift]
             if c:
                 out[n] += w * c
+        floor += 1 + step * m
     return out
 
 

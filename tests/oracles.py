@@ -6,7 +6,9 @@ bounded-part recurrence, generating functions from explicit convolution,
 overpartitions and multiplicity products from unpruned multiset enumeration.
 The one exception is `as_series`, a tool rather than an oracle: it wraps a
 coefficient list in the library's series type for tests that hand one to the
-library.
+library.  `reference_fold` is a reference rather than an oracle: the
+library's packed fold with the plainest loop bounds, kept to check the
+library's tighter ones.
 """
 
 from __future__ import annotations
@@ -178,3 +180,53 @@ def odd_divisor_cofactor_sums(top: int) -> list[int]:
         for cofactor, n in enumerate(range(d, top + 1, d), 1):
             out[n] += cofactor
     return out
+
+
+def reference_fold(step: int, lowest: int, k_eff: int, order: int, slot_bits: int) -> list[int]:
+    """The packed fold with the plainest loop bounds: the s loop runs to the
+    order and the k loop starts at the degree ramp, stepping over every
+    empty window one by one.  The library's fold, which starts and stops
+    where windows can be open, must return the same rows, cut intermediates
+    included."""
+
+    def lowval(k: int) -> int:
+        return k + step * k * (k - 1) // 2
+
+    b = slot_bits
+    one = 1
+    lowvals = [lowval(k) for k in range(k_eff + 1)]
+    rows = [0 for _ in range(k_eff + 1)]
+    rows[0] = one
+    applied = 0
+    for s in range(1, order + 1, step):
+        applied += 1
+        for k in range(min(k_eff, applied), 0, -1):
+            lv = lowvals[k - 1]
+            # a term of an intermediate row k < lowest still needs r more
+            # distinct factors above s, which add at least r*s+step*r(r+1)/2
+            r = max(lowest - k, 0)
+            cut = r * s + step * r * (r + 1) // 2
+            # slots of x that still matter once everything is lifted by q^s
+            w = order - cut - lv - s + 1
+            if w <= 0:
+                # for k <= lowest the cheapest way through row k to row
+                # lowest only grows as k falls: no lower row has a window
+                if k <= lowest:
+                    break
+                continue
+            x = rows[k - 1]
+            if not x:
+                continue
+            mask = (one << (b * w)) - 1
+            t = x & mask
+            # two geometric-doubling passes realize division by (1-q^s)^2;
+            # shifts only move slots upward, so masking per step is exact
+            for _ in range(2):
+                span = s
+                while span < w:
+                    t += t << (b * span)
+                    t &= mask
+                    span <<= 1
+            # lift by q^s and align to this degree's valuation floor
+            rows[k] += t << (b * (lv + s - lowvals[k]))
+    return rows

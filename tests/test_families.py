@@ -16,7 +16,9 @@ from macmahon.families import (
     _bound_bits,
     _dense_bound_bits,
     _fold_packed,
+    _lowval,
     _slot_bits,
+    _top_member,
     _unpack_packed_row,
     a_k_directsum,
     compute_A_family,
@@ -176,6 +178,25 @@ def test_members_only_equals_full_fold(build):
                     assert fam.member(k) == full.member(k)
 
 
+@pytest.mark.parametrize("step,deep", [(1, 594), (2, 1155)], ids=["A", "C"])
+def test_fold_visits_every_window_the_reference_loop_does(step, deep):
+    # the fold's loop starts and stops where windows can be open; the loop
+    # that steps over every (s, k) must give the same rows for the cap the
+    # builds pass, every k, the cut intermediates below lowest included.
+    # Full builds (lowest 0 or 1) stop at order 333: past it they would
+    # take most of 20 s and run the same loop bounds as the rest
+    for K in (0, 1, 2, 5, 12, 33):
+        orders = set(range(41)) | {_lowval(K, step) - 1, _lowval(K, step), 333, deep}
+        for order in sorted(orders - {-1}):
+            k_eff = _top_member(step, K, order)
+            bits = _slot_bits(_bound_bits(step, order))
+            lowests = {K - 1, K} | ({0, 1} if order <= 333 else set())
+            for lowest in sorted(lo for lo in lowests if 0 <= lo <= k_eff):
+                got = _fold_packed(step, lowest, k_eff, order, bits)
+                want = oracles.reference_fold(step, lowest, k_eff, order, bits)
+                assert got == want, (K, order, lowest)
+
+
 @pytest.mark.parametrize("k", [12, 20, 32])
 def test_corollary_shapes_match_theta_and_bruteforce(k):
     # the exact (cap, order, lowest) requests the corollary verifiers make
@@ -237,28 +258,46 @@ def test_lowest_out_of_range_or_bool_rejected():
 
 def test_slot_widths_leave_guard_bits_above_their_bounds():
     for order in (0, 1, 31, 600, 1295, 10608, MAX_ORDER):
-        for bound in (_bound_bits(order), _dense_bound_bits(order)):
-            assert _slot_bits(bound) % 8 == 0
-            assert _slot_bits(bound) >= bound + 8
+        for step in (1, 2):
+            for bound in (_bound_bits(step, order), _dense_bound_bits(step, order)):
+                assert _slot_bits(bound) % 8 == 0
+                assert _slot_bits(bound) >= bound + 8
+    # fold slots: A on p2, C on (-q;q)^2; theta-route slots: A on p3, C on overp
+    widths = {
+        (step, order): (_slot_bits(_bound_bits(step, order)),
+                        _slot_bits(_dense_bound_bits(step, order)))
+        for step in (1, 2) for order in (600, 1295)
+    }
+    assert widths == {
+        (1, 600): (144, 168), (1, 1295): (200, 240),
+        (2, 600): (104, 120), (2, 1295): (144, 176),
+    }
 
 
 def test_bounds_hold_through_the_order_limit():
-    # p2 = p3 * (q;q)_inf, and (q;q)_inf is the sparse pentagonal series
-    # sum over m != 0 of (-1)^m q^(m(3m-1)/2), plus 1
+    # p2 = p3 * (q;q)_inf and (-q;q)^2 = overp * (q^2;q^2)_inf, where
+    # (q;q)_inf is the sparse pentagonal series sum over m != 0 of
+    # (-1)^m q^(m(3m-1)/2), plus 1, and (q^2;q^2)_inf is the same in q^2
+    def times_euler(dense, power):
+        out = dense[:]
+        m = 1
+        while power * m * (3 * m - 1) // 2 <= MAX_ORDER:
+            op = operator.sub if m % 2 else operator.add
+            for e in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2):
+                out[power * e:] = map(op, out[power * e:], dense)
+            m += 1
+        return out
+
     p3 = list(p3_series(MAX_ORDER).coeffs)
-    p2 = p3[:]
-    m = 1
-    while m * (3 * m - 1) // 2 <= MAX_ORDER:
-        op = operator.sub if m % 2 else operator.add
-        for e in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2):
-            p2[e:] = map(op, p2[e:], p3)
-        m += 1
-    overp = overpartition_series(MAX_ORDER).coeffs
+    overp = list(overpartition_series(MAX_ORDER).coeffs)
+    p2, odd2 = times_euler(p3, 1), times_euler(overp, 2)
     assert p2[:6] == [1, 2, 5, 10, 20, 36]
+    assert odd2[:6] == [1, 2, 3, 6, 9, 14]
     for n in range(MAX_ORDER + 1):
-        assert p2[n].bit_length() <= _bound_bits(n), n
-        assert p3[n].bit_length() <= _dense_bound_bits(n), n
-        assert overp[n].bit_length() <= _dense_bound_bits(n), n
+        assert p2[n].bit_length() <= _bound_bits(1, n), n
+        assert odd2[n].bit_length() <= _bound_bits(2, n), n
+        assert p3[n].bit_length() <= _dense_bound_bits(1, n), n
+        assert overp[n].bit_length() <= _dense_bound_bits(2, n), n
 
 
 @pytest.mark.parametrize(
@@ -283,7 +322,7 @@ def test_fold_catches_a_bound_one_bit_short(build, theta, K, order, lowest, monk
         (true_bits, (true_bits + 7) // 8 * 8 - 8, ArithmeticError),
     ]
     for bound, slot, error in cases:
-        monkeypatch.setattr(families_module, "_bound_bits", lambda order: bound)
+        monkeypatch.setattr(families_module, "_bound_bits", lambda step, order: bound)
         monkeypatch.setattr(families_module, "_slot_bits", lambda bound_bits: slot)
         if error is None:
             fam = build(K, order, lowest)
@@ -302,9 +341,9 @@ def test_unpack_rejects_a_slot_too_narrow_for_its_coefficients(slot_bits):
     rows = _fold_packed(1, 0, k, order, slot_bits)
     with pytest.raises(ArithmeticError):
         _unpack_packed_row(rows[k], 6, order, slot_bits, 8)
-    bits = _slot_bits(_bound_bits(order))
+    bits = _slot_bits(_bound_bits(1, order))
     wide = _fold_packed(1, 0, k, order, bits)
-    got = _unpack_packed_row(wide[k], 6, order, bits, _bound_bits(order))
+    got = _unpack_packed_row(wide[k], 6, order, bits, _bound_bits(1, order))
     assert list(got) == oracles.theta_family_A(k, order)[k]
 
 
@@ -567,7 +606,7 @@ def test_members_reject_a_slot_too_narrow(slot_bits, message, monkeypatch):
 
     order = 60
     monkeypatch.setattr(families_module, "_slot_bits", lambda order: slot_bits)
-    monkeypatch.setattr(families_module, "_bound_bits", lambda order: 8)
+    monkeypatch.setattr(families_module, "_bound_bits", lambda step, order: 8)
     with pytest.raises(ArithmeticError, match=message):
         members("A", [3], order)
     monkeypatch.undo()

@@ -8,7 +8,7 @@ import math
 import pytest
 
 import macmahon.identities as identities
-from macmahon.families import compute_A_family, compute_C_family
+from macmahon.families import MacmahonFamily, compute_A_family, compute_C_family
 from macmahon.identities import (
     Mismatch,
     VerificationReport,
@@ -136,6 +136,48 @@ def test_failing_comparison_is_reported_not_raised(target, verify, args, n, monk
     report = verify(*args)
     assert not report.passed
     assert report.first_mismatch == Mismatch(n, lhs=real.coeffs[n] + 1, rhs=real.coeffs[n])
+
+
+# (target, verifier, arguments, member doctored, the exponent just below its floor)
+BELOW_FLOOR = [
+    ("thm-a", verify_theorem_A, (1, 25), 3, 5),
+    ("thm-c", verify_theorem_C, (1, 25), 2, 3),
+    ("cor-a", verify_corollary_A, (1, 2), 3, 5),
+    ("cor-c", verify_corollary_C, (1, 2), 3, 8),
+]
+
+
+@pytest.mark.parametrize(
+    "target,verify,args,m,e", BELOW_FLOOR, ids=[d[0] for d in BELOW_FLOOR]
+)
+def test_a_member_nonzero_below_its_floor_is_reported(target, verify, args, m, e, monkeypatch):
+    # the member sum skips each member's zero prefix; a store that puts a
+    # nonzero there must still be caught, at that exponent, with the weight
+    # of the member added to the right side
+    name = "compute_A_family" if target.endswith("a") else "compute_C_family"
+    real = getattr(identities, name)
+    clean = verify(*args)
+
+    def doctored(K, order, lowest=0):
+        fam = real(K, order, lowest)
+        coeffs = list(fam.member(m).coeffs)
+        assert coeffs[e] == 0 and coeffs[e + 1] > 0
+        coeffs[e] += 1
+        rows = list(fam.members)
+        rows[m - lowest] = as_series(coeffs, order)
+        return MacmahonFamily(fam.family, tuple(rows), order, K, lowest)
+
+    monkeypatch.setattr(identities, name, doctored)
+    report = verify(*args)
+    k = args[0]
+    if target.endswith("a"):
+        n, weight, gf = e - k * (k + 1) // 2, math.comb(2 * m + 1, m + k + 1), p3_series
+    else:
+        n, weight, gf = e - k * k, math.comb(2 * m, m + k), overpartition_series
+    want = gf(n).coeffs[n]
+    assert report.first_mismatch == Mismatch(n, lhs=want, rhs=want + weight)
+    fields = ("identity", "k", "j", "order", "terms_used")
+    assert [getattr(report, f) for f in fields] == [getattr(clean, f) for f in fields]
 
 
 def test_family_order_is_the_highest_order_each_verifier_builds(monkeypatch):
