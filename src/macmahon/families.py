@@ -45,10 +45,27 @@ sum of non-negative terms of one such coefficient, so A's fold slots are
 sized by the p2 bound and C's by the (-q;q)^2 bound.  The theta route packs
 the dense series itself, so its slots are sized by p3(n) < exp(pi*sqrt(2n))
 for A and overp(n) < exp(pi*sqrt(n)) for C.  Each bound is checked at every
-order up to the CLI's order limit.  Every width leaves at least 8 guard bits
-above its bound, and unpacking checks every slot of every returned row
-against the family's fold bound and raises ArithmeticError if one exceeds
-it: a wrong bound shows up in the guard bits instead of passing silently.
+order up to the CLI's order limit.
+
+A members-only build reads its rows just above their valuation floors, so
+it has a tighter bound: every slot of a build of members L..K is a partial
+sum of non-negative terms of some A_k(lowval(k)+d) with d <= D = order -
+lowval(L), and A_k(lowval(k)+d) <= sum_{j<=d} p3(j) (overp for C).  The
+second inequality is an injection: with parts s_i = i + t_i (t
+non-decreasing) and multiplicities m_i = 1 + a_i + b_i (the weight prod m_i
+marks one copy of each size), (t, a, b) has offset at most d and generating
+function prod_{i<=k} (1-q^i)^-3 <= p3; for C, s_i = 2i-1+2t_i gives a
+product under overp.  Such a build sizes its slots by the smaller of the two
+bounds, reading the prefix sum from the stored p3 or overp series only where
+it can win (3D < 2*order), which takes the k = 100 corollary windows from
+392-bit to 112-bit slots.  The theta route checks member k against the same
+prefix sum with D = order - lowval(k).
+
+Every width leaves at least 8 guard bits above its bound, and unpacking
+checks every slot of every returned row against the bound it was sized by
+(the member's own, on the theta route) and raises ArithmeticError if one
+exceeds it: a wrong bound shows up in the guard bits instead of passing
+silently.
 
 The literal nested-sum definition of A_k is kept as `a_k_directsum`, an
 independent oracle for small parameters; it never feeds the production path.
@@ -57,6 +74,7 @@ independent oracle for small parameters; it never feeds the production path.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from collections import namedtuple
@@ -112,6 +130,37 @@ def _bound_bits(step: int, order: int) -> int:
     # 1/(1-q^s)^2: for A the 2-colored count p2 < exp(pi*sqrt(4*order/3)),
     # for C (odd s only) (-q;q)^2 < exp(pi*sqrt(2*order/3)).
     return int(math.pi * math.sqrt(4 * order / (3 * step)) / math.log(2)) + 1
+
+
+def _fold_bound_bits(step: int, order: int, lowest: int) -> int:
+    # The bound a build of members lowest..K holds its slots and returned
+    # coefficients to: the fold bound at the order, or, if smaller, the bit
+    # length of sum_{j<=D} g(j), with D = order - lowval(lowest) and g = p3
+    # for A, overp for C.  Two steps show every slot obeys the latter:
+    #
+    # - Every slot is a partial sum of non-negative terms of some
+    #   A_k(lowval(k)+d) with d <= D.  For k >= lowest, d <= order -
+    #   lowval(k) <= D.  A cut row k < lowest reaches exponent order - cut,
+    #   and its cut is least at the first factor it takes, which is at least
+    #   the k-th smallest part, so cut + lowval(k) >= lowval(lowest) there.
+    # - A_k(lowval(k)+d) <= sum_{j<=d} p3(j).  Write the parts as s_i = i +
+    #   t_i with t non-decreasing, and read the weight prod m_i as marking
+    #   one copy of each size, m_i = 1 + a_i + b_i.  The map to (t, a, b) is
+    #   injective, its offset sum t_i + sum (a_i+b_i)*i is at most d, and its
+    #   generating function prod_{i<=k} (1-q^i)^-3 lies under p3.  For C,
+    #   s_i = 2i-1+2t_i gives prod_{i<=k} (1-q^(2i))^-1 (1-q^(2i-1))^-2,
+    #   which lies under 1/((q^2;q^2)(q;q^2)^2) = overp.
+    #
+    # The analytic bounds exp(pi*sqrt(2D)) (or exp(pi*sqrt(D))) and the fold
+    # bound cross at 3D = 2*order, so the series is read only below that;
+    # full builds (D = order) and near-full ones read nothing.  A verifier's
+    # D is its own window, the prefix it reads next anyway.
+    bound = _bound_bits(step, order)
+    reach = order - _lowval(lowest, step)
+    if 3 * reach >= 2 * order:
+        return bound
+    dense = p3_series(reach) if step == 1 else overpartition_series(reach)
+    return min(bound, sum(dense.coeffs).bit_length())
 
 
 def _dense_bound_bits(step: int, order: int) -> int:
@@ -233,7 +282,7 @@ def _compute_family(tag: str, step: int, K: int, order: int, lowest: int) -> Mac
     k_eff = _top_member(step, K, order)
     built = []
     if lowest <= k_eff:
-        bound = _bound_bits(step, order)
+        bound = _fold_bound_bits(step, order, lowest)
         bits = _slot_bits(bound)
         packed = _fold_packed(step, lowest, k_eff, order, bits)
         built = [
@@ -386,9 +435,11 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
     slots dropped.  The sum then equals, as an integer, the member's
     coefficients q^order down to its valuation floor packed the same way;
     nothing is masked, so negative partial sums are harmless.  Unpacking
-    checks every slot against the family's fold bound, as for the fold, so a
-    slot too narrow for its coefficient raises ArithmeticError.  A member
-    whose valuation floor lies above the order is the zero series.
+    checks every slot of member k against the smaller of the family's fold
+    bound and the bit length of the dense series' sum through q^(order -
+    lowval(k)), so a slot too narrow for its coefficient raises
+    ArithmeticError.  A member whose valuation floor lies above the order is
+    the zero series.
 
     These formulas are the binomial inverse of the identities the verifiers
     check, so the verifiers never use this route; they read the fold.
@@ -405,6 +456,9 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
     step = 1 if family == "A" else 2
     dense = p3_series(order) if step == 1 else overpartition_series(order)
     bits, bound = _slot_bits(_dense_bound_bits(step, order)), _bound_bits(step, order)
+    # member k obeys the offset bound of _fold_bound_bits with D = order -
+    # lowval(k), so each member is checked against its own prefix sum
+    reach_sums = list(itertools.accumulate(dense.coeffs))
     b8 = bits // 8
     # highest exponent in the lowest slot: dropping the low e slots leaves
     # the dense series shifted by q^e and cut at the order
@@ -422,8 +476,9 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
         acc = 0
         for c, e in _theta_row(step, k, order):
             acc += c * (packed >> (bits * e))
+        own = min(bound, reach_sums[order - lowval].bit_length())
         built[k] = TruncatedSeries(
-            _unpack_packed_row(acc, lowval, order, bits, bound, "big"), order
+            _unpack_packed_row(acc, lowval, order, bits, own, "big"), order
         )
     return tuple(built[k] for k in ks)
 

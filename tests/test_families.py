@@ -3,6 +3,7 @@ displays, the brute-force counters, the literal nested sum, the unpruned
 enumeration, and the theta-quotient closed forms."""
 
 import functools
+import itertools
 import operator
 import random
 import sys
@@ -15,6 +16,7 @@ from macmahon.families import (
     MacmahonFamily,
     _bound_bits,
     _dense_bound_bits,
+    _fold_bound_bits,
     _fold_packed,
     _lowval,
     _slot_bits,
@@ -305,13 +307,16 @@ def test_bounds_hold_through_the_order_limit():
     [
         (compute_A_family_uncached, oracles.theta_family_A, 12, 500, 0),
         (compute_C_family_uncached, oracles.theta_family_C, 14, 600, 12),
+        (compute_A_family_uncached, oracles.theta_family_A, 35, 665, 32),
+        (compute_C_family_uncached, oracles.theta_family_C, 35, 1295, 32),
     ],
-    ids=["A-full", "C-members-only"],
+    ids=["A-full", "C-members-only", "A-cor-32-3", "C-cor-32-3"],
 )
 def test_fold_catches_a_bound_one_bit_short(build, theta, K, order, lowest, monkeypatch):
     # the true bound is the largest bit length of any coefficient built; one
     # bit less leaves that coefficient in the guard bits, and a slot one byte
-    # narrower than the coefficients need carries out of the row
+    # narrower than the coefficients need carries out of the row.  The last
+    # two are the corollary windows at (32, 3), sized by the prefix sum
     import macmahon.families as families_module
 
     want = theta(K, order)[lowest:]
@@ -322,7 +327,7 @@ def test_fold_catches_a_bound_one_bit_short(build, theta, K, order, lowest, monk
         (true_bits, (true_bits + 7) // 8 * 8 - 8, ArithmeticError),
     ]
     for bound, slot, error in cases:
-        monkeypatch.setattr(families_module, "_bound_bits", lambda step, order: bound)
+        monkeypatch.setattr(families_module, "_fold_bound_bits", lambda step, order, lowest: bound)
         monkeypatch.setattr(families_module, "_slot_bits", lambda bound_bits: slot)
         if error is None:
             fam = build(K, order, lowest)
@@ -330,6 +335,125 @@ def test_fold_catches_a_bound_one_bit_short(build, theta, K, order, lowest, monk
         else:
             with pytest.raises(error):
                 build(K, order, lowest)
+
+
+# -- the offset bound of members-only builds ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build,step,order,gf",
+    [(compute_A_family_uncached, 1, 700, p3_series),
+     (compute_C_family_uncached, 2, 1100, overpartition_series)],
+    ids=["A", "C"],
+)
+def test_members_sit_under_the_prefix_sums_of_their_series(build, step, order, gf):
+    # the inequality the members-only widths rest on, on full folds (lowest
+    # 0, so sized by the fold bound alone): A_k(lowval(k)+d) <= sum_{j<=d}
+    # p3(j), and C_k likewise under overp.  Both sides are 1 at d = 0; past
+    # it the sum holds the j = 0 term the member cannot reach
+    fam = build(_top_member(step, order, order), order)
+    sums = list(itertools.accumulate(gf(order).coeffs))
+    for k in range(1, fam.degree_cap + 1):
+        floor = _lowval(k, step)
+        cs = fam.member(k).coeffs
+        assert cs[floor] == sums[0] == 1, k
+        for d in range(1, order - floor + 1):
+            assert cs[floor + d] < sums[d], (k, d)
+
+
+def test_members_only_slot_widths():
+    # the corollary windows (32, 3) and (100, 2) read their series prefix;
+    # full, theorem and divisor builds (D close to the order) keep the fold
+    # bound's width
+    widths = {
+        (step, order, lowest): _slot_bits(_fold_bound_bits(step, order, lowest))
+        for step, order, lowest in [
+            (1, 665, 32), (2, 1295, 32), (1, 5355, 100), (2, 10608, 100),
+            (1, 665, 0), (2, 1295, 0), (1, 578, 12), (2, 644, 12), (1, 500, 1),
+        ]
+    }
+    assert widths == {
+        (1, 665, 32): 72, (2, 1295, 32): 80, (1, 5355, 100): 112, (2, 10608, 100): 112,
+        (1, 665, 0): _slot_bits(_bound_bits(1, 665)),
+        (2, 1295, 0): _slot_bits(_bound_bits(2, 1295)),
+        (1, 578, 12): _slot_bits(_bound_bits(1, 578)),
+        (2, 644, 12): _slot_bits(_bound_bits(2, 644)),
+        (1, 500, 1): _slot_bits(_bound_bits(1, 500)),
+    }
+    assert widths[1, 665, 0] == widths[2, 1295, 0] == 144
+
+
+@pytest.mark.parametrize(
+    "build,step,K,order,lowest",
+    [(compute_A_family_uncached, 1, 35, 665, 32), (compute_C_family_uncached, 2, 35, 1295, 32)],
+    ids=["A", "C"],
+)
+def test_members_only_builds_equal_the_reference_fold_at_the_full_width(
+    build, step, K, order, lowest
+):
+    # the narrow slots must not change a coefficient: the plain reference
+    # loop at the fold bound's width gives the same rows
+    fam = build(K, order, lowest)
+    bound = _bound_bits(step, order)
+    wide = _slot_bits(bound)
+    assert _slot_bits(_fold_bound_bits(step, order, lowest)) < wide
+    rows = oracles.reference_fold(step, lowest, K, order, wide)
+    for k in range(lowest, K + 1):
+        want = _unpack_packed_row(rows[k], _lowval(k, step), order, wide, bound)
+        assert fam.member(k).coeffs == want, k
+
+
+@pytest.mark.parametrize(
+    "build,gf_name,K,order,lowest,scale",
+    [
+        (compute_A_family_uncached, "p3_series", 14, 80, 12, 2),
+        (compute_C_family_uncached, "overpartition_series", 15, 147, 12, 2),
+        (compute_A_family_uncached, "p3_series", 35, 665, 32, 16),
+        (compute_C_family_uncached, "overpartition_series", 35, 1295, 32, 16),
+    ],
+    ids=["A-halved", "C-halved", "A-cor-32-3", "C-cor-32-3"],
+)
+def test_a_doctored_series_raises(build, gf_name, K, order, lowest, scale, monkeypatch):
+    # the prefix sum is read, not assumed: a series scaled down far enough
+    # that its sum falls below the largest coefficient must raise, never
+    # return a wrong family.  Halving shows only where the bound is tight,
+    # two or three offsets above the floor; the (32, 3) windows sit 3 bits
+    # under their sums, so there the series is cut to a sixteenth
+    import macmahon.families as families_module
+
+    true = getattr(families_module, gf_name)
+
+    def doctored(order):
+        series = true(order)
+        return TruncatedSeries(tuple(c // scale for c in series.coeffs), order)
+
+    monkeypatch.setattr(families_module, gf_name, doctored)
+    with pytest.raises(ArithmeticError):
+        build(K, order, lowest)
+
+
+@pytest.mark.parametrize(
+    "build,K,order,lowest",
+    [
+        (compute_A_family_uncached, 12, 500, 0),
+        (compute_C_family_uncached, 12, 600, 0),
+        (compute_A_family_uncached, 14, 578, 12),
+        (compute_C_family_uncached, 14, 600, 12),
+    ],
+    ids=["A-full", "C-full", "A-near-full", "C-near-full"],
+)
+def test_full_and_near_full_builds_read_no_series(build, K, order, lowest, monkeypatch):
+    # where 3D >= 2*order the fold bound is the smaller one, so no series
+    # may be inverted for the width
+    import macmahon.families as families_module
+
+    def refuse(order):
+        raise AssertionError("a full or near-full build read a generating function")
+
+    want = build(K, order, lowest)
+    monkeypatch.setattr(families_module, "p3_series", refuse)
+    monkeypatch.setattr(families_module, "overpartition_series", refuse)
+    assert build(K, order, lowest) == want
 
 
 @pytest.mark.parametrize("slot_bits", [64, 16], ids=["guard-bits-set", "carried-out"])
@@ -611,6 +735,33 @@ def test_members_reject_a_slot_too_narrow(slot_bits, message, monkeypatch):
         members("A", [3], order)
     monkeypatch.undo()
     assert list(members("A", [3], order)[0].coeffs) == oracles.theta_family_A(3, order)[3]
+
+
+@pytest.mark.parametrize("tag,order", [("A", 5355), ("C", 10608)])
+def test_members_check_each_member_against_its_own_bound(tag, order, monkeypatch):
+    # member k is checked against the dense series' sum through q^(order -
+    # lowval(k)) wherever that is below the fold bound: near the top member
+    # tens of bits instead of hundreds
+    import macmahon.families as families_module
+
+    step = 1 if tag == "A" else 2
+    dense = p3_series(order) if tag == "A" else overpartition_series(order)
+    sums = list(itertools.accumulate(dense.coeffs))
+    checked = []
+
+    def spy(row, lowval, order, slot_bits, bound_bits, byteorder="little"):
+        checked.append((lowval, bound_bits))
+        return unpack(row, lowval, order, slot_bits, bound_bits, byteorder)
+
+    unpack = families_module._unpack_packed_row
+    monkeypatch.setattr(families_module, "_unpack_packed_row", spy)
+    ks = [0, 1, 100, _top_member(step, order, order)]
+    members(tag, ks, order)
+    fold = _bound_bits(step, order)
+    want = [(_lowval(k, step), min(fold, sums[order - _lowval(k, step)].bit_length())) for k in ks]
+    assert checked == want
+    assert [bound for _, bound in checked[:2]] == [fold, fold]
+    assert checked[-1][1] < fold // 3
 
 
 @pytest.mark.parametrize("tag", ["A", "C"])
