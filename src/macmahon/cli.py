@@ -336,6 +336,8 @@ def _bench_output(rows: list[dict], fmt: str) -> str:
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit status."""
     try:
+        if config.format not in FORMATS:
+            raise UsageError(f"unknown format {config.format!r}")
         if config.command == "compute":
             _emit(_series_output(_compute_series(config), config.format), config.output_path)
             return 0

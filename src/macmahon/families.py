@@ -11,6 +11,13 @@ big integer with fixed-width slots, so the two divisions by (1-q^s) become
 geometric doublings on machine-speed bignum adds (on gmpy2 integers when
 available).
 
+Both routes below pack a series one way: a row cut at q^top holds q^e in
+slot top - e, so the least significant slot holds q^top and the most
+significant one the row's valuation floor.  Multiplying by q^s and cutting
+at the top is then one right shift, slots that move past the top fall off
+the bottom of the integer, and no step needs a mask.  Unpacking reads the
+bytes of a row from the floor up.
+
 The fold exploits the valuation floor of each t-degree (k(k+1)/2 for A, k^2
 for C, the sum of the first k factors) and the degree ramp: after f factors
 only t-degrees <= f can be nonzero.  Its loop visits only the (part size,
@@ -61,11 +68,11 @@ it can win (3D < 2*order), which takes the k = 100 corollary windows from
 392-bit to 112-bit slots.  The theta route checks member k against the same
 prefix sum with D = order - lowval(k).
 
-Every width leaves at least 8 guard bits above its bound, and unpacking
-checks every slot of every returned row against the bound it was sized by
-(the member's own, on the theta route) and raises ArithmeticError if one
-exceeds it: a wrong bound shows up in the guard bits instead of passing
-silently.
+Every width leaves at least 8 guard bits above its bound.  Unpacking raises
+ArithmeticError on a width with fewer, before it reads a slot, and checks
+every slot of every returned row against the bound it was sized by (the
+member's own, on the theta route): a wrong bound shows up in the guard bits
+instead of passing silently.
 
 The literal nested-sum definition of A_k is kept as `a_k_directsum`, an
 independent oracle for small parameters; it never feeds the production path.
@@ -183,10 +190,13 @@ def _lowval(k: int, step: int) -> int:
 
 def _fold_packed(step: int, lowest: int, k_eff: int, order: int, slot_bits: int) -> list:
     b = slot_bits
-    one = _bigint(1)
     lowvals = [_lowval(k, step) for k in range(k_eff + 1)]
+    # a row k below lowest feeds row lowest only through exponents up to
+    # order - lowval(lowest) above its own floor, so its top slot holds
+    # q^(order - drop[k]); every other row's holds q^order
+    drop = [max(lowvals[lowest] - lv, 0) for lv in lowvals]
     rows = [_bigint(0) for _ in range(k_eff + 1)]
-    rows[0] = one
+    rows[0] = _bigint(1) << (b * (order - drop[0]))
     # Row k takes factor s on the window w below, which is open only while
     # cut + lowval(k-1) + s <= order.  Row k-1 is nonzero only once s is at
     # least the k-th factor, and then cut + lowval(k-1) >= lowval(lowest-1):
@@ -217,34 +227,41 @@ def _fold_packed(step: int, lowest: int, k_eff: int, order: int, slot_bits: int)
             x = rows[k - 1]
             if not x:
                 continue
-            mask = (one << (b * w)) - 1
-            t = x & mask
+            # drop the exponents above order - cut - s; since s is at least
+            # the k-th factor, neither this shift nor the lift below is
+            # negative: cut - drop[k] = r*(s - 1 - step*(k-1))
+            t = x >> (b * (cut + s - drop[k - 1]))
             # two geometric-doubling passes realize division by (1-q^s)^2;
-            # shifts only move slots upward, so masking per step is exact
+            # shifts only move slots toward higher exponents, and those past
+            # the window fall off the bottom
             for _ in range(2):
                 span = s
                 while span < w:
-                    t += t << (b * span)
-                    t &= mask
+                    t += t >> (b * span)
                     span <<= 1
-            # lift by q^s and align to this degree's valuation floor
-            rows[k] += t << (b * (lv + s - lowvals[k]))
+            # lift by q^s: the bottom slot of t moves to q^(order - cut)
+            rows[k] += t << (b * (cut - drop[k]))
     return rows
 
 
 def _unpack_packed_row(
-    row, lowval: int, order: int, slot_bits: int, bound_bits: int, byteorder: str = "little"
+    row, lowval: int, order: int, slot_bits: int, bound_bits: int
 ) -> tuple[int, ...]:
-    # "little": the lowest slot holds q^lowval (the fold); "big": the lowest
-    # slot holds q^order (the theta route).  Either way the bytes list the
-    # slots from q^lowval up.
+    # the lowest slot holds q^order, so the bytes list the slots from
+    # q^lowval up
+    if slot_bits < bound_bits + 8:
+        # with fewer guard bits, a coefficient past the bound can carry into
+        # the next slot and leave both under it, where no check below sees it
+        raise ArithmeticError(
+            f"{slot_bits}-bit slots leave fewer than 8 guard bits above {bound_bits} bits"
+        )
     width = order - lowval + 1
     b8 = slot_bits // 8
-    # to_bytes overflows if the top slot ever escaped its window
-    raw = int(row).to_bytes(width * b8, byteorder)
+    # to_bytes overflows if the floor slot ever carried out of its window
+    raw = int(row).to_bytes(width * b8, "big")
     coeffs = [0] * (order + 1)
     for i in range(width):
-        c = int.from_bytes(raw[i * b8 : (i + 1) * b8], byteorder)
+        c = int.from_bytes(raw[i * b8 : (i + 1) * b8], "big")
         if c:
             # a slot past the family's bound means the bound, and with it
             # the slot width, can no longer be trusted
@@ -430,16 +447,14 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
         C_k = overp * sum_{m>=k} (-1)^(m+k) 2m/(m+k) C(m+k, 2k) q^(m^2)
 
     The dense series is packed once into slots wide enough for its own
-    bound at the order plus at least 8 guard bits, highest exponent lowest,
-    so a theta term c*q^e adds c times the packed series with its e lowest
-    slots dropped.  The sum then equals, as an integer, the member's
-    coefficients q^order down to its valuation floor packed the same way;
-    nothing is masked, so negative partial sums are harmless.  Unpacking
-    checks every slot of member k against the smaller of the family's fold
-    bound and the bit length of the dense series' sum through q^(order -
-    lowval(k)), so a slot too narrow for its coefficient raises
-    ArithmeticError.  A member whose valuation floor lies above the order is
-    the zero series.
+    bound at the order plus at least 8 guard bits, so a theta term c*q^e
+    adds c times the packed series shifted right by e slots.  The sum then
+    equals, as an integer, the member packed the same way; nothing is
+    masked, so negative partial sums are harmless.  Unpacking checks every
+    slot of member k against the smaller of the family's fold bound and the
+    bit length of the dense series' sum through q^(order - lowval(k)), so a
+    slot too narrow for its coefficient raises ArithmeticError.  A member
+    whose valuation floor lies above the order is the zero series.
 
     These formulas are the binomial inverse of the identities the verifiers
     check, so the verifiers never use this route; they read the fold.
@@ -460,8 +475,6 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
     # lowval(k), so each member is checked against its own prefix sum
     reach_sums = list(itertools.accumulate(dense.coeffs))
     b8 = bits // 8
-    # highest exponent in the lowest slot: dropping the low e slots leaves
-    # the dense series shifted by q^e and cut at the order
     packed = _bigint(
         int.from_bytes(b"".join(c.to_bytes(b8, "big") for c in dense.coeffs), "big")
     )
@@ -478,7 +491,7 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
             acc += c * (packed >> (bits * e))
         own = min(bound, reach_sums[order - lowval].bit_length())
         built[k] = TruncatedSeries(
-            _unpack_packed_row(acc, lowval, order, bits, own, "big"), order
+            _unpack_packed_row(acc, lowval, order, bits, own), order
         )
     return tuple(built[k] for k in ks)
 

@@ -7,8 +7,8 @@ overpartitions and multiplicity products from unpruned multiset enumeration.
 The one exception is `as_series`, a tool rather than an oracle: it wraps a
 coefficient list in the library's series type for tests that hand one to the
 library.  `reference_fold` is a reference rather than an oracle: the
-library's packed fold with the plainest loop bounds, kept to check the
-library's tighter ones.
+library's packed fold with the plainest loop bounds and its own slot layout,
+kept to check the library's tighter bounds.
 """
 
 from __future__ import annotations
@@ -182,12 +182,44 @@ def odd_divisor_cofactor_sums(top: int) -> list[int]:
     return out
 
 
+def differential_recursion_failures(step: int, rows: dict[int, list[int]], top: int) -> list[int]:
+    """The k, among those with rows k-1 and k both given, whose differential
+    recursion fails through q^top.  With D = q d/dq,
+
+        (2k)(2k+1) A_k = (6 A_1 + k(k-1)) A_{k-1} - 2 D A_{k-1}    (step 1)
+        (2k)(2k-1) C_k = (2 C_1 + (k-1)^2) C_{k-1} - D C_{k-1}     (step 2)
+
+    anchored on A_1 = sum sigma(n) q^n and C_1 = sum over odd d | n of n/d,
+    both from the divisor sieves here rather than from `rows`.  Given the
+    anchor the relations fix every member, and they are neither the paper's
+    binomial identities nor the theta closed form."""
+    if step == 1:
+        anchor, factor, diff = divisor_power_sums(top, 1), 6, 2
+    else:
+        anchor, factor, diff = odd_divisor_cofactor_sums(top), 2, 1
+    failures = []
+    for k in sorted(rows):
+        if k - 1 not in rows:
+            continue
+        prev, cur = rows[k - 1], rows[k]
+        lhs = (2 * k) * (2 * k + 1) if step == 1 else (2 * k) * (2 * k - 1)
+        scalar = k * (k - 1) if step == 1 else (k - 1) ** 2
+        product = convolve(prev, anchor, top)
+        if any(
+            lhs * cur[n] != factor * product[n] + (scalar - diff * n) * prev[n]
+            for n in range(top + 1)
+        ):
+            failures.append(k)
+    return failures
+
+
 def reference_fold(step: int, lowest: int, k_eff: int, order: int, slot_bits: int) -> list[int]:
     """The packed fold with the plainest loop bounds: the s loop runs to the
     order and the k loop starts at the degree ramp, stepping over every
-    empty window one by one.  The library's fold, which starts and stops
-    where windows can be open, must return the same rows, cut intermediates
-    included."""
+    empty window one by one.  Row k keeps q^lowval(k) in its lowest slot,
+    the reverse of the library's layout, so the two share no slot
+    arithmetic.  The library's fold, which starts and stops where windows
+    can be open, must return the same rows, cut intermediates included."""
 
     def lowval(k: int) -> int:
         return k + step * k * (k - 1) // 2

@@ -464,6 +464,14 @@ def test_run_refuses_a_field_the_command_does_not_read(
     assert capsys.readouterr() == ("", f"error: --{flag} is not an option of {owner}\n")
 
 
+@pytest.mark.parametrize("command", list(BASE_CALLS))
+def test_run_refuses_an_unknown_format(command, monkeypatch, capsys):
+    # the parser's choices guard the command line; run guards library callers
+    _refuse_to_build(monkeypatch)
+    assert run(RunConfig(**BASE_CALLS[command], format="xml")) == 2
+    assert capsys.readouterr() == ("", "error: unknown format 'xml'\n")
+
+
 def test_table_without_a_target_exits_two(monkeypatch, capsys):
     _refuse_to_build(monkeypatch)
     assert run(RunConfig(command="table", K=1, N=3)) == 2

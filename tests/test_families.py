@@ -30,6 +30,7 @@ from macmahon.families import (
     members,
 )
 from macmahon.cli import MAX_ORDER
+from macmahon.identities import family_order
 from macmahon.partitions import mk_bruteforce, mk_odd_bruteforce, overpartition_series, p3_series
 from macmahon.series import TruncatedSeries
 from oracles import as_series
@@ -186,16 +187,29 @@ def test_fold_visits_every_window_the_reference_loop_does(step, deep):
     # that steps over every (s, k) must give the same rows for the cap the
     # builds pass, every k, the cut intermediates below lowest included.
     # Full builds (lowest 0 or 1) stop at order 333: past it they would
-    # take most of 20 s and run the same loop bounds as the rest
+    # take most of 20 s and run the same loop bounds as the rest.  The
+    # reference keeps q^lowval(k) in the lowest slot; the fold keeps q^e in
+    # slot top_k - e, so each reference row is re-packed that way, and it
+    # must hold nothing above the top the fold gives its row
     for K in (0, 1, 2, 5, 12, 33):
         orders = set(range(41)) | {_lowval(K, step) - 1, _lowval(K, step), 333, deep}
         for order in sorted(orders - {-1}):
             k_eff = _top_member(step, K, order)
             bits = _slot_bits(_bound_bits(step, order))
             lowests = {K - 1, K} | ({0, 1} if order <= 333 else set())
+            mask = (1 << bits) - 1
             for lowest in sorted(lo for lo in lowests if 0 <= lo <= k_eff):
                 got = _fold_packed(step, lowest, k_eff, order, bits)
-                want = oracles.reference_fold(step, lowest, k_eff, order, bits)
+                ref = oracles.reference_fold(step, lowest, k_eff, order, bits)
+                want = []
+                for k, row in enumerate(ref):
+                    floor = _lowval(k, step)
+                    top = order - max(_lowval(lowest, step) - floor, 0)
+                    assert row >> (bits * (top - floor + 1)) == 0, (K, order, lowest, k)
+                    want.append(sum(
+                        ((row >> (bits * (e - floor))) & mask) << (bits * (top - e))
+                        for e in range(floor, top + 1)
+                    ))
                 assert got == want, (K, order, lowest)
 
 
@@ -315,8 +329,11 @@ def test_bounds_hold_through_the_order_limit():
 def test_fold_catches_a_bound_one_bit_short(build, theta, K, order, lowest, monkeypatch):
     # the true bound is the largest bit length of any coefficient built; one
     # bit less leaves that coefficient in the guard bits, and a slot one byte
-    # narrower than the coefficients need carries out of the row.  The last
-    # two are the corollary windows at (32, 3), sized by the prefix sum
+    # narrower than the coefficients need leaves fewer than 8 guard bits.
+    # Nine bits short, the coefficient no longer fits its own width: the
+    # slots carry into each other, and the guard bits must still show it.
+    # The last two are the corollary windows at (32, 3), sized by the prefix
+    # sum
     import macmahon.families as families_module
 
     want = theta(K, order)[lowest:]
@@ -325,6 +342,7 @@ def test_fold_catches_a_bound_one_bit_short(build, theta, K, order, lowest, monk
         (true_bits - 1, _slot_bits(true_bits - 1), ArithmeticError),
         (true_bits, _slot_bits(true_bits), None),
         (true_bits, (true_bits + 7) // 8 * 8 - 8, ArithmeticError),
+        (true_bits - 9, _slot_bits(true_bits - 9), ArithmeticError),
     ]
     for bound, slot, error in cases:
         monkeypatch.setattr(families_module, "_fold_bound_bits", lambda step, order, lowest: bound)
@@ -398,9 +416,41 @@ def test_members_only_builds_equal_the_reference_fold_at_the_full_width(
     wide = _slot_bits(bound)
     assert _slot_bits(_fold_bound_bits(step, order, lowest)) < wide
     rows = oracles.reference_fold(step, lowest, K, order, wide)
+    mask = (1 << wide) - 1
     for k in range(lowest, K + 1):
-        want = _unpack_packed_row(rows[k], _lowval(k, step), order, wide, bound)
-        assert fam.member(k).coeffs == want, k
+        # the reference keeps q^e in slot e - lowval(k), lowest first
+        floor = _lowval(k, step)
+        want = [0] * floor + [(rows[k] >> (wide * i)) & mask for i in range(order - floor + 1)]
+        assert list(fam.member(k).coeffs) == want, k
+
+
+# -- the differential recursion ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "tag,build,step",
+    [("A", compute_A_family_uncached, 1), ("C", compute_C_family_uncached, 2)],
+    ids=["A", "C"],
+)
+def test_folds_satisfy_the_differential_recursion(tag, build, step):
+    # anchored on the divisor sieves, the recursion fixes every member from
+    # member 1 up: relations 1..12 of a full fold, and relations 33..35 of
+    # the members-only build the corollary verifier makes at (32, 3)
+    full = build(12, 300)
+    rows = {k: list(full.member(k).coeffs) for k in range(13)}
+    assert oracles.differential_recursion_failures(step, rows, 300) == []
+    order = family_order(f"cor-{tag.lower()}", 32, 3, None)
+    deep = build(35, order, 32)
+    rows = {k: list(deep.member(k).coeffs) for k in range(32, 36)}
+    assert all(any(row) for row in rows.values())
+    assert oracles.differential_recursion_failures(step, rows, order) == []
+
+
+def test_the_differential_recursion_catches_one_coefficient_off_by_one():
+    fam = compute_A_family_uncached(12, 300)
+    rows = {k: list(fam.member(k).coeffs) for k in range(13)}
+    rows[5][_lowval(5, 1) + 40] += 1
+    assert oracles.differential_recursion_failures(1, rows, 300) == [5, 6]
 
 
 @pytest.mark.parametrize(
@@ -465,6 +515,10 @@ def test_unpack_rejects_a_slot_too_narrow_for_its_coefficients(slot_bits):
     rows = _fold_packed(1, 0, k, order, slot_bits)
     with pytest.raises(ArithmeticError):
         _unpack_packed_row(rows[k], 6, order, slot_bits, 8)
+    # fewer than 8 guard bits are refused before any slot is read, even on
+    # a row with no slot for the per-slot check to catch
+    with pytest.raises(ArithmeticError, match="guard bits"):
+        _unpack_packed_row(0, 6, order, slot_bits, slot_bits - 7)
     bits = _slot_bits(_bound_bits(1, order))
     wide = _fold_packed(1, 0, k, order, bits)
     got = _unpack_packed_row(wide[k], 6, order, bits, _bound_bits(1, order))
@@ -749,9 +803,9 @@ def test_members_check_each_member_against_its_own_bound(tag, order, monkeypatch
     sums = list(itertools.accumulate(dense.coeffs))
     checked = []
 
-    def spy(row, lowval, order, slot_bits, bound_bits, byteorder="little"):
+    def spy(row, lowval, order, slot_bits, bound_bits):
         checked.append((lowval, bound_bits))
-        return unpack(row, lowval, order, slot_bits, bound_bits, byteorder)
+        return unpack(row, lowval, order, slot_bits, bound_bits)
 
     unpack = families_module._unpack_packed_row
     monkeypatch.setattr(families_module, "_unpack_packed_row", spy)
