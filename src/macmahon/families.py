@@ -47,26 +47,37 @@ order of prod over the family's part sizes s of 1/(1-q^s)^2, since 1 +
 x/(1-x)^2 <= 1/(1-x)^2 coefficientwise.  For A that product is the 2-colored
 partition count p2(n) < exp(pi*sqrt(4n/3)); for C, with s odd, it is
 (-q;q)^2 (odd parts are equinumerous with distinct parts), and
-(-q;q)^2(n) < exp(pi*sqrt(2n/3)).  Every slot the fold holds is a partial
-sum of non-negative terms of one such coefficient, so A's fold slots are
-sized by the p2 bound and C's by the (-q;q)^2 bound.  The theta route packs
-the dense series itself, so its slots are sized by p3(n) < exp(pi*sqrt(2n))
-for A and overp(n) < exp(pi*sqrt(n)) for C.  Each bound is checked at every
+(-q;q)^2(n) < exp(pi*sqrt(2n/3)).  The theta route packs the dense series
+itself, so its slots are sized by p3(n) < exp(pi*sqrt(2n)) for A and
+overp(n) < exp(pi*sqrt(n)) for C.  Each of these bounds is checked at every
 order up to the CLI's order limit.
 
-A members-only build reads its rows just above their valuation floors, so
-it has a tighter bound: every slot of a build of members L..K is a partial
-sum of non-negative terms of some A_k(lowval(k)+d) with d <= D = order -
-lowval(L), and A_k(lowval(k)+d) <= sum_{j<=d} p3(j) (overp for C).  The
-second inequality is an injection: with parts s_i = i + t_i (t
-non-decreasing) and multiplicities m_i = 1 + a_i + b_i (the weight prod m_i
-marks one copy of each size), (t, a, b) has offset at most d and generating
-function prod_{i<=k} (1-q^i)^-3 <= p3; for C, s_i = 2i-1+2t_i gives a
-product under overp.  Such a build sizes its slots by the smaller of the two
-bounds, reading the prefix sum from the stored p3 or overp series only where
-it can win (3D < 2*order), which takes the k = 100 corollary windows from
-392-bit to 112-bit slots.  The theta route checks member k against the same
-prefix sum with D = order - lowval(k).
+The fold's slots have tighter bounds, and `_fold_bound_bits` is the one
+place that picks among them.  Every slot of a build of members L..K is a
+partial sum of non-negative terms of some A_k(lowval(k)+d) with k <= K and
+d <= D = order - lowval(L), so it obeys each of three bounds:
+
+- The family total.  A_k(n) is at most T(n) = sum_k A_k(n), the product
+  evaluated at t = 1, which for A is (q^6;q^6)/((q;q)(q^2;q^2)(q^3;q^3)) and
+  for C (q^4;q^4)(q^6;q^6)^2/((q;q)(q^3;q^3)(q^12;q^12)).  Its bit length
+  follows a closed form, pi*sqrt(c*n)/ln 2 - alpha*log2(n) + beta, checked
+  against the exact total at every order up to the order limit; above it
+  the p2 or (-q;q)^2 bound takes over.
+- The prefix sum.  A_k(lowval(k)+d) <= sum_{j<=d} p3(j) (overp for C).  This
+  is an injection: with parts s_i = i + t_i (t non-decreasing) and
+  multiplicities m_i = 1 + a_i + b_i (the weight prod m_i marks one copy of
+  each size), (t, a, b) has offset at most d and generating function
+  prod_{i<=k} (1-q^i)^-3 <= p3; for C, s_i = 2i-1+2t_i gives a product under
+  overp.  The sum is read from the stored p3 or overp series only where it
+  can win (3D < 2*order); it takes the k = 100 corollary windows from
+  392-bit to 112-bit slots.
+- The cap.  Each of the 3k factors of that product lies under 1/(1-q), so
+  A_k(lowval(k)+d) <= C(d+3k, 3k) <= C(D+3K, 3K).  With a small cap this is
+  a polynomial in the order: the divisor build (K = 2) at order 600 takes
+  56-bit slots instead of 144.
+
+The theta route checks member k against the same three bounds, with L = K =
+k, reading the prefix sum from the dense series it already holds.
 
 Every width leaves at least 8 guard bits above its bound.  Unpacking raises
 ArithmeticError on a width with fewer, before it reads a slot, and checks
@@ -139,31 +150,64 @@ def _bound_bits(step: int, order: int) -> int:
     return int(math.pi * math.sqrt(4 * order / (3 * step)) / math.log(2)) + 1
 
 
-def _fold_bound_bits(step: int, order: int, lowest: int) -> int:
-    # The bound a build of members lowest..K holds its slots and returned
-    # coefficients to: the fold bound at the order, or, if smaller, the bit
-    # length of sum_{j<=D} g(j), with D = order - lowval(lowest) and g = p3
-    # for A, overp for C.  Two steps show every slot obeys the latter:
+# the highest order at which the closed form of _total_bound_bits is checked
+# against the exact family total; the CLI's order limit
+_TOTAL_CHECKED_ORDER = 20_000
+
+
+def _total_bound_bits(step: int, order: int) -> int:
+    # The bit length of the family total's running maximum through the
+    # order, T = (q^6;q^6)/((q;q)(q^2;q^2)(q^3;q^3)) for A and
+    # (q^4;q^4)(q^6;q^6)^2/((q;q)(q^3;q^3)(q^12;q^12)) for C.  Both grow like
+    # n^-alpha exp(pi*sqrt(c*n)), alpha from the eta quotient's weight; beta
+    # is fitted on the exact total, so the closed form stays within one bit
+    # of it at every order it is checked at.  Above that, the proven bound.
+    if order == 0:
+        return 1
+    if order > _TOTAL_CHECKED_ORDER:
+        return _bound_bits(step, order)
+    c, alpha, beta = (10 / 9, 1.25, -3.3) if step == 1 else (5 / 9, 0.75, -2.6)
+    return math.ceil(
+        math.pi * math.sqrt(c * order) / math.log(2) - alpha * math.log2(order) + beta
+    )
+
+
+def _fold_bound_bits(step: int, order: int, lowest: int, top: int, reach_sums=None) -> int:
+    # The bound a build of members lowest..top holds its slots and returned
+    # coefficients to: the smallest of three.  Each rests on one fact, that
+    # every slot is a partial sum of non-negative terms of some
+    # A_k(lowval(k)+d) with k <= top and d <= D = order - lowval(lowest).
+    # For k >= lowest, d <= order - lowval(k) <= D.  A cut row k < lowest
+    # reaches exponent order - cut, and its cut is least at the first factor
+    # it takes, which is at least the k-th smallest part, so cut + lowval(k)
+    # >= lowval(lowest) there.
     #
-    # - Every slot is a partial sum of non-negative terms of some
-    #   A_k(lowval(k)+d) with d <= D.  For k >= lowest, d <= order -
-    #   lowval(k) <= D.  A cut row k < lowest reaches exponent order - cut,
-    #   and its cut is least at the first factor it takes, which is at least
-    #   the k-th smallest part, so cut + lowval(k) >= lowval(lowest) there.
-    # - A_k(lowval(k)+d) <= sum_{j<=d} p3(j).  Write the parts as s_i = i +
-    #   t_i with t non-decreasing, and read the weight prod m_i as marking
-    #   one copy of each size, m_i = 1 + a_i + b_i.  The map to (t, a, b) is
-    #   injective, its offset sum t_i + sum (a_i+b_i)*i is at most d, and its
-    #   generating function prod_{i<=k} (1-q^i)^-3 lies under p3.  For C,
-    #   s_i = 2i-1+2t_i gives prod_{i<=k} (1-q^(2i))^-1 (1-q^(2i-1))^-2,
-    #   which lies under 1/((q^2;q^2)(q;q^2)^2) = overp.
-    #
-    # The analytic bounds exp(pi*sqrt(2D)) (or exp(pi*sqrt(D))) and the fold
-    # bound cross at 3D = 2*order, so the series is read only below that;
-    # full builds (D = order) and near-full ones read nothing.  A verifier's
-    # D is its own window, the prefix it reads next anyway.
-    bound = _bound_bits(step, order)
+    # - The family total.  A_k(n) <= T(n) = sum_k A_k(n), the product at
+    #   t = 1: prod_s (1 + q^s/(1-q^s)^2) = prod_s (1+q^(3s))/((1-q^s)(1-q^(2s))),
+    #   the quotient in _total_bound_bits once 1+q^(3s) = (1-q^(6s))/(1-q^(3s))
+    #   (for C, s odd, the same steps over odd s).  No series is read.
+    # - The prefix sum.  A_k(lowval(k)+d) <= sum_{j<=d} [q^j] P_k, P_k =
+    #   prod_{i<=k} (1-q^i)^-3.  Write the parts as s_i = i + t_i with t
+    #   non-decreasing, and read the weight prod m_i as marking one copy of
+    #   each size, m_i = 1 + a_i + b_i.  The map to (t, a, b) is injective,
+    #   its offset sum t_i + sum (a_i+b_i)*i is at most d, and P_k counts
+    #   the triples.  P_k lies under p3; for C, s_i = 2i-1+2t_i gives prod_{i<=k}
+    #   (1-q^(2i))^-1 (1-q^(2i-1))^-2, under 1/((q^2;q^2)(q;q^2)^2) = overp.
+    #   reach_sums, if given, are the running sums of that dense series;
+    #   otherwise the series is read only where 3D < 2*order, since the
+    #   analytic bounds exp(pi*sqrt(2D)) (or exp(pi*sqrt(D))) and the fold
+    #   bound cross at 3D = 2*order and the family total lies under the
+    #   latter.  A verifier's D is its own window, the prefix it reads next
+    #   anyway.
+    # - The cap.  Each of P_k's 3k factors lies under 1/(1-q) (also for C),
+    #   so the prefix sum of P_k through d is at most that of (1-q)^-3k,
+    #   which is C(d+3k, 3k) <= C(D+3*top, 3*top).
     reach = order - _lowval(lowest, step)
+    bound = min(
+        _total_bound_bits(step, order), math.comb(reach + 3 * top, 3 * top).bit_length()
+    )
+    if reach_sums is not None:
+        return min(bound, reach_sums[reach].bit_length())
     if 3 * reach >= 2 * order:
         return bound
     dense = p3_series(reach) if step == 1 else overpartition_series(reach)
@@ -299,7 +343,7 @@ def _compute_family(tag: str, step: int, K: int, order: int, lowest: int) -> Mac
     k_eff = _top_member(step, K, order)
     built = []
     if lowest <= k_eff:
-        bound = _fold_bound_bits(step, order, lowest)
+        bound = _fold_bound_bits(step, order, lowest, k_eff)
         bits = _slot_bits(bound)
         packed = _fold_packed(step, lowest, k_eff, order, bits)
         built = [
@@ -451,9 +495,10 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
     adds c times the packed series shifted right by e slots.  The sum then
     equals, as an integer, the member packed the same way; nothing is
     masked, so negative partial sums are harmless.  Unpacking checks every
-    slot of member k against the smaller of the family's fold bound and the
-    bit length of the dense series' sum through q^(order - lowval(k)), so a
-    slot too narrow for its coefficient raises ArithmeticError.  A member
+    slot of member k against the bound of a fold of members k..k, the
+    smallest of the family total, the dense series' sum through q^(order -
+    lowval(k)) and the binomial C(order - lowval(k) + 3k, 3k), so a slot
+    too narrow for its coefficient raises ArithmeticError.  A member
     whose valuation floor lies above the order is the zero series.
 
     These formulas are the binomial inverse of the identities the verifiers
@@ -470,9 +515,9 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
         raise ValueError("member indices must be non-negative")
     step = 1 if family == "A" else 2
     dense = p3_series(order) if step == 1 else overpartition_series(order)
-    bits, bound = _slot_bits(_dense_bound_bits(step, order)), _bound_bits(step, order)
-    # member k obeys the offset bound of _fold_bound_bits with D = order -
-    # lowval(k), so each member is checked against its own prefix sum
+    bits = _slot_bits(_dense_bound_bits(step, order))
+    # member k obeys the bounds of a fold of members k..k, so each member is
+    # checked against its own
     reach_sums = list(itertools.accumulate(dense.coeffs))
     b8 = bits // 8
     packed = _bigint(
@@ -489,7 +534,7 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
         acc = 0
         for c, e in _theta_row(step, k, order):
             acc += c * (packed >> (bits * e))
-        own = min(bound, reach_sums[order - lowval].bit_length())
+        own = _fold_bound_bits(step, order, k, k, reach_sums)
         built[k] = TruncatedSeries(
             _unpack_packed_row(acc, lowval, order, bits, own), order
         )

@@ -1,8 +1,11 @@
 """Every test starts from empty family and generating-function caches, so no
-outcome depends on which tests ran before it."""
+outcome depends on which tests ran before it.  The generating functions
+through the order limit are inverted once per session and handed out as
+fixtures; the series are immutable, so sharing them changes no outcome."""
 
 import pytest
 
+from macmahon.cli import MAX_ORDER
 from macmahon.families import compute_A_family, compute_C_family
 from macmahon.partitions import overpartition_series, p3_series
 
@@ -11,3 +14,18 @@ from macmahon.partitions import overpartition_series, p3_series
 def _empty_caches():
     for cached in (compute_A_family, compute_C_family, p3_series, overpartition_series):
         cached.cache_clear()
+
+
+@pytest.fixture(scope="session")
+def order_limit_series():
+    """p3 ("A") and overp ("C") through MAX_ORDER."""
+    return {"A": p3_series(MAX_ORDER), "C": overpartition_series(MAX_ORDER)}
+
+
+@pytest.fixture
+def order_limit_stores(_empty_caches, order_limit_series, monkeypatch):
+    """The two generating-function stores, each already holding its series
+    through MAX_ORDER, as if an earlier call had inverted it."""
+    monkeypatch.setattr(p3_series, "_kept", order_limit_series["A"])
+    monkeypatch.setattr(overpartition_series, "_kept", order_limit_series["C"])
+    return order_limit_series

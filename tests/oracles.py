@@ -182,6 +182,19 @@ def odd_divisor_cofactor_sums(top: int) -> list[int]:
     return out
 
 
+def family_total(step: int, top: int) -> list[int]:
+    """Coefficients 0..top of the family's product at t = 1, the sum of all
+    its members: prod over part sizes s = 1, 1+step, 1+2*step, ... of (1 +
+    sum_{j>=1} j q^(sj)), the expansion of 1 + q^s/(1-q^s)^2, multiplied in
+    one factor at a time."""
+    c = [1] + [0] * top
+    for s in range(1, top + 1, step):
+        # descending, so every c[n - s*j] read is still the old coefficient
+        for n in range(top, s - 1, -1):
+            c[n] += sum(j * c[n - s * j] for j in range(1, n // s + 1))
+    return c
+
+
 def differential_recursion_failures(step: int, rows: dict[int, list[int]], top: int) -> list[int]:
     """The k, among those with rows k-1 and k both given, whose differential
     recursion fails through q^top.  With D = q d/dq,

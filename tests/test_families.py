@@ -4,6 +4,7 @@ enumeration, and the theta-quotient closed forms."""
 
 import functools
 import itertools
+import math
 import operator
 import random
 import sys
@@ -14,13 +15,16 @@ import pytest
 import oracles
 from macmahon.families import (
     MacmahonFamily,
+    _TOTAL_CHECKED_ORDER,
     _bound_bits,
     _dense_bound_bits,
     _fold_bound_bits,
     _fold_packed,
+    _theta_row,
     _lowval,
     _slot_bits,
     _top_member,
+    _total_bound_bits,
     _unpack_packed_row,
     a_k_directsum,
     compute_A_family,
@@ -273,24 +277,57 @@ def test_lowest_out_of_range_or_bool_rejected():
 
 
 def test_slot_widths_leave_guard_bits_above_their_bounds():
+    bounds = (_bound_bits, _dense_bound_bits, _total_bound_bits)
     for order in (0, 1, 31, 600, 1295, 10608, MAX_ORDER):
         for step in (1, 2):
-            for bound in (_bound_bits(step, order), _dense_bound_bits(step, order)):
+            for bound in (bits(step, order) for bits in bounds):
                 assert _slot_bits(bound) % 8 == 0
                 assert _slot_bits(bound) >= bound + 8
-    # fold slots: A on p2, C on (-q;q)^2; theta-route slots: A on p3, C on overp
+    # full folds: A on p2, C on (-q;q)^2, or either on its family total;
+    # theta-route slots: A on p3, C on overp
     widths = {
-        (step, order): (_slot_bits(_bound_bits(step, order)),
-                        _slot_bits(_dense_bound_bits(step, order)))
+        (step, order): tuple(_slot_bits(bits(step, order)) for bits in bounds)
         for step in (1, 2) for order in (600, 1295)
     }
     assert widths == {
-        (1, 600): (144, 168), (1, 1295): (200, 240),
-        (2, 600): (104, 120), (2, 1295): (144, 176),
+        (1, 600): (144, 168, 112), (1, 1295): (200, 240, 168),
+        (2, 600): (104, 120, 88), (2, 1295): (144, 176, 120),
     }
 
 
-def test_bounds_hold_through_the_order_limit():
+def total_theta(step, top):
+    # the family total over its dense series, T_A / p3 and T_C / overp: the
+    # theta rows summed over k, sparse at the floors lowval(m), with
+    # coefficients 1, -2, 1, 1, -2, 1, ... for A and 1, -1, -1, 2, -1, -1,
+    # 2, ... for C
+    c = [0] * (top + 1)
+    m = 0
+    while _lowval(m, step) <= top:
+        if step == 1:
+            c[_lowval(m, step)] = -2 if m % 3 == 1 else 1
+        else:
+            c[_lowval(m, step)] = 1 if m == 0 else 2 if m % 3 == 0 else -1
+        m += 1
+    return c
+
+
+@pytest.mark.parametrize("step", [1, 2], ids=["A", "C"])
+def test_total_theta_is_the_family_total_over_its_dense_series(step):
+    # against the theta rows the theta route uses, and against the product
+    # at t = 1 multiplied out factor by factor
+    top = 300
+    sparse = total_theta(step, top)
+    rows = [_theta_row(step, k, top) for k in range(_top_member(step, top, top) + 1)]
+    summed = [0] * (top + 1)
+    for row in rows:
+        for c, e in row:
+            summed[e] += c
+    assert sparse == summed
+    dense = oracles.three_colored_counts(top) if step == 1 else oracles.overpartition_counts(top)
+    assert oracles.convolve(sparse, dense, top) == oracles.family_total(step, top)
+
+
+def test_bounds_hold_through_the_order_limit(order_limit_series):
     # p2 = p3 * (q;q)_inf and (-q;q)^2 = overp * (q^2;q^2)_inf, where
     # (q;q)_inf is the sparse pentagonal series sum over m != 0 of
     # (-1)^m q^(m(3m-1)/2), plus 1, and (q^2;q^2)_inf is the same in q^2
@@ -304,16 +341,46 @@ def test_bounds_hold_through_the_order_limit():
             m += 1
         return out
 
-    p3 = list(p3_series(MAX_ORDER).coeffs)
-    overp = list(overpartition_series(MAX_ORDER).coeffs)
+    # the family totals T_A = p3 * total_theta(1) and T_C = overp *
+    # total_theta(2), a coefficient of 2 taken from the doubled series
+    def times_total_theta(dense, step):
+        out = [0] * len(dense)
+        twice = [2 * c for c in dense]
+        for e, c in enumerate(total_theta(step, MAX_ORDER)):
+            if c:
+                src = twice if abs(c) == 2 else dense
+                out[e:] = map(operator.add if c > 0 else operator.sub, out[e:], src)
+        return out
+
+    p3 = list(order_limit_series["A"].coeffs)
+    overp = list(order_limit_series["C"].coeffs)
     p2, odd2 = times_euler(p3, 1), times_euler(overp, 2)
+    totals = {1: times_total_theta(p3, 1), 2: times_total_theta(overp, 2)}
     assert p2[:6] == [1, 2, 5, 10, 20, 36]
     assert odd2[:6] == [1, 2, 3, 6, 9, 14]
+    assert totals[1][:8] == [1, 1, 3, 5, 10, 15, 28, 41]
+    assert totals[2][:8] == [1, 1, 2, 4, 5, 8, 12, 16]
     for n in range(MAX_ORDER + 1):
         assert p2[n].bit_length() <= _bound_bits(1, n), n
         assert odd2[n].bit_length() <= _bound_bits(2, n), n
         assert p3[n].bit_length() <= _dense_bound_bits(1, n), n
         assert overp[n].bit_length() <= _dense_bound_bits(2, n), n
+    # the closed form for the total holds the running maximum of the exact
+    # total at every order, within one bit, and stays under the fold bound,
+    # so it never widens a slot
+    for step, total in totals.items():
+        most = 0
+        for n in range(MAX_ORDER + 1):
+            most = max(most, total[n])
+            closed = _total_bound_bits(step, n)
+            assert most.bit_length() <= closed <= most.bit_length() + 1, (step, n)
+            assert closed <= _bound_bits(step, n), (step, n)
+    # the closed form is checked through the CLI's order limit exactly, and
+    # above it the proven fold bound takes over
+    assert _TOTAL_CHECKED_ORDER == MAX_ORDER
+    for step in (1, 2):
+        for n in (MAX_ORDER + 1, 5 * MAX_ORDER):
+            assert _total_bound_bits(step, n) == _bound_bits(step, n)
 
 
 @pytest.mark.parametrize(
@@ -323,8 +390,9 @@ def test_bounds_hold_through_the_order_limit():
         (compute_C_family_uncached, oracles.theta_family_C, 14, 600, 12),
         (compute_A_family_uncached, oracles.theta_family_A, 35, 665, 32),
         (compute_C_family_uncached, oracles.theta_family_C, 35, 1295, 32),
+        (compute_A_family_uncached, oracles.theta_family_A, 2, 600, 1),
     ],
-    ids=["A-full", "C-members-only", "A-cor-32-3", "C-cor-32-3"],
+    ids=["A-full", "C-members-only", "A-cor-32-3", "C-cor-32-3", "A-divisor"],
 )
 def test_fold_catches_a_bound_one_bit_short(build, theta, K, order, lowest, monkeypatch):
     # the true bound is the largest bit length of any coefficient built; one
@@ -332,8 +400,9 @@ def test_fold_catches_a_bound_one_bit_short(build, theta, K, order, lowest, monk
     # narrower than the coefficients need leaves fewer than 8 guard bits.
     # Nine bits short, the coefficient no longer fits its own width: the
     # slots carry into each other, and the guard bits must still show it.
-    # The last two are the corollary windows at (32, 3), sized by the prefix
-    # sum
+    # The cases are a full fold, sized by the family total; the corollary
+    # windows at (32, 3), sized by the prefix sum; and the divisor build,
+    # sized by the binomial in its cap
     import macmahon.families as families_module
 
     want = theta(K, order)[lowest:]
@@ -345,7 +414,9 @@ def test_fold_catches_a_bound_one_bit_short(build, theta, K, order, lowest, monk
         (true_bits - 9, _slot_bits(true_bits - 9), ArithmeticError),
     ]
     for bound, slot, error in cases:
-        monkeypatch.setattr(families_module, "_fold_bound_bits", lambda step, order, lowest: bound)
+        monkeypatch.setattr(
+            families_module, "_fold_bound_bits", lambda step, order, lowest, top: bound
+        )
         monkeypatch.setattr(families_module, "_slot_bits", lambda bound_bits: slot)
         if error is None:
             fam = build(K, order, lowest)
@@ -365,40 +436,50 @@ def test_fold_catches_a_bound_one_bit_short(build, theta, K, order, lowest, monk
     ids=["A", "C"],
 )
 def test_members_sit_under_the_prefix_sums_of_their_series(build, step, order, gf):
-    # the inequality the members-only widths rest on, on full folds (lowest
-    # 0, so sized by the fold bound alone): A_k(lowval(k)+d) <= sum_{j<=d}
-    # p3(j), and C_k likewise under overp.  Both sides are 1 at d = 0; past
-    # it the sum holds the j = 0 term the member cannot reach
+    # the inequalities the members-only and capped widths rest on, on full
+    # folds (sized by the family total): A_k(lowval(k)+d) <= sum_{j<=d}
+    # p3(j), and C_k likewise under overp; and both under the binomial
+    # C(d+3k, 3k), the same sum for (1-q)^-3k.  All three are 1 at d = 0;
+    # past it the prefix sum holds the j = 0 term the member cannot reach
     fam = build(_top_member(step, order, order), order)
     sums = list(itertools.accumulate(gf(order).coeffs))
     for k in range(1, fam.degree_cap + 1):
         floor = _lowval(k, step)
         cs = fam.member(k).coeffs
         assert cs[floor] == sums[0] == 1, k
+        binomial = 1  # C(d+3k, 3k), kept incrementally
         for d in range(1, order - floor + 1):
+            binomial = binomial * (d + 3 * k) // d
             assert cs[floor + d] < sums[d], (k, d)
+            assert cs[floor + d] <= binomial, (k, d)
+        assert binomial == math.comb(order - floor + 3 * k, 3 * k)
 
 
 def test_members_only_slot_widths():
-    # the corollary windows (32, 3) and (100, 2) read their series prefix;
-    # full, theorem and divisor builds (D close to the order) keep the fold
-    # bound's width
+    # each shape sized by the bound that wins there: the corollary windows
+    # (32, 3) and (100, 2) by their series prefix; full and theorem builds
+    # (D close to the order) by the family total; the divisor build (K = 2)
+    # by the binomial in its cap.  The fold bound alone gave 144, 144, 136,
+    # 104, 128 and 296 bits for the last six
+    shapes = {
+        (1, 665, 32, 35): 72, (2, 1295, 32, 35): 80,
+        (1, 5355, 100, 102): 112, (2, 10608, 100, 102): 112,
+        (1, 665, 0, 665): 120, (2, 1295, 0, 1295): 120,
+        (1, 578, 12, 578): 112, (2, 644, 12, 644): 88,
+        (1, 500, 1, 2): 56, (1, 3000, 1, 2): 72,
+    }
     widths = {
-        (step, order, lowest): _slot_bits(_fold_bound_bits(step, order, lowest))
-        for step, order, lowest in [
-            (1, 665, 32), (2, 1295, 32), (1, 5355, 100), (2, 10608, 100),
-            (1, 665, 0), (2, 1295, 0), (1, 578, 12), (2, 644, 12), (1, 500, 1),
-        ]
+        (step, order, lowest, K): _slot_bits(
+            _fold_bound_bits(step, order, lowest, _top_member(step, K, order))
+        )
+        for step, order, lowest, K in shapes
     }
-    assert widths == {
-        (1, 665, 32): 72, (2, 1295, 32): 80, (1, 5355, 100): 112, (2, 10608, 100): 112,
-        (1, 665, 0): _slot_bits(_bound_bits(1, 665)),
-        (2, 1295, 0): _slot_bits(_bound_bits(2, 1295)),
-        (1, 578, 12): _slot_bits(_bound_bits(1, 578)),
-        (2, 644, 12): _slot_bits(_bound_bits(2, 644)),
-        (1, 500, 1): _slot_bits(_bound_bits(1, 500)),
-    }
-    assert widths[1, 665, 0] == widths[2, 1295, 0] == 144
+    assert widths == shapes
+    for step, order in [(1, 665), (2, 1295), (1, 578), (2, 644)]:
+        top = _top_member(step, order, order)
+        assert _fold_bound_bits(step, order, 0, top) == _total_bound_bits(step, order)
+    for order in (500, 3000):
+        assert _fold_bound_bits(1, order, 1, 2) == math.comb(order - 1 + 6, 6).bit_length()
 
 
 @pytest.mark.parametrize(
@@ -414,7 +495,7 @@ def test_members_only_builds_equal_the_reference_fold_at_the_full_width(
     fam = build(K, order, lowest)
     bound = _bound_bits(step, order)
     wide = _slot_bits(bound)
-    assert _slot_bits(_fold_bound_bits(step, order, lowest)) < wide
+    assert _slot_bits(_fold_bound_bits(step, order, lowest, _top_member(step, K, order))) < wide
     rows = oracles.reference_fold(step, lowest, K, order, wide)
     mask = (1 << wide) - 1
     for k in range(lowest, K + 1):
@@ -493,7 +574,7 @@ def test_a_doctored_series_raises(build, gf_name, K, order, lowest, scale, monke
     ids=["A-full", "C-full", "A-near-full", "C-near-full"],
 )
 def test_full_and_near_full_builds_read_no_series(build, K, order, lowest, monkeypatch):
-    # where 3D >= 2*order the fold bound is the smaller one, so no series
+    # where 3D >= 2*order the family total is the smaller one, so no series
     # may be inverted for the width
     import macmahon.families as families_module
 
@@ -784,42 +865,56 @@ def test_members_reject_a_slot_too_narrow(slot_bits, message, monkeypatch):
 
     order = 60
     monkeypatch.setattr(families_module, "_slot_bits", lambda order: slot_bits)
-    monkeypatch.setattr(families_module, "_bound_bits", lambda step, order: 8)
+    monkeypatch.setattr(
+        families_module, "_fold_bound_bits", lambda step, order, lowest, top, reach_sums: 8
+    )
     with pytest.raises(ArithmeticError, match=message):
         members("A", [3], order)
     monkeypatch.undo()
     assert list(members("A", [3], order)[0].coeffs) == oracles.theta_family_A(3, order)[3]
 
 
-@pytest.mark.parametrize("tag,order", [("A", 5355), ("C", 10608)])
-def test_members_check_each_member_against_its_own_bound(tag, order, monkeypatch):
-    # member k is checked against the dense series' sum through q^(order -
-    # lowval(k)) wherever that is below the fold bound: near the top member
-    # tens of bits instead of hundreds
+def spy_on_unpack(monkeypatch) -> list[tuple[int, int]]:
+    # the (floor, bound) of every row unpacked from here on
     import macmahon.families as families_module
 
-    step = 1 if tag == "A" else 2
-    dense = p3_series(order) if tag == "A" else overpartition_series(order)
-    sums = list(itertools.accumulate(dense.coeffs))
     checked = []
+    unpack = families_module._unpack_packed_row
 
     def spy(row, lowval, order, slot_bits, bound_bits):
         checked.append((lowval, bound_bits))
         return unpack(row, lowval, order, slot_bits, bound_bits)
 
-    unpack = families_module._unpack_packed_row
     monkeypatch.setattr(families_module, "_unpack_packed_row", spy)
+    return checked
+
+
+@pytest.mark.parametrize("tag,order", [("A", 5355), ("C", 10608)])
+def test_members_check_each_member_against_its_own_bound(tag, order, monkeypatch):
+    # member k is checked against the bound of a fold of members k..k, the
+    # smallest of the family total, the dense series' sum through q^(order -
+    # lowval(k)) and C(order - lowval(k) + 3k, 3k): one bit for member 0,
+    # the binomial's tens of bits for member 1, and the prefix sum's near
+    # the top member, where the total needs hundreds
+    step = 1 if tag == "A" else 2
+    dense = p3_series(order) if tag == "A" else overpartition_series(order)
+    sums = list(itertools.accumulate(dense.coeffs))
+    checked = spy_on_unpack(monkeypatch)
     ks = [0, 1, 100, _top_member(step, order, order)]
     members(tag, ks, order)
-    fold = _bound_bits(step, order)
-    want = [(_lowval(k, step), min(fold, sums[order - _lowval(k, step)].bit_length())) for k in ks]
+    total = _total_bound_bits(step, order)
+    reach = {k: order - _lowval(k, step) for k in ks}
+    binomial = {k: math.comb(reach[k] + 3 * k, 3 * k).bit_length() for k in ks}
+    prefix = {k: sums[reach[k]].bit_length() for k in ks}
+    want = [(_lowval(k, step), min(total, binomial[k], prefix[k])) for k in ks]
     assert checked == want
-    assert [bound for _, bound in checked[:2]] == [fold, fold]
-    assert checked[-1][1] < fold // 3
+    assert checked[0][1] == 1
+    assert checked[1][1] == binomial[1] < min(total, prefix[1]) // 4
+    assert checked[-1][1] == prefix[ks[-1]] < total // 3
 
 
 @pytest.mark.parametrize("tag", ["A", "C"])
-def test_members_at_the_order_limit(tag):
+def test_members_at_the_order_limit(tag, order_limit_stores, monkeypatch):
     """The theta route at MAX_ORDER, where `compute` and `table` may still
     ask for any member, against two oracles that do not use its closed
     form.  The low members go against MacMahon's divisor sums:
@@ -830,14 +925,18 @@ def test_members_at_the_order_limit(tag):
     the last from q^s/(1-q^s)^2 = sum_j j q^(sj).  The top four members (A_196
     to A_199, C_138 to C_141) go against the members-only fold.  The middle
     band (A_3 to A_195, C_2 to C_137) stays unchecked above order 800, where
-    test_members_equal_the_fold stops: the fold would take minutes there."""
+    test_members_equal_the_fold stops: the fold would take minutes there.
+    Member 1 is checked against the binomial C(order + 2, 3), 41 bits,
+    where the family total would allow hundreds."""
     order = MAX_ORDER
     if tag == "A":
         low, top, fold = [1, 2], 199, compute_A_family_uncached(199, order, 196)
     else:
         low, top, fold = [1], 141, compute_C_family_uncached(141, order, 138)
+    checked = spy_on_unpack(monkeypatch)
     got = members(tag, low + list(range(top - 3, top + 1)), order)
     assert got[len(low):] == fold.members
+    assert checked[0] == (1, 41) == (1, math.comb(order + 2, 3).bit_length())
     if tag == "A":
         s1 = oracles.divisor_power_sums(order, 1)
         s3 = oracles.divisor_power_sums(order, 3)
