@@ -10,7 +10,6 @@ JSON number can hold exactly almost immediately.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
@@ -20,6 +19,7 @@ from collections.abc import Container
 # bound here, next to the generating functions and verifiers, because
 # perfbench/tracer.py wraps each layer at its name in this module
 from .families import (
+    _lowval,
     compute_A_family,
     compute_A_family_uncached,
     compute_C_family,
@@ -42,7 +42,7 @@ from .partitions import (
     p3_series,
     theta_square,
 )
-from .series import TruncatedSeries, _Record, _setfield, format_series
+from .series import TruncatedSeries, format_series
 
 COMPUTE_TARGETS = ("a", "c", "p3", "overp", "theta-cube", "theta-square")
 # verify target -> the name of its verifier here, looked up at call time, and
@@ -63,40 +63,6 @@ FORMATS = ("text", "json", "csv")
 
 class UsageError(Exception):
     pass
-
-
-class RunConfig(_Record):
-    """One command and its options; the parser names each option after its
-    field, and an unknown field raises TypeError."""
-
-    __slots__ = (
-        "command", "target", "k", "j", "K", "N",
-        "format", "output_path", "bench_family_sizes", "repeat",
-    )
-
-    def __init__(
-        self,
-        command: str,
-        target: str | None = None,
-        k: int | None = None,
-        j: int | None = None,
-        K: int | None = None,
-        N: int | None = None,
-        format: str = "text",
-        output_path: str | None = None,
-        bench_family_sizes: tuple[int, ...] | None = None,
-        repeat: int | None = None,
-    ) -> None:
-        _setfield(self, "command", command)
-        _setfield(self, "target", target)
-        _setfield(self, "k", k)
-        _setfield(self, "j", j)
-        _setfield(self, "K", K)
-        _setfield(self, "N", N)
-        _setfield(self, "format", format)
-        _setfield(self, "output_path", output_path)
-        _setfield(self, "bench_family_sizes", bench_family_sizes)
-        _setfield(self, "repeat", repeat)
 
 
 # The highest truncation order any command builds: above the order 10608 of
@@ -136,13 +102,11 @@ def _need(value: int | None, name: str, minimum: int = 0) -> int:
     return value
 
 
-def _check_options(config: RunConfig, taken: Container[str]) -> None:
-    # a field the call does not read is refused rather than ignored
-    owner = f"target {config.target}" if "target" in taken else config.command
-    for field in ("target", "k", "j", "K", "N", "bench_family_sizes", "repeat"):
-        if field not in taken and getattr(config, field) is not None:
-            flag = "sizes" if field == "bench_family_sizes" else field
-            raise UsageError(f"--{flag} is not an option of {owner}")
+def _check_options(args: argparse.Namespace, taken: Container[str]) -> None:
+    # an option the target does not take is refused rather than ignored
+    for option in ("k", "j", "K", "N"):
+        if option not in taken and getattr(args, option, None) is not None:
+            raise UsageError(f"--{option} is not an option of target {args.target}")
 
 
 def _dump_json(obj) -> str:
@@ -166,14 +130,12 @@ def _emit(text: str, path: str | None) -> None:
 # -- compute -------------------------------------------------------------------
 
 
-def _compute_series(config: RunConfig) -> TruncatedSeries:
-    target = config.target
-    if target not in COMPUTE_TARGETS:
-        raise UsageError(f"unknown compute target {target!r}")
-    _check_options(config, ("target", "K", "N") if target in ("a", "c") else ("target", "N"))
-    order = _check_order(_need(config.N, "N"))
+def _compute_series(args: argparse.Namespace) -> TruncatedSeries:
+    target = args.target
+    _check_options(args, ("K", "N") if target in ("a", "c") else ("N",))
+    order = _check_order(_need(args.N, "N"))
     if target in ("a", "c"):
-        return members(target.upper(), (_need(config.K, "K"),), order)[0]
+        return members(target.upper(), (_need(args.K, "K"),), order)[0]
     if target == "p3":
         return p3_series(order)
     if target == "overp":
@@ -196,16 +158,20 @@ def _series_output(series: TruncatedSeries, fmt: str) -> str:
 # -- verify --------------------------------------------------------------------
 
 
-def _run_verifier(config: RunConfig) -> VerificationReport:
-    if config.target not in _VERIFIERS:
-        raise UsageError(f"unknown verify target {config.target!r}")
-    name, *options = _VERIFIERS[config.target]
-    _check_options(config, ("target", *options))
-    minimum = 1 if config.target == "divisor" else 0  # divisor sums start at n = 1
-    args = [_need(getattr(config, option), option, minimum) for option in options]
+def _run_verifier(args: argparse.Namespace) -> VerificationReport:
+    target = args.target
+    name, *options = _VERIFIERS[target]
+    _check_options(args, options)
+    minimum = 1 if target == "divisor" else 0  # divisor sums start at n = 1
+    values = []
+    for option in options:
+        if target.startswith("limit") and option == "N":
+            # the limit window starts at the valuation of member k
+            minimum = _lowval(values[0], 1 if target == "limit-a" else 2)
+        values.append(_need(getattr(args, option), option, minimum))
     # the highest order the verifier builds, checked before it allocates anything
-    _check_order(family_order(config.target, config.k, config.j, config.N))
-    return globals()[name](*args)
+    _check_order(family_order(target, args.k, args.j, args.N))
+    return globals()[name](*values)
 
 
 def _report_output(report: VerificationReport, fmt: str) -> str:
@@ -246,26 +212,23 @@ def _report_output(report: VerificationReport, fmt: str) -> str:
 # -- table ---------------------------------------------------------------------
 
 
-def _table_values(config: RunConfig) -> list[list[int]]:
-    if config.target not in TABLE_TARGETS:
-        raise UsageError(f"unknown table target {config.target!r}")
-    _check_options(config, ("target", "K", "N"))
-    cap = _need(config.K, "K")
-    order = _check_order(_need(config.N, "N"))
+def _table_values(args: argparse.Namespace) -> list[list[int]]:
+    cap = _need(args.K, "K")
+    order = _check_order(_need(args.N, "N"))
     _check_cells(cap, order)
-    return [list(m.coeffs) for m in members(config.target.upper(), range(cap + 1), order)]
+    return [list(m.coeffs) for m in members(args.target.upper(), range(cap + 1), order)]
 
 
-def _table_output(values: list[list[int]], config: RunConfig) -> str:
-    if config.format == "json":
+def _table_output(values: list[list[int]], args: argparse.Namespace) -> str:
+    if args.format == "json":
         obj = {
-            "family": config.target,
-            "K": config.K,
-            "N": config.N,
+            "family": args.target,
+            "K": args.K,
+            "N": args.N,
             "values": [[str(v) for v in row] for row in values],
         }
         return _dump_json(obj)
-    if config.format == "csv":
+    if args.format == "csv":
         lines = ["k,n,value"]
         for k, row in enumerate(values):
             lines += [f"{k},{n},{v}" for n, v in enumerate(row)]
@@ -296,21 +259,15 @@ def _best_of(repeats: int, fn) -> float:
     return best
 
 
-def _run_bench(config: RunConfig) -> list[dict]:
-    _check_options(config, ("K", "bench_family_sizes", "repeat"))
+def _run_bench(args: argparse.Namespace) -> list[dict]:
     rows: list[dict] = []
-    cap = 12 if config.K is None else config.K
-    sizes = (100, 200, 400) if config.bench_family_sizes is None else config.bench_family_sizes
-    repeat = 3 if config.repeat is None else config.repeat
-    if cap < 0:
-        raise UsageError(f"--K must be >= 0, got {cap}")
-    if repeat < 1:
-        raise UsageError(f"--repeat must be >= 1, got {repeat}")
-    for n in sizes:
+    cap = _need(args.K, "K")
+    repeat = _need(args.repeat, "repeat", 1)
+    for n in args.bench_family_sizes:
         _check_order(n)
         _check_cells(cap, n)
     compute_A_family_uncached(min(cap, 4), 16)  # warm up allocators
-    for n in sizes:
+    for n in args.bench_family_sizes:
         dt = _best_of(repeat, lambda: compute_A_family_uncached(cap, n))
         rows.append({"op": "family", "K": cap, "N": n, "elapsed_s": dt})
     return rows
@@ -333,30 +290,6 @@ def _bench_output(rows: list[dict], fmt: str) -> str:
 # -- driver ----------------------------------------------------------------------
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit status."""
-    try:
-        if config.format not in FORMATS:
-            raise UsageError(f"unknown format {config.format!r}")
-        if config.command == "compute":
-            _emit(_series_output(_compute_series(config), config.format), config.output_path)
-            return 0
-        if config.command == "verify":
-            report = _run_verifier(config)
-            _emit(_report_output(report, config.format), config.output_path)
-            return 0 if report.passed else 1
-        if config.command == "table":
-            _emit(_table_output(_table_values(config), config), config.output_path)
-            return 0
-        if config.command == "bench":
-            _emit(_bench_output(_run_bench(config), config.format), config.output_path)
-            return 0
-        raise UsageError(f"unknown command {config.command!r}")
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
 def _parse_sizes(text: str) -> tuple[int, ...]:
     try:
         sizes = tuple(int(part) for part in text.split(","))
@@ -373,44 +306,55 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact q-series engine for the MacMahon partition families",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # an option left out is left out of the namespace too, so every default
-    # comes from RunConfig (and the bench cap, sizes and repeat from _run_bench)
-    sub_parser = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p_compute = sub_parser("compute", help="emit a series")
+    p_compute = sub.add_parser("compute", help="emit a series")
     p_compute.add_argument("--target", required=True, choices=COMPUTE_TARGETS)
     p_compute.add_argument("--K", type=int, help="family member index (targets a, c)")
     p_compute.add_argument("--N", type=int, required=True, help="truncation order")
 
-    p_verify = sub_parser("verify", help="verify one identity")
+    p_verify = sub.add_parser("verify", help="verify one identity")
     p_verify.add_argument("--target", required=True, choices=VERIFY_TARGETS)
     p_verify.add_argument("--k", type=int)
     p_verify.add_argument("--j", type=int)
     p_verify.add_argument("--N", type=int)
 
-    p_table = sub_parser("table", help="emit a partition-count grid")
+    p_table = sub.add_parser("table", help="emit a partition-count grid")
     p_table.add_argument("--target", required=True, choices=TABLE_TARGETS)
     p_table.add_argument("--K", type=int, required=True)
     p_table.add_argument("--N", type=int, required=True)
 
-    p_bench = sub_parser("bench", help="time family computation")
-    p_bench.add_argument("--K", type=int)
-    p_bench.add_argument("--sizes", dest="bench_family_sizes", type=_parse_sizes)
-    p_bench.add_argument("--repeat", type=int, help="best-of repetitions per row")
+    p_bench = sub.add_parser("bench", help="time family computation")
+    p_bench.add_argument("--K", type=int, default=12)
+    p_bench.add_argument(
+        "--sizes", dest="bench_family_sizes", type=_parse_sizes, default=(100, 200, 400)
+    )
+    p_bench.add_argument("--repeat", type=int, default=3, help="best-of repetitions per row")
 
     for p in (p_compute, p_verify, p_table, p_bench):
-        p.add_argument("--format", choices=FORMATS)
+        p.add_argument("--format", choices=FORMATS, default="text")
         p.add_argument("--output", dest="output_path")
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    # the parser names each option after its RunConfig field
-    return RunConfig(**vars(args))
-
-
 def main(argv: list[str] | None = None) -> int:
-    return run(config_from_args(build_parser().parse_args(argv)))
+    """Run one command line; returns the process exit status."""
+    args = build_parser().parse_args(argv)
+    try:
+        if args.command == "verify":
+            report = _run_verifier(args)
+            _emit(_report_output(report, args.format), args.output_path)
+            return 0 if report.passed else 1
+        if args.command == "compute":
+            text = _series_output(_compute_series(args), args.format)
+        elif args.command == "table":
+            text = _table_output(_table_values(args), args)
+        else:
+            text = _bench_output(_run_bench(args), args.format)
+        _emit(text, args.output_path)
+        return 0
+    except (UsageError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ the literal nested sum `families.a_k_directsum` and the test suite.
 All values are immutable and all operations are pure, so everything here is
 safe to share across threads.  `_Record`, the base of TruncatedSeries, is
 also the base of the package's other records (the family, the verification
-report and its mismatch, the brute-force result and the CLI's RunConfig).
+report and its mismatch, and the brute-force result).
 """
 
 from __future__ import annotations

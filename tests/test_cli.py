@@ -1,5 +1,5 @@
-"""CLI behavior: output formats, exit statuses, JSON round-trips, the fields
-each command reads, and the family bench ladder."""
+"""CLI behavior: output formats, exit statuses, JSON round-trips, the options
+each command takes, and the family bench ladder."""
 
 import json
 import os
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import macmahon.cli as cli
-from macmahon.cli import RunConfig, main, run
+from macmahon.cli import main
 from macmahon.families import compute_A_family_uncached, compute_C_family_uncached
 from macmahon.identities import Mismatch, VerificationReport
 from macmahon.partitions import mk_bruteforce, mk_odd_bruteforce
@@ -407,92 +407,104 @@ def test_output_into_a_missing_directory_exits_two(argv, tmp_path, capsys):
     assert not path.parent.exists()
 
 
-def test_run_rejects_unknown_command(capsys):
-    assert run(RunConfig(command="fly")) == 2
+def _refuse_to_build(monkeypatch):
+    # every name a command builds through, each recording the call it refuses
+    built = []
+
+    def refuse(name):
+        def build(*args):
+            built.append(name)
+            raise AssertionError(f"{name} built for a refused call")
+
+        return build
+
+    names = ["members", "compute_A_family_uncached", "p3_series", "overpartition_series",
+             "jacobi_cube", "theta_square"] + [v[0] for v in cli._VERIFIERS.values()]
+    for name in names:
+        monkeypatch.setattr(cli, name, refuse(name))
+    return built
 
 
-def test_run_config_defaults():
-    cfg = RunConfig(command="bench")
-    assert (cfg.format, cfg.output_path, cfg.bench_family_sizes, cfg.repeat) == (
-        "text", None, None, None
-    )
-    assert (cfg.target, cfg.k, cfg.j, cfg.K, cfg.N) == (None,) * 5
-
-
-# (a call run accepts, a field it does not read, the flag that sets the field,
-# and the owner the refusal names); bench's fields are set only through run
-BASE_CALLS = {
-    "compute": dict(command="compute", target="p3", N=3),
-    "verify": dict(command="verify", target="divisor", N=3),
-    "table": dict(command="table", target="a", K=1, N=3),
-    "bench": dict(command="bench", K=1, bench_family_sizes=(10,), repeat=1),
-}
-UNREAD = [
-    ("table", dict(k=5), "k", "target a"),
-    ("table", dict(j=5), "j", "target a"),
-    ("table", dict(bench_family_sizes=(10,)), "sizes", "target a"),
-    ("table", dict(repeat=1), "repeat", "target a"),
-    ("compute", dict(bench_family_sizes=(10,)), "sizes", "target p3"),
-    ("compute", dict(repeat=1), "repeat", "target p3"),
-    ("verify", dict(bench_family_sizes=(10,)), "sizes", "target divisor"),
-    ("verify", dict(repeat=1), "repeat", "target divisor"),
-    ("bench", dict(target="c"), "target", "bench"),
-    ("bench", dict(k=5), "k", "bench"),
-    ("bench", dict(j=5), "j", "bench"),
-    ("bench", dict(N=5), "N", "bench"),
+TABLE = ["table", "--target", "a", "--K", "1", "--N", "3"]
+# (id, a refused command line, its stderr): the parser refuses an option the
+# command does not have, an unknown format, a missing target and an unknown
+# command, and its message only contains the part given here; main refuses a
+# limit window below the valuation of member k with exactly the message given
+REFUSED = [
+    ("table --k", TABLE + ["--k", "5"], "unrecognized arguments: --k 5"),
+    ("table --j", TABLE + ["--j", "5"], "unrecognized arguments: --j 5"),
+    ("table --sizes", TABLE + ["--sizes", "10"], "unrecognized arguments: --sizes 10"),
+    ("table --repeat", TABLE + ["--repeat", "1"], "unrecognized arguments: --repeat 1"),
+    ("compute --sizes", ["compute", "--target", "p3", "--N", "3", "--sizes", "10"],
+     "unrecognized arguments: --sizes 10"),
+    ("compute --repeat", ["compute", "--target", "p3", "--N", "3", "--repeat", "1"],
+     "unrecognized arguments: --repeat 1"),
+    ("verify --sizes", ["verify", "--target", "divisor", "--N", "3", "--sizes", "10"],
+     "unrecognized arguments: --sizes 10"),
+    ("verify --repeat", ["verify", "--target", "divisor", "--N", "3", "--repeat", "1"],
+     "unrecognized arguments: --repeat 1"),
+    ("bench --target", ["bench", "--target", "c"], "unrecognized arguments: --target c"),
+    ("bench --k", ["bench", "--k", "5"], "unrecognized arguments: --k 5"),
+    ("bench --j", ["bench", "--j", "5"], "unrecognized arguments: --j 5"),
+    ("bench --N", ["bench", "--N", "5"], "unrecognized arguments: --N 5"),
+    ("compute --format xml", ["compute", "--target", "p3", "--N", "3", "--format", "xml"],
+     "invalid choice: 'xml'"),
+    ("verify --format xml", ["verify", "--target", "divisor", "--N", "3", "--format", "xml"],
+     "invalid choice: 'xml'"),
+    ("table --format xml", TABLE + ["--format", "xml"], "invalid choice: 'xml'"),
+    ("bench --format xml", ["bench", "--format", "xml"], "invalid choice: 'xml'"),
+    ("compute no --target", ["compute", "--N", "3"],
+     "the following arguments are required: --target"),
+    ("verify no --target", ["verify", "--N", "3"],
+     "the following arguments are required: --target"),
+    ("fly", ["fly"], "invalid choice: 'fly'"),
+    ("limit-a below the floor", ["verify", "--target", "limit-a", "--k", "3", "--N", "5"],
+     "error: --N must be >= 6, got 5\n"),
+    ("limit-c below the floor", ["verify", "--target", "limit-c", "--k", "3", "--N", "8"],
+     "error: --N must be >= 9, got 8\n"),
 ]
 
 
-def _refuse_to_build(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("built for a refused call")
-
-    for name in ("members", "compute_A_family_uncached", "p3_series", "verify_divisor_identities"):
-        monkeypatch.setattr(cli, name, refuse)
-
-
-@pytest.mark.parametrize(
-    "command,extra,flag,owner", UNREAD, ids=[f"{u[0]} {u[2]}" for u in UNREAD]
-)
-def test_run_refuses_a_field_the_command_does_not_read(
-    command, extra, flag, owner, monkeypatch, capsys
-):
-    assert run(RunConfig(**BASE_CALLS[command])) == 0
-    capsys.readouterr()
-    _refuse_to_build(monkeypatch)
-    assert run(RunConfig(**BASE_CALLS[command], **extra)) == 2
-    assert capsys.readouterr() == ("", f"error: --{flag} is not an option of {owner}\n")
-
-
-@pytest.mark.parametrize("command", list(BASE_CALLS))
-def test_run_refuses_an_unknown_format(command, monkeypatch, capsys):
-    # the parser's choices guard the command line; run guards library callers
-    _refuse_to_build(monkeypatch)
-    assert run(RunConfig(**BASE_CALLS[command], format="xml")) == 2
-    assert capsys.readouterr() == ("", "error: unknown format 'xml'\n")
+@pytest.mark.parametrize("argv,err", [r[1:] for r in REFUSED], ids=[r[0] for r in REFUSED])
+def test_refused_command_line_exits_two_before_any_build(argv, err, monkeypatch, capsys):
+    built = _refuse_to_build(monkeypatch)
+    if err.startswith("error: "):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", err)
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, got = capsys.readouterr()
+        assert out == "" and err in got
+    assert built == []
 
 
 def test_table_without_a_target_exits_two(monkeypatch, capsys):
-    _refuse_to_build(monkeypatch)
-    assert run(RunConfig(command="table", K=1, N=3)) == 2
-    assert capsys.readouterr() == ("", "error: unknown table target None\n")
+    built = _refuse_to_build(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--K", "1", "--N", "3"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --target" in capsys.readouterr().err
+    assert built == []
 
 
 @pytest.mark.parametrize(
-    "argv,fields",
+    "argv,namespace",
     [
-        (["compute", "--target", "p3", "--N", "5"], dict(target="p3", N=5)),
-        (["verify", "--target", "cor-a", "--k", "2", "--j", "1"], dict(target="cor-a", k=2, j=1)),
+        (["compute", "--target", "p3", "--N", "5"], dict(target="p3", K=None, N=5)),
+        (["verify", "--target", "cor-a", "--k", "2", "--j", "1"],
+         dict(target="cor-a", k=2, j=1, N=None)),
         (["table", "--target", "c", "--K", "3", "--N", "4"], dict(target="c", K=3, N=4)),
-        (["bench"], {}),
+        (["bench"], dict(K=12, bench_family_sizes=(100, 200, 400), repeat=3)),
     ],
     ids=["compute", "verify", "table", "bench"],
 )
-def test_parsed_defaults_are_the_run_config_defaults(argv, fields):
-    # every default is written once, in RunConfig; the bench cap stays unset
-    # here and is chosen by the bench itself
-    config = cli.config_from_args(cli.build_parser().parse_args(argv))
-    assert config == RunConfig(command=argv[0], **fields)
+def test_parsed_defaults(argv, namespace):
+    # the parser holds every default; an option a target does not take
+    # stays None, so main can refuse it when it is given
+    args = cli.build_parser().parse_args(argv)
+    assert vars(args) == dict(command=argv[0], format="text", output_path=None, **namespace)
 
 
 # -- the entry point as a process ----------------------------------------------------

@@ -515,11 +515,13 @@ def test_members_only_builds_equal_the_reference_fold_at_the_full_width(
 )
 def test_folds_satisfy_the_differential_recursion(tag, build, step):
     # anchored on the divisor sieves, the recursion fixes every member from
-    # member 1 up: relations 1..12 of a full fold, and relations 33..35 of
-    # the members-only build the corollary verifier makes at (32, 3)
+    # member 1 up: relations 1..12 of a full fold and of the theta route, and
+    # relations 33..35 of the members-only build the corollary verifier
+    # makes at (32, 3)
     full = build(12, 300)
-    rows = {k: list(full.member(k).coeffs) for k in range(13)}
-    assert oracles.differential_recursion_failures(step, rows, 300) == []
+    for route in (full.members, members(tag, range(13), 300)):
+        rows = {k: list(m.coeffs) for k, m in enumerate(route)}
+        assert oracles.differential_recursion_failures(step, rows, 300) == []
     order = family_order(f"cor-{tag.lower()}", 32, 3, None)
     deep = build(35, order, 32)
     rows = {k: list(deep.member(k).coeffs) for k in range(32, 36)}
@@ -528,10 +530,11 @@ def test_folds_satisfy_the_differential_recursion(tag, build, step):
 
 
 def test_the_differential_recursion_catches_one_coefficient_off_by_one():
-    fam = compute_A_family_uncached(12, 300)
-    rows = {k: list(fam.member(k).coeffs) for k in range(13)}
-    rows[5][_lowval(5, 1) + 40] += 1
-    assert oracles.differential_recursion_failures(1, rows, 300) == [5, 6]
+    # on the fold and on the theta route
+    for route in (compute_A_family_uncached(12, 300).members, members("A", range(13), 300)):
+        rows = {k: list(m.coeffs) for k, m in enumerate(route)}
+        rows[5][_lowval(5, 1) + 40] += 1
+        assert oracles.differential_recursion_failures(1, rows, 300) == [5, 6]
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 import macmahon
-from macmahon.cli import RunConfig
 from macmahon.families import MacmahonFamily
 from macmahon.identities import Mismatch, VerificationReport
 from macmahon.partitions import PartitionOracleResult
@@ -96,13 +95,6 @@ RECORDS = [
         dict(k=2, n=5, value=9, odd_parts_only=False),
         "PartitionOracleResult(k=2, n=5, value=9, odd_parts_only=False)",
     ),
-    (
-        RunConfig,
-        ("verify", "divisor", None, None, None, 40, "text", None, None, None),
-        dict(command="verify", target="divisor", N=40),
-        "RunConfig(command='verify', target='divisor', k=None, j=None, K=None, N=40, "
-        "format='text', output_path=None, bench_family_sizes=None, repeat=None)",
-    ),
 ]
 
 
@@ -128,11 +120,6 @@ def test_records_are_immutable_values(cls, fields, keywords, text):
         assert type(back) is cls and back == record and hash(back) == hash(record), protocol
     for clone in (copy.copy(record), copy.deepcopy(record)):
         assert type(clone) is cls and clone == record
-
-
-def test_run_config_refuses_an_unknown_field():
-    with pytest.raises(TypeError):
-        RunConfig(command="verify", nonsense=1)
 
 
 # -- start-up cost -------------------------------------------------------------------
