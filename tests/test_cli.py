@@ -500,11 +500,23 @@ def test_table_without_a_target_exits_two(monkeypatch, capsys):
     ],
     ids=["compute", "verify", "table", "bench"],
 )
-def test_parsed_defaults(argv, namespace):
-    # the parser holds every default; an option a target does not take
-    # stays None, so main can refuse it when it is given
+def test_parsed_defaults_are_the_run_config_defaults(argv, namespace):
+    # the parsed Namespace is the run's configuration and the parser holds
+    # every default; an option a target does not take stays None, so main
+    # can refuse it when it is given
     args = cli.build_parser().parse_args(argv)
     assert vars(args) == dict(command=argv[0], format="text", output_path=None, **namespace)
+
+
+def test_run_config_defaults():
+    # a bare bench writes text to stdout and runs the documented ladder;
+    # the options of a single target are not bench's to take
+    args = cli.build_parser().parse_args(["bench"])
+    assert (args.format, args.output_path, args.bench_family_sizes, args.repeat) == (
+        "text", None, (100, 200, 400), 3
+    )
+    assert args.K == 12
+    assert not any(hasattr(args, name) for name in ("target", "k", "j", "N"))
 
 
 # -- the entry point as a process ----------------------------------------------------
