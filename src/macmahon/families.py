@@ -28,8 +28,8 @@ reach row lowest, since the distinct factors it still needs sum to at least
 a known minimum.  This is what makes the deep corollary windows (k = 100 at
 truncation orders 5355 and 10608) cost a fraction of a second.
 
-`compute_A_family` and `compute_C_family` answer from a covering store: a
-request is cut out of any kept family that reaches as low, as far and as
+`compute_A_family` and `compute_C_family` are covering stores (series.py):
+a request is cut out of any kept family that reaches as low, as far and as
 high, since a prefix of a truncated series is exact and member k depends
 neither on the cap nor on the lowest member asked for.  A miss builds
 exactly the request.  The `_uncached` functions always build.
@@ -94,11 +94,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
-from collections import namedtuple
 
 from .partitions import overpartition_series, p3_series
-from .series import TruncatedSeries, _Record, _setfield, geometric_square
+from .series import TruncatedSeries, _CoveringStore, _Record, _setfield, geometric_square
 
 try:
     from gmpy2 import mpz as _bigint
@@ -124,7 +122,8 @@ class MacmahonFamily(_Record):
             raise ValueError("lowest member must lie in 0..degree_cap")
         if len(members) != degree_cap - lowest + 1:
             raise ValueError("need exactly degree_cap-lowest+1 members")
-        if lowest == 0 and (members[0].coeffs[0] != 1 or members[0].valuation() != 0):
+        first = members[0].coeffs
+        if lowest == 0 and (first[0] != 1 or first.count(0) != len(first) - 1):
             raise ValueError("member 0 must be the constant series 1")
         _setfield(self, "family", family)
         _setfield(self, "members", members)
@@ -317,7 +316,9 @@ def _unpack_packed_row(
     return tuple(coeffs)
 
 
-def _check_request(K: int, order: int, lowest: int) -> None:
+def _request_key(step: int, K: int, order: int, lowest: int = 0) -> tuple:
+    # refuses a bad request, and keys a good one by (order, lowest, top
+    # member, K) for the family stores
     if isinstance(K, bool) or isinstance(order, bool) or isinstance(lowest, bool):
         raise TypeError("family cap, truncation order and lowest member must be ints, not bool")
     if K < 0:
@@ -326,6 +327,7 @@ def _check_request(K: int, order: int, lowest: int) -> None:
         raise ValueError("truncation order must be non-negative")
     if not 0 <= lowest <= K:
         raise ValueError("lowest member must lie in 0..K")
+    return order, lowest, _top_member(step, K, order), K
 
 
 def _top_member(step: int, K: int, order: int) -> int:
@@ -339,8 +341,7 @@ def _top_member(step: int, K: int, order: int) -> int:
 
 
 def _compute_family(tag: str, step: int, K: int, order: int, lowest: int) -> MacmahonFamily:
-    _check_request(K, order, lowest)
-    k_eff = _top_member(step, K, order)
+    k_eff = _request_key(step, K, order, lowest)[2]
     built = []
     if lowest <= k_eff:
         bound = _fold_bound_bits(step, order, lowest, k_eff)
@@ -368,96 +369,34 @@ def compute_C_family_uncached(K: int, order: int, lowest: int = 0) -> MacmahonFa
     return _compute_family("C", 2, K, order, lowest)
 
 
-CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
-
-# the most families one store keeps; the least recently used goes first
-_KEPT_FAMILIES = 12
-
-
-def _covers(fam: MacmahonFamily, order: int, lowest: int, top: int) -> bool:
-    # fam holds every member lowest..top that can be nonzero at the order,
-    # each at least that far
-    return fam.lowest <= lowest and fam.truncation_order >= order and fam.degree_cap >= top
+def _covers_request(kept: tuple, key: tuple) -> bool:
+    # the kept family holds every member lowest..top that can be nonzero at
+    # the order, each at least that far
+    return kept[0] >= key[0] and kept[1] <= key[1] and kept[2] >= key[2]
 
 
-class _CoveringStore:
-    """Families built so far for one of A and C.  A request is served from
-    any kept family that covers it, truncated to exactly the requested K,
-    order and lowest; this is exact because a prefix of a truncated series is
-    exact and member k does not depend on the cap or on which members below
-    it were asked for.  A miss builds exactly the request, never wider, and
-    then drops the kept families the new one covers.
-
-    Arguments are checked before any lookup, so a bool or a negative value
-    raises whatever is kept.  Results are immutable and the bookkeeping is
-    under a lock, so one store is safe to share across threads."""
-
-    def __init__(self, build, step: int) -> None:
-        functools.update_wrapper(self, build)
-        self._build = build
-        self._step = step
-        self._kept: list[MacmahonFamily] = []  # least recently used first
-        self._hits = self._misses = 0
-        self._lock = threading.Lock()
-
-    def __call__(self, K: int, order: int, lowest: int = 0) -> MacmahonFamily:
-        _check_request(K, order, lowest)
-        top = _top_member(self._step, K, order)
-        fam = self._lookup(order, lowest, top)
-        if fam is None:
-            fam = self._build(K, order, lowest)
-            self._keep(fam)
-            return fam
-        if (fam.degree_cap, fam.truncation_order, fam.lowest) == (K, order, lowest):
-            return fam
-        cut = tuple(
-            fam.member(k).truncate(order) if k <= top else TruncatedSeries.zero(order)
-            for k in range(lowest, K + 1)
-        )
-        return MacmahonFamily(fam.family, cut, order, K, lowest)
-
-    def _lookup(self, order: int, lowest: int, top: int) -> MacmahonFamily | None:
-        with self._lock:
-            for i in range(len(self._kept) - 1, -1, -1):
-                if _covers(self._kept[i], order, lowest, top):
-                    self._hits += 1
-                    self._kept.append(self._kept.pop(i))
-                    return self._kept[-1]
-            self._misses += 1
-            return None
-
-    def _keep(self, fam: MacmahonFamily) -> None:
-        with self._lock:
-            self._kept = [
-                kept
-                for kept in self._kept
-                if not _covers(
-                    fam,
-                    kept.truncation_order,
-                    kept.lowest,
-                    _top_member(self._step, kept.degree_cap, kept.truncation_order),
-                )
-            ]
-            self._kept.append(fam)
-            del self._kept[:-_KEPT_FAMILIES]
-
-    def cache_info(self) -> CacheInfo:
-        """Hits (covered requests), misses (builds), the bound and the number
-        of families kept."""
-        with self._lock:
-            return CacheInfo(self._hits, self._misses, _KEPT_FAMILIES, len(self._kept))
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._kept = []
-            self._hits = self._misses = 0
+def _cut_family(fam: MacmahonFamily, key: tuple) -> MacmahonFamily:
+    # exactly the requested K, order and lowest; member k does not depend on
+    # the cap or on which members below it were asked for
+    order, lowest, top, K = key
+    if (fam.truncation_order, fam.lowest, fam.degree_cap) == (order, lowest, K):
+        return fam
+    cut = tuple(
+        fam.member(k).truncate(order) if k <= top else TruncatedSeries.zero(order)
+        for k in range(lowest, K + 1)
+    )
+    return MacmahonFamily(fam.family, cut, order, K, lowest)
 
 
 # verification suites read overlapping members of one family at orders that
 # differ from call to call, so most requests are covered by an earlier build;
 # results are immutable, so sharing them is safe
-compute_A_family = _CoveringStore(compute_A_family_uncached, 1)
-compute_C_family = _CoveringStore(compute_C_family_uncached, 2)
+compute_A_family = _CoveringStore(
+    compute_A_family_uncached, functools.partial(_request_key, 1), _covers_request, _cut_family
+)
+compute_C_family = _CoveringStore(
+    compute_C_family_uncached, functools.partial(_request_key, 2), _covers_request, _cut_family
+)
 
 
 # -- the theta-quotient route ----------------------------------------------------------

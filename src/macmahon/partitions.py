@@ -2,10 +2,10 @@
 
 The two generating functions the identity verifiers target are produced by
 inverting sparse theta expansions (O(sqrt N) nonzero terms), which keeps the
-inversion recurrence cheap.  Each keeps the longest series it has inverted
-and answers shorter orders with a prefix of it, which is exact.  The test
-suite checks both theta expansions against their infinite-product forms,
-which it builds from plain coefficient lists (tests/oracles.py).
+inversion recurrence cheap.  Each is a covering store (series.py) keeping
+the longest series it has inverted, whose prefixes answer shorter orders
+exactly.  The test suite checks both theta expansions against their
+infinite-product forms, built from plain coefficient lists (tests/oracles.py).
 
 The brute-force counters at the bottom enumerate partitions directly
 (decreasing part size, then a multiplicity loop per size) and are the ground
@@ -15,8 +15,9 @@ truth the production family computation is measured against.
 from __future__ import annotations
 
 import functools
+import operator
 
-from .series import TruncatedSeries, _Record, _setfield
+from .series import TruncatedSeries, _CoveringStore, _Record, _setfield
 
 
 def jacobi_cube(order: int) -> TruncatedSeries:
@@ -42,41 +43,29 @@ def theta_square(order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(c), order)
 
 
-class _LongestPrefix:
-    """Keeps the longest series built so far and answers every order up to
-    it with a truncation, which is exact because a prefix of a truncated
-    series is exact; a longer order is built afresh and kept instead.  The
-    order is checked before the lookup, so a bool or a negative order raises
-    whatever is kept."""
-
-    def __init__(self, build) -> None:
-        functools.update_wrapper(self, build)
-        self._build = build
-        self._kept: TruncatedSeries | None = None
-
-    def __call__(self, order: int) -> TruncatedSeries:
-        if isinstance(order, bool):
-            raise TypeError("truncation order must be an int, not bool")
-        if order < 0:
-            raise ValueError("truncation order must be non-negative")
-        kept = self._kept  # one read, so another thread cannot swap it midway
-        if kept is None or kept.truncation_order < order:
-            kept = self._kept = self._build(order)
-        if kept.truncation_order == order:
-            return kept
-        return kept.truncate(order)
-
-    def cache_clear(self) -> None:
-        self._kept = None
+def _check_order(order: int) -> int:
+    # the key of a generating-function request is its order
+    if isinstance(order, bool):
+        raise TypeError("truncation order must be an int, not bool")
+    if order < 0:
+        raise ValueError("truncation order must be non-negative")
+    return order
 
 
-@_LongestPrefix
+# a kept series serves every order up to its own with a prefix; a miss is
+# longer than every kept series and drops them, so only the longest is kept
+_series_store = functools.partial(
+    _CoveringStore, check=_check_order, covers=operator.ge, cut=TruncatedSeries.truncate
+)
+
+
+@_series_store
 def p3_series(order: int) -> TruncatedSeries:
     """Generating function of the 3-colored partition counts."""
     return jacobi_cube(order).invert()
 
 
-@_LongestPrefix
+@_series_store
 def overpartition_series(order: int) -> TruncatedSeries:
     """Generating function of the overpartition counts: 1, 2, 4, 8, 14, 24, ..."""
     return theta_square(order).invert()

@@ -13,10 +13,17 @@ All values are immutable and all operations are pure, so everything here is
 safe to share across threads.  `_Record`, the base of TruncatedSeries, is
 also the base of the package's other records (the family, the verification
 report and its mismatch, and the brute-force result).
+
+`_CoveringStore` caches `p3_series`, `overpartition_series`,
+`compute_A_family` and `compute_C_family`, whose requests overlap;
+partitions.py and families.py each supply one store kind.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
+from collections import namedtuple
 from collections.abc import Iterator
 
 # Sets a field of a record, past the __setattr__ that refuses assignment.
@@ -96,7 +103,9 @@ class TruncatedSeries(_Record):
         return None
 
     def truncate(self, order: int) -> "TruncatedSeries":
-        """Restrict to a smaller (or equal) truncation order."""
+        """Restrict to a smaller truncation order, or to the same (itself)."""
+        if order == self.truncation_order:
+            return self
         if order > self.truncation_order:
             raise ValueError("cannot extend a truncated series")
         return TruncatedSeries(self.coeffs[: order + 1], order)
@@ -199,3 +208,65 @@ def geometric_square(s: int, order: int) -> TruncatedSeries:
         m += 1
     return TruncatedSeries(tuple(c), order)
 
+
+CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+
+# the most values one store keeps; the least recently used goes first
+_KEPT_VALUES = 12
+
+
+class _CoveringStore:
+    """The values `build` returned, each kept under its request's key and
+    cut to serve any request whose key it covers; the most recently used
+    goes first.  A miss builds exactly the request and drops the kept values
+    the new one covers.  A store kind supplies `check(*args)`, which refuses
+    bad arguments before any lookup and returns the key, `covers(kept_key,
+    key)` and `cut(value, key)`.  The bookkeeping is under a lock, so one
+    store is safe to share across threads."""
+
+    def __init__(self, build, check, covers, cut) -> None:
+        # the build's __dict__ is empty, and leaving this one unread keeps the
+        # attributes inline, which keeps the hit path's reads fast
+        functools.update_wrapper(self, build, updated=())
+        self._build = build
+        self._check = check
+        self._covers = covers
+        self._cut = cut
+        self._kept: list[tuple] = []  # (key, value), most recently used first
+        self._hits = self._misses = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, *args, **kwargs):
+        key = self._check(*args, **kwargs)
+        covers = self._covers
+        # acquire and release cost half what `with` does on this path
+        self._lock.acquire()
+        try:
+            kept = self._kept
+            for entry in kept:
+                if covers(entry[0], key):
+                    self._hits += 1
+                    if entry is not kept[0]:
+                        kept.remove(entry)
+                        kept.insert(0, entry)
+                    return self._cut(entry[1], key)
+            self._misses += 1
+        finally:
+            self._lock.release()
+        value = self._build(*args, **kwargs)
+        with self._lock:
+            # another thread may have kept a cover of this request meanwhile
+            if not any(covers(kept_key, key) for kept_key, _ in self._kept):
+                kept = [entry for entry in self._kept if not covers(key, entry[0])]
+                self._kept = [(key, value)] + kept[: _KEPT_VALUES - 1]
+        return value
+
+    def cache_info(self) -> CacheInfo:
+        """Hits, misses (builds), the bound and the number of values kept."""
+        with self._lock:
+            return CacheInfo(self._hits, self._misses, _KEPT_VALUES, len(self._kept))
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._kept = []
+            self._hits = self._misses = 0

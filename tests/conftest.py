@@ -26,6 +26,6 @@ def order_limit_series():
 def order_limit_stores(_empty_caches, order_limit_series, monkeypatch):
     """The two generating-function stores, each already holding its series
     through MAX_ORDER, as if an earlier call had inverted it."""
-    monkeypatch.setattr(p3_series, "_kept", order_limit_series["A"])
-    monkeypatch.setattr(overpartition_series, "_kept", order_limit_series["C"])
+    for store, tag in ((p3_series, "A"), (overpartition_series, "C")):
+        monkeypatch.setattr(store, "_kept", [(MAX_ORDER, order_limit_series[tag])])
     return order_limit_series

@@ -3,7 +3,9 @@
 Everything here is built from first principles with plain loops and shares
 no code path with the library it checks: partition counts come from the
 bounded-part recurrence, generating functions from explicit convolution,
-overpartitions and multiplicity products from unpruned multiset enumeration.
+the differential recursion's products from one Kronecker multiplication on
+plain ints, overpartitions and multiplicity products from unpruned multiset
+enumeration.
 The one exception is `as_series`, a tool rather than an oracle: it wraps a
 coefficient list in the library's series type for tests that hand one to the
 library.  `reference_fold` is a reference rather than an oracle: the
@@ -42,6 +44,23 @@ def convolve(a: list[int], b: list[int], top: int) -> list[int]:
             if b[j]:
                 out[i + j] += ai * b[j]
     return out
+
+
+def kronecker_product(a: list[int], b: list[int], top: int) -> list[int]:
+    """Coefficients 0..top of a*b for non-negative coefficient lists: each
+    list is packed into one int, with slots wide enough for any coefficient
+    of the product, the two ints are multiplied once and the slots are read
+    back.  A negative coefficient raises OverflowError."""
+    a, b = a[: top + 1], b[: top + 1]
+    # a product coefficient sums at most len(b) terms, each under max(a)*max(b)
+    bits = max(a, default=0).bit_length() + max(b, default=0).bit_length() + len(b).bit_length()
+    width = (bits + 7) // 8
+
+    def pack(c: list[int]) -> int:
+        return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in c), "little")
+
+    raw = (pack(a) * pack(b)).to_bytes(width * max(len(a) + len(b), top + 1), "little")
+    return [int.from_bytes(raw[n * width : (n + 1) * width], "little") for n in range(top + 1)]
 
 
 def pochhammer(a: int, b: int, top: int) -> list[int]:
@@ -205,7 +224,8 @@ def differential_recursion_failures(step: int, rows: dict[int, list[int]], top: 
     anchored on A_1 = sum sigma(n) q^n and C_1 = sum over odd d | n of n/d,
     both from the divisor sieves here rather than from `rows`.  Given the
     anchor the relations fix every member, and they are neither the paper's
-    binomial identities nor the theta closed form."""
+    binomial identities nor the theta closed form.  Member coefficients
+    are counts, so a negative one raises OverflowError."""
     if step == 1:
         anchor, factor, diff = divisor_power_sums(top, 1), 6, 2
     else:
@@ -217,7 +237,7 @@ def differential_recursion_failures(step: int, rows: dict[int, list[int]], top: 
         prev, cur = rows[k - 1], rows[k]
         lhs = (2 * k) * (2 * k + 1) if step == 1 else (2 * k) * (2 * k - 1)
         scalar = k * (k - 1) if step == 1 else (k - 1) ** 2
-        product = convolve(prev, anchor, top)
+        product = kronecker_product(prev, anchor, top)
         if any(
             lhs * cur[n] != factor * product[n] + (scalar - diff * n) * prev[n]
             for n in range(top + 1)

@@ -35,7 +35,14 @@ from macmahon.families import (
 )
 from macmahon.cli import MAX_ORDER
 from macmahon.identities import family_order
-from macmahon.partitions import mk_bruteforce, mk_odd_bruteforce, overpartition_series, p3_series
+from macmahon.partitions import (
+    jacobi_cube,
+    mk_bruteforce,
+    mk_odd_bruteforce,
+    overpartition_series,
+    p3_series,
+    theta_square,
+)
 from macmahon.series import TruncatedSeries
 from oracles import as_series
 
@@ -122,6 +129,8 @@ def test_family_accessors():
 def test_family_validates_member_zero():
     with pytest.raises(ValueError):
         MacmahonFamily("A", (TruncatedSeries.zero(3),), 3, 0)
+    with pytest.raises(ValueError):
+        MacmahonFamily("A", (TruncatedSeries((1, 5, 7), 2),), 2, 0)
     with pytest.raises(ValueError):
         MacmahonFamily("B", (TruncatedSeries.one(3),), 3, 0)
 
@@ -515,13 +524,18 @@ def test_members_only_builds_equal_the_reference_fold_at_the_full_width(
 )
 def test_folds_satisfy_the_differential_recursion(tag, build, step):
     # anchored on the divisor sieves, the recursion fixes every member from
-    # member 1 up: relations 1..12 of a full fold and of the theta route, and
-    # relations 33..35 of the members-only build the corollary verifier
-    # makes at (32, 3)
-    full = build(12, 300)
-    for route in (full.members, members(tag, range(13), 300)):
+    # member 1 up: relations 1..12 of a full fold and of the theta route at
+    # order 300, every relation of the theta route at order 1000 (A) or 2000
+    # (C), and relations 33..35 of the members-only build the corollary
+    # verifier makes at (32, 3)
+    wide = 1000 if step == 1 else 2000
+    for route, top in (
+        (build(12, 300).members, 300),
+        (members(tag, range(13), 300), 300),
+        (members(tag, range(_top_member(step, wide, wide) + 1), wide), wide),
+    ):
         rows = {k: list(m.coeffs) for k, m in enumerate(route)}
-        assert oracles.differential_recursion_failures(step, rows, 300) == []
+        assert oracles.differential_recursion_failures(step, rows, top) == [], top
     order = family_order(f"cor-{tag.lower()}", 32, 3, None)
     deep = build(35, order, 32)
     rows = {k: list(deep.member(k).coeffs) for k in range(32, 36)}
@@ -753,22 +767,22 @@ def test_store_keeps_at_most_twelve_families(build):
     assert build.cache_info()[:2] == (1, 31)
 
 
-def test_store_shared_across_threads():
-    # a lost update under concurrent lookups and builds would break the
-    # hit and miss totals or the bound on kept families
-    rng = random.Random(7)
-    jobs = []
-    for _ in range(4):
-        keys = []
-        for _ in range(40):
-            K = rng.randint(0, 8)
-            keys.append((K, rng.randint(0, 80), rng.randint(0, K)))
-        jobs.append(keys)
+def _family_request(rng):
+    K = rng.randint(0, 8)
+    return K, rng.randint(0, 80), rng.randint(0, K)
+
+
+def _series_request(rng):
+    return (rng.randint(0, 400),)
+
+
+def _serve_from_threads(store, jobs):
+    # each job's requests in its own thread, switching as often as possible
     results = [[] for _ in jobs]
 
     def work(keys, out):
         for key in keys:
-            out.append((key, compute_C_family(*key)))
+            out.append((key, store(*key), store.cache_info().currsize))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -781,12 +795,30 @@ def test_store_shared_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    info = compute_C_family.cache_info()
-    assert info.hits + info.misses == 160 and info.currsize <= 12
-    for out in results:
-        assert len(out) == 40
-        for key, fam in out:
-            assert fam == compute_C_family_uncached(*key), key
+    return results
+
+
+def test_store_shared_across_threads():
+    # a lost update under concurrent lookups and builds would break the
+    # hit and miss totals or the bound on kept values
+    rng = random.Random(7)
+    for store, draw, fresh, kept_at_most in (
+        (compute_C_family, _family_request, compute_C_family_uncached, 12),
+        (p3_series, _series_request, lambda order: jacobi_cube(order).invert(), 1),
+        (overpartition_series, _series_request, lambda order: theta_square(order).invert(), 1),
+    ):
+        # the family builds read overp, so each store starts from empty
+        store.cache_clear()
+        jobs = [[draw(rng) for _ in range(40)] for _ in range(4)]
+        results = _serve_from_threads(store, jobs)
+        name = store.__name__
+        info = store.cache_info()
+        assert info.hits + info.misses == 160, name
+        for out in results:
+            assert len(out) == 40
+            for key, value, kept in out:
+                assert value == fresh(*key), (name, key)
+                assert kept <= kept_at_most, (name, key)
 
 
 # -- the theta-quotient route ---------------------------------------------------------
