@@ -44,40 +44,14 @@ the two family stores, the `_uncached` functions and the bench run the fold.
 
 Every coefficient either route returns is bounded by the coefficient at the
 order of prod over the family's part sizes s of 1/(1-q^s)^2, since 1 +
-x/(1-x)^2 <= 1/(1-x)^2 coefficientwise.  For A that product is the 2-colored
-partition count p2(n) < exp(pi*sqrt(4n/3)); for C, with s odd, it is
-(-q;q)^2 (odd parts are equinumerous with distinct parts), and
-(-q;q)^2(n) < exp(pi*sqrt(2n/3)).  The theta route packs the dense series
-itself, so its slots are sized by p3(n) < exp(pi*sqrt(2n)) for A and
-overp(n) < exp(pi*sqrt(n)) for C.  Each of these bounds is checked at every
-order up to the CLI's order limit.
-
-The fold's slots have tighter bounds, and `_fold_bound_bits` is the one
-place that picks among them.  Every slot of a build of members L..K is a
-partial sum of non-negative terms of some A_k(lowval(k)+d) with k <= K and
-d <= D = order - lowval(L), so it obeys each of three bounds:
-
-- The family total.  A_k(n) is at most T(n) = sum_k A_k(n), the product
-  evaluated at t = 1, which for A is (q^6;q^6)/((q;q)(q^2;q^2)(q^3;q^3)) and
-  for C (q^4;q^4)(q^6;q^6)^2/((q;q)(q^3;q^3)(q^12;q^12)).  Its bit length
-  follows a closed form, pi*sqrt(c*n)/ln 2 - alpha*log2(n) + beta, checked
-  against the exact total at every order up to the order limit; above it
-  the p2 or (-q;q)^2 bound takes over.
-- The prefix sum.  A_k(lowval(k)+d) <= sum_{j<=d} p3(j) (overp for C).  This
-  is an injection: with parts s_i = i + t_i (t non-decreasing) and
-  multiplicities m_i = 1 + a_i + b_i (the weight prod m_i marks one copy of
-  each size), (t, a, b) has offset at most d and generating function
-  prod_{i<=k} (1-q^i)^-3 <= p3; for C, s_i = 2i-1+2t_i gives a product under
-  overp.  The sum is read from the stored p3 or overp series only where it
-  can win (3D < 2*order); it takes the k = 100 corollary windows from
-  392-bit to 112-bit slots.
-- The cap.  Each of the 3k factors of that product lies under 1/(1-q), so
-  A_k(lowval(k)+d) <= C(d+3k, 3k) <= C(D+3K, 3K).  With a small cap this is
-  a polynomial in the order: the divisor build (K = 2) at order 600 takes
-  56-bit slots instead of 144.
-
-The theta route checks member k against the same three bounds, with L = K =
-k, reading the prefix sum from the dense series it already holds.
+x/(1-x)^2 <= 1/(1-x)^2 coefficientwise: the 2-colored partition count p2
+for A, (-q;q)^2 for C.  The theta route's slots hold the dense series
+itself, so they are sized by p3 (A) or overp (C).  The fold's slots have
+tighter bounds: `_fold_bound_bits` takes the smallest of the family total,
+a prefix sum of p3 or overp and a binomial in the cap, and its comment holds
+the argument for each.  The theta route checks member k against the same
+helper as a fold of members k..k, which reads the prefix sum from the
+series store that already holds the dense series.
 
 Every width leaves at least 8 guard bits above its bound.  Unpacking raises
 ArithmeticError on a width with fewer, before it reads a slot, and checks
@@ -92,11 +66,11 @@ independent oracle for small parameters; it never feeds the production path.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
-from .partitions import overpartition_series, p3_series
+from .partitions import _lowval, _theta_row, overpartition_series, p3_series
 from .series import TruncatedSeries, _CoveringStore, _Record, _setfield, geometric_square
+from .series import _check_param
 
 try:
     from gmpy2 import mpz as _bigint
@@ -122,6 +96,9 @@ class MacmahonFamily(_Record):
             raise ValueError("lowest member must lie in 0..degree_cap")
         if len(members) != degree_cap - lowest + 1:
             raise ValueError("need exactly degree_cap-lowest+1 members")
+        for member in members:
+            if member.truncation_order != truncation_order:
+                raise ValueError("every member must have the family's truncation order")
         first = members[0].coeffs
         if lowest == 0 and (first[0] != 1 or first.count(0) != len(first) - 1):
             raise ValueError("member 0 must be the constant series 1")
@@ -171,7 +148,7 @@ def _total_bound_bits(step: int, order: int) -> int:
     )
 
 
-def _fold_bound_bits(step: int, order: int, lowest: int, top: int, reach_sums=None) -> int:
+def _fold_bound_bits(step: int, order: int, lowest: int, top: int) -> int:
     # The bound a build of members lowest..top holds its slots and returned
     # coefficients to: the smallest of three.  Each rests on one fact, that
     # every slot is a partial sum of non-negative terms of some
@@ -184,7 +161,10 @@ def _fold_bound_bits(step: int, order: int, lowest: int, top: int, reach_sums=No
     # - The family total.  A_k(n) <= T(n) = sum_k A_k(n), the product at
     #   t = 1: prod_s (1 + q^s/(1-q^s)^2) = prod_s (1+q^(3s))/((1-q^s)(1-q^(2s))),
     #   the quotient in _total_bound_bits once 1+q^(3s) = (1-q^(6s))/(1-q^(3s))
-    #   (for C, s odd, the same steps over odd s).  No series is read.
+    #   (for C, s odd, the same steps over odd s).  No series is read.  Its
+    #   closed form is checked against the exact total at every order up to
+    #   the order limit; above it the p2 or (-q;q)^2 bound of _bound_bits
+    #   takes over.
     # - The prefix sum.  A_k(lowval(k)+d) <= sum_{j<=d} [q^j] P_k, P_k =
     #   prod_{i<=k} (1-q^i)^-3.  Write the parts as s_i = i + t_i with t
     #   non-decreasing, and read the weight prod m_i as marking one copy of
@@ -192,21 +172,22 @@ def _fold_bound_bits(step: int, order: int, lowest: int, top: int, reach_sums=No
     #   its offset sum t_i + sum (a_i+b_i)*i is at most d, and P_k counts
     #   the triples.  P_k lies under p3; for C, s_i = 2i-1+2t_i gives prod_{i<=k}
     #   (1-q^(2i))^-1 (1-q^(2i-1))^-2, under 1/((q^2;q^2)(q;q^2)^2) = overp.
-    #   reach_sums, if given, are the running sums of that dense series;
-    #   otherwise the series is read only where 3D < 2*order, since the
-    #   analytic bounds exp(pi*sqrt(2D)) (or exp(pi*sqrt(D))) and the fold
-    #   bound cross at 3D = 2*order and the family total lies under the
-    #   latter.  A verifier's D is its own window, the prefix it reads next
-    #   anyway.
+    #   The series is read only where 3D < 2*order, since the analytic
+    #   bounds exp(pi*sqrt(2D)) (or exp(pi*sqrt(D))) and the fold bound cross
+    #   at 3D = 2*order and the family total lies under the latter.  A
+    #   verifier's D is its own window, the prefix it reads next anyway, and
+    #   the theta route already holds the series through the order.  This
+    #   bound takes the k = 100 corollary windows from 392-bit to 112-bit
+    #   slots.
     # - The cap.  Each of P_k's 3k factors lies under 1/(1-q) (also for C),
     #   so the prefix sum of P_k through d is at most that of (1-q)^-3k,
-    #   which is C(d+3k, 3k) <= C(D+3*top, 3*top).
+    #   which is C(d+3k, 3k) <= C(D+3*top, 3*top).  With a small cap this is
+    #   a polynomial in the order: the divisor build (members 1..2) at order
+    #   600 takes 56-bit slots instead of 144.
     reach = order - _lowval(lowest, step)
     bound = min(
         _total_bound_bits(step, order), math.comb(reach + 3 * top, 3 * top).bit_length()
     )
-    if reach_sums is not None:
-        return min(bound, reach_sums[reach].bit_length())
     if 3 * reach >= 2 * order:
         return bound
     dense = p3_series(reach) if step == 1 else overpartition_series(reach)
@@ -224,11 +205,6 @@ def _slot_bits(bound_bits: int) -> int:
     # At least 8 guard bits above the bound, which unpacking checks stay
     # zero.  Byte-aligned for cheap unpacking.
     return (bound_bits + 15) // 8 * 8
-
-
-def _lowval(k: int, step: int) -> int:
-    # sum of the first k factors 1, 1+step, ..., 1+(k-1)*step
-    return k + step * k * (k - 1) // 2
 
 
 def _fold_packed(step: int, lowest: int, k_eff: int, order: int, slot_bits: int) -> list:
@@ -319,13 +295,10 @@ def _unpack_packed_row(
 def _request_key(step: int, K: int, order: int, lowest: int = 0) -> tuple:
     # refuses a bad request, and keys a good one by (order, lowest, top
     # member, K) for the family stores
-    if isinstance(K, bool) or isinstance(order, bool) or isinstance(lowest, bool):
-        raise TypeError("family cap, truncation order and lowest member must be ints, not bool")
-    if K < 0:
-        raise ValueError("family cap must be non-negative")
-    if order < 0:
-        raise ValueError("truncation order must be non-negative")
-    if not 0 <= lowest <= K:
+    _check_param("family cap", K)
+    _check_param("truncation order", order)
+    _check_param("lowest member", lowest)
+    if lowest > K:
         raise ValueError("lowest member must lie in 0..K")
     return order, lowest, _top_member(step, K, order), K
 
@@ -402,23 +375,6 @@ compute_C_family = _CoveringStore(
 # -- the theta-quotient route ----------------------------------------------------------
 
 
-def _theta_row(step: int, k: int, order: int) -> list[tuple[int, int]]:
-    # (coefficient, exponent) of the sparse factor of member k: for A,
-    # (-1)^(m+k) (2m+1)/(2k+1) C(m+k, 2k) at q^(m(m+1)/2); for C,
-    # (-1)^(m+k) 2m/(m+k) C(m+k, 2k) at q^(m^2), with 1 at m = k = 0.  The
-    # exponent is the valuation floor of member m, and the divisions are exact.
-    row = []
-    m = k
-    while _lowval(m, step) <= order:
-        if step == 1:
-            c = (2 * m + 1) * math.comb(m + k, 2 * k) // (2 * k + 1)
-        else:
-            c = 2 * m * math.comb(m + k, 2 * k) // (m + k) if m else 1
-        row.append((-c if (m + k) % 2 else c, _lowval(m, step)))
-        m += 1
-    return row
-
-
 def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
     """Members A_k (family "A") or C_k (family "C") for each k in ks, in the
     order given, exact through q^order.
@@ -434,11 +390,10 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
     adds c times the packed series shifted right by e slots.  The sum then
     equals, as an integer, the member packed the same way; nothing is
     masked, so negative partial sums are harmless.  Unpacking checks every
-    slot of member k against the bound of a fold of members k..k, the
-    smallest of the family total, the dense series' sum through q^(order -
-    lowval(k)) and the binomial C(order - lowval(k) + 3k, 3k), so a slot
-    too narrow for its coefficient raises ArithmeticError.  A member
-    whose valuation floor lies above the order is the zero series.
+    slot of member k against `_fold_bound_bits`, the bound of a fold of
+    members k..k, so a slot too narrow for its coefficient raises
+    ArithmeticError.  A member whose valuation floor lies above the order is
+    the zero series.
 
     These formulas are the binomial inverse of the identities the verifiers
     check, so the verifiers never use this route; they read the fold.
@@ -446,18 +401,12 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
     if family not in ("A", "C"):
         raise ValueError("family tag must be 'A' or 'C'")
     ks = tuple(ks)
-    if isinstance(order, bool) or any(isinstance(k, bool) for k in ks):
-        raise TypeError("member indices and truncation order must be ints, not bool")
-    if order < 0:
-        raise ValueError("truncation order must be non-negative")
-    if any(k < 0 for k in ks):
-        raise ValueError("member indices must be non-negative")
+    _check_param("truncation order", order)
+    for k in ks:
+        _check_param("member indices", k)
     step = 1 if family == "A" else 2
     dense = p3_series(order) if step == 1 else overpartition_series(order)
     bits = _slot_bits(_dense_bound_bits(step, order))
-    # member k obeys the bounds of a fold of members k..k, so each member is
-    # checked against its own
-    reach_sums = list(itertools.accumulate(dense.coeffs))
     b8 = bits // 8
     packed = _bigint(
         int.from_bytes(b"".join(c.to_bytes(b8, "big") for c in dense.coeffs), "big")
@@ -473,7 +422,9 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
         acc = 0
         for c, e in _theta_row(step, k, order):
             acc += c * (packed >> (bits * e))
-        own = _fold_bound_bits(step, order, k, k, reach_sums)
+        # member k obeys the bounds of a fold of members k..k, so each
+        # member is checked against its own
+        own = _fold_bound_bits(step, order, k, k)
         built[k] = TruncatedSeries(
             _unpack_packed_row(acc, lowval, order, bits, own), order
         )
@@ -487,8 +438,7 @@ def a_k_directsum(k: int, order: int) -> TruncatedSeries:
     Oracle for small k and order only; cost grows like the number of size
     tuples with sum <= order.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    _check_param("k", k)
     if k == 0:
         return TruncatedSeries.one(order)
     acc = [0] * (order + 1)

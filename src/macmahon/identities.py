@@ -39,9 +39,9 @@ import math
 import time
 from collections.abc import Sequence
 
-from .families import _lowval, _top_member, compute_A_family, compute_C_family
-from .partitions import overpartition_series, p3_series, sigma
-from .series import TruncatedSeries, _Record, _setfield
+from .families import _top_member, compute_A_family, compute_C_family
+from .partitions import _lowval, overpartition_series, p3_series, sigma
+from .series import TruncatedSeries, _check_param, _Record, _setfield
 
 
 class Mismatch(_Record):
@@ -115,16 +115,6 @@ def _report(
     return VerificationReport(identity, k, j, order, mismatch, terms_used, elapsed_ms)
 
 
-def _check_params(**params: int | None) -> None:
-    # bool is an int subclass; a True k would otherwise pass as 1 and be
-    # reported as true.  None marks a parameter the verifier does not take.
-    for name, value in params.items():
-        if isinstance(value, bool):
-            raise TypeError(f"{name} must be an int, not bool")
-        if value is not None and value < 0:
-            raise ValueError(f"{name} must be non-negative")
-
-
 def _compare(lhs: Sequence[int], rhs: Sequence[int], top: int) -> Mismatch | None:
     for n in range(top + 1):
         if lhs[n] != rhs[n]:
@@ -135,27 +125,22 @@ def _compare(lhs: Sequence[int], rhs: Sequence[int], top: int) -> Mismatch | Non
 # -- the weighted member sum ---------------------------------------------------
 
 # tag -> (step between part sizes, weight w(m, k) of member m in the identity
-# for k, name of the store, name of the generating function).  The sums run
-# over m >= k, so both binomial arguments stay in range.  The names are
-# looked up on every call, so a store or series replaced on this module is
-# what the verifiers read.
+# for k).  The sums run over m >= k, so both binomial arguments stay in range.
+# The stores and the generating functions are read by their global names
+# below, which Python looks up at call time, so a store or series replaced on
+# this module is what the verifiers read.
 _FAMILIES = {
-    "A": (1, lambda m, k: math.comb(2 * m + 1, m + k + 1), "compute_A_family", "p3_series"),
-    "C": (2, lambda m, k: math.comb(2 * m, m + k), "compute_C_family", "overpartition_series"),
+    "A": (1, lambda m, k: math.comb(2 * m + 1, m + k + 1)),
+    "C": (2, lambda m, k: math.comb(2 * m, m + k)),
 }
-
-
-def _family(tag: str):
-    step, weight, store, gf = _FAMILIES[tag]
-    names = globals()
-    return step, weight, names[store], names[gf]
 
 
 def _lowered_sum(tag: str, k: int, top: int, window: int) -> list[int]:
     """Coefficients 0..window of the sum of w(m, k) times member m lowered by
     q^lowval(k), over m = k..top."""
-    step, weight, store, _ = _family(tag)
+    step, weight = _FAMILIES[tag]
     shift = _lowval(k, step)
+    store = compute_A_family if step == 1 else compute_C_family
     fam = store(top, window + shift, lowest=k)
     out = [0] * (window + 1)
     floor = 0  # lowval(m) - lowval(k): member m is zero below it
@@ -205,7 +190,8 @@ def _cut(identity: str, k: int, j: int | None, order: int | None) -> tuple[int, 
 def theorem_rhs(tag: str, k: int, order: int) -> tuple[TruncatedSeries, int]:
     """The member sum of the main identity for family `tag` ("A" or "C") and
     k on the window 0..order, and the number of members that reach it."""
-    _check_params(k=k, order=order)
+    _check_param("k", k)
+    _check_param("order", order)
     top, window = _cut(f"thm-{tag.lower()}", k, None, order)
     return TruncatedSeries(tuple(_lowered_sum(tag, k, top, window)), order), top - k + 1
 
@@ -216,12 +202,14 @@ def corollary_weights(tag: str, k: int, j: int) -> list[int]:
 
 
 def _verify(identity: str, k: int, j: int | None, order: int | None) -> VerificationReport:
-    _check_params(k=k, j=j, order=order)
+    _check_param("k", k)
+    _check_param("j", j)
+    _check_param("order", order)
     t0 = time.perf_counter()
     tag = identity[-1].upper()
     top, window = _cut(identity, k, j, order)
     rhs = _lowered_sum(tag, k, top, window)
-    gf = _family(tag)[3]
+    gf = p3_series if tag == "A" else overpartition_series
     mm = _compare(gf(window).coeffs, rhs, window)
     return _report(identity, k, j, window if order is None else order, mm, top - k + 1, t0)
 
@@ -279,7 +267,7 @@ def verify_divisor_identities(order: int) -> VerificationReport:
     """Member 1 carries sigma_1(n); member 2 satisfies
     8*coeff = (1-2n)*sigma_1(n) + sigma_3(n), which in particular forces the
     right side to be divisible by 8.  Checked for 1 <= n <= order."""
-    _check_params(order=order)
+    _check_param("order", order)
     if order < 1:
         raise ValueError("need order >= 1")
     t0 = time.perf_counter()

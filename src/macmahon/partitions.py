@@ -1,7 +1,12 @@
 """Theta series, partition generating functions, and enumeration oracles.
 
-The two generating functions the identity verifiers target are produced by
-inverting sparse theta expansions (O(sqrt N) nonzero terms), which keeps the
+`_theta_row(step, k, order)` is the sparse theta factor of member k of A
+(step 1) or C (step 2) in the closed form of Andrews and Rose; the theta
+route in families.py multiplies it into the dense series.  Row 0 is the
+denominator of each generating function, (q;q)^3 for p3 and
+(q^2;q^2)(q;q^2)^2 for overp, and `jacobi_cube`/`theta_square` are its
+dense form.  The two generating functions the identity verifiers target are
+produced by inverting them (O(sqrt N) nonzero terms), which keeps the
 inversion recurrence cheap.  Each is a covering store (series.py) keeping
 the longest series it has inverted, whose prefixes answer shorter orders
 exactly.  The test suite checks both theta expansions against their
@@ -15,40 +20,58 @@ truth the production family computation is measured against.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 
-from .series import TruncatedSeries, _CoveringStore, _Record, _setfield
+from .series import TruncatedSeries, _check_param, _CoveringStore, _Record, _setfield
+
+
+def _lowval(k: int, step: int) -> int:
+    # the valuation floor of member k: the sum of its k smallest part sizes
+    # 1, 1+step, ..., 1+(k-1)*step (step 1 for A, 2 for C)
+    return k + step * k * (k - 1) // 2
+
+
+def _theta_row(step: int, k: int, order: int) -> list[tuple[int, int]]:
+    # (coefficient, exponent) of the sparse theta factor of member k: for A,
+    # (-1)^(m+k) (2m+1)/(2k+1) C(m+k, 2k) at q^(m(m+1)/2); for C,
+    # (-1)^(m+k) 2m/(m+k) C(m+k, 2k) at q^(m^2), with 1 at m = k = 0.  The
+    # exponent is the valuation floor of member m, and the divisions are
+    # exact.  Row 0 is the denominator of the generating function.
+    row = []
+    m = k
+    while _lowval(m, step) <= order:
+        if step == 1:
+            c = (2 * m + 1) * math.comb(m + k, 2 * k) // (2 * k + 1)
+        else:
+            c = 2 * m * math.comb(m + k, 2 * k) // (m + k) if m else 1
+        row.append((-c if (m + k) % 2 else c, _lowval(m, step)))
+        m += 1
+    return row
+
+
+def _dense_row_zero(step: int, order: int) -> TruncatedSeries:
+    c = [0] * (order + 1)
+    for coeff, e in _theta_row(step, 0, order):
+        c[e] = coeff
+    return TruncatedSeries(tuple(c), order)
 
 
 def jacobi_cube(order: int) -> TruncatedSeries:
     """Cube of the q-Pochhammer (q;q)_inf as the alternating triangular-number
-    series 1 - 3q + 5q^3 - 7q^6 + 9q^10 - ..."""
-    c = [0] * (order + 1)
-    n = 0
-    while n * (n + 1) // 2 <= order:
-        c[n * (n + 1) // 2] = (2 * n + 1) * (-1 if n % 2 else 1)
-        n += 1
-    return TruncatedSeries(tuple(c), order)
+    series 1 - 3q + 5q^3 - 7q^6 + 9q^10 - ..., theta row 0 of A."""
+    return _dense_row_zero(1, order)
 
 
 def theta_square(order: int) -> TruncatedSeries:
     """(q^2;q^2)_inf (q;q^2)_inf^2 as the alternating square series
-    1 - 2q + 2q^4 - 2q^9 + ..."""
-    c = [0] * (order + 1)
-    c[0] = 1
-    n = 1
-    while n * n <= order:
-        c[n * n] = -2 if n % 2 else 2
-        n += 1
-    return TruncatedSeries(tuple(c), order)
+    1 - 2q + 2q^4 - 2q^9 + ..., theta row 0 of C."""
+    return _dense_row_zero(2, order)
 
 
 def _check_order(order: int) -> int:
     # the key of a generating-function request is its order
-    if isinstance(order, bool):
-        raise TypeError("truncation order must be an int, not bool")
-    if order < 0:
-        raise ValueError("truncation order must be non-negative")
+    _check_param("truncation order", order)
     return order
 
 
@@ -74,17 +97,17 @@ def overpartition_series(order: int) -> TruncatedSeries:
 def sigma(nu: int, n: int) -> int:
     """Divisor power sum: sum of d^nu over divisors d of n.  Trial division;
     n stays small everywhere this is used."""
+    _check_param("nu", nu)
+    _check_param("n", n)
     if n < 1:
         raise ValueError("divisor sums need n >= 1")
     total = 0
-    d = 1
-    while d * d <= n:
+    for d in range(1, math.isqrt(n) + 1):
         if n % d == 0:
             total += d**nu
             e = n // d
             if e != d:
                 total += e**nu
-        d += 1
     return total
 
 
@@ -107,8 +130,8 @@ def _multiplicity_product_sum(k: int, n: int, odd_parts_only: bool) -> int:
     Sizes are chosen in decreasing order; per size a multiplicity loop runs.
     Exponential in spirit, fine for the oracle range (n up to ~40).
     """
-    if k < 0 or n < 0:
-        raise ValueError("k and n must be non-negative")
+    _check_param("k", k)
+    _check_param("n", n)
     if k == 0:
         return 1 if n == 0 else 0
     step = 2 if odd_parts_only else 1

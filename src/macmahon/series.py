@@ -16,7 +16,9 @@ report and its mismatch, and the brute-force result).
 
 `_CoveringStore` caches `p3_series`, `overpartition_series`,
 `compute_A_family` and `compute_C_family`, whose requests overlap;
-partitions.py and families.py each supply one store kind.
+partitions.py and families.py each supply one store kind.  `_check_param` is
+the package's one check that a count argument (an order, a member index, a
+cap) is a non-negative int and not a bool.
 """
 
 from __future__ import annotations
@@ -28,6 +30,18 @@ from collections.abc import Iterator
 
 # Sets a field of a record, past the __setattr__ that refuses assignment.
 _setfield = object.__setattr__
+
+
+def _check_param(name: str, value: int | None) -> None:
+    # The package's one check of a count argument: an order, a member index,
+    # a cap.  bool is an int subclass; a True k would otherwise pass as 1 and
+    # be reported as true.  None marks a parameter the caller does not take.
+    # One value per call: the divisor verifier calls sigma twice for every
+    # n, and collecting keyword arguments would double the check's cost.
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, not bool")
+    if value is not None and value < 0:
+        raise ValueError(f"{name} must be non-negative")
 
 
 class _Record:

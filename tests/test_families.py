@@ -133,6 +133,11 @@ def test_family_validates_member_zero():
         MacmahonFamily("A", (TruncatedSeries((1, 5, 7), 2),), 2, 0)
     with pytest.raises(ValueError):
         MacmahonFamily("B", (TruncatedSeries.one(3),), 3, 0)
+    # every member must have the family's truncation order
+    with pytest.raises(ValueError, match="truncation order"):
+        MacmahonFamily("A", (TruncatedSeries.one(3), TruncatedSeries.zero(5)), 3, 1)
+    with pytest.raises(ValueError, match="truncation order"):
+        MacmahonFamily("A", (TruncatedSeries.one(3),), 7, 0)
 
 
 def test_stabilized_prefix_for_k_at_least_4():
@@ -525,15 +530,19 @@ def test_members_only_builds_equal_the_reference_fold_at_the_full_width(
 def test_folds_satisfy_the_differential_recursion(tag, build, step):
     # anchored on the divisor sieves, the recursion fixes every member from
     # member 1 up: relations 1..12 of a full fold and of the theta route at
-    # order 300, every relation of the theta route at order 1000 (A) or 2000
+    # order 300, relations 1..12 of the A fold at the north-star row K = 12,
+    # N = 1000, every relation of the theta route at order 1000 (A) or 2000
     # (C), and relations 33..35 of the members-only build the corollary
     # verifier makes at (32, 3)
     wide = 1000 if step == 1 else 2000
-    for route, top in (
+    routes = [
         (build(12, 300).members, 300),
         (members(tag, range(13), 300), 300),
         (members(tag, range(_top_member(step, wide, wide) + 1), wide), wide),
-    ):
+    ]
+    if step == 1:
+        routes.append((build(12, 1000).members, 1000))
+    for route, top in routes:
         rows = {k: list(m.coeffs) for k, m in enumerate(route)}
         assert oracles.differential_recursion_failures(step, rows, top) == [], top
     order = family_order(f"cor-{tag.lower()}", 32, 3, None)
@@ -901,7 +910,7 @@ def test_members_reject_a_slot_too_narrow(slot_bits, message, monkeypatch):
     order = 60
     monkeypatch.setattr(families_module, "_slot_bits", lambda order: slot_bits)
     monkeypatch.setattr(
-        families_module, "_fold_bound_bits", lambda step, order, lowest, top, reach_sums: 8
+        families_module, "_fold_bound_bits", lambda step, order, lowest, top: 8
     )
     with pytest.raises(ArithmeticError, match=message):
         members("A", [3], order)

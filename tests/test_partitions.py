@@ -123,6 +123,17 @@ def test_sigma_rejects_nonpositive():
         sigma(1, 0)
 
 
+def test_sigma_rejects_bool_and_negative_arguments():
+    # bool is an int subclass, so True would run as 1, and a negative nu
+    # makes d**nu a float
+    for bad in [(True, 6), (1, True), (False, 6)]:
+        with pytest.raises(TypeError, match="must be an int, not bool"):
+            sigma(*bad)
+    with pytest.raises(ValueError, match="nu must be non-negative"):
+        sigma(-1, 6)
+    assert sigma(0, 6) == 4
+
+
 def test_sigma_against_full_scan():
     for n in range(1, 200):
         assert sigma(1, n) == oracles.divisor_power_sum(n, 1)
