@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from collections.abc import Container
+from collections.abc import Container, Iterable
 
 # compute_A_family and compute_C_family serve no command directly; they stay
 # bound here, next to the generating functions and verifiers, because
@@ -26,8 +26,9 @@ from .families import (
     members,
 )
 from .identities import (
+    Mismatch,
     VerificationReport,
-    family_order,
+    family_request,
     verify_corollary_A,
     verify_corollary_C,
     verify_divisor_identities,
@@ -114,6 +115,12 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _csv(header: tuple[str, ...], rows: Iterable[tuple]) -> str:
+    # one line per row, each cell as str() renders it
+    line = ",".join(["%s"] * len(header))
+    return "\n".join([",".join(header), *[line % row for row in rows]]) + "\n"
+
+
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -149,9 +156,7 @@ def _series_output(series: TruncatedSeries, fmt: str) -> str:
     if fmt == "json":
         return _dump_json(series.to_json_dict())
     if fmt == "csv":
-        lines = ["n,coefficient"]
-        lines += [f"{n},{c}" for n, c in enumerate(series.coeffs)]
-        return "\n".join(lines) + "\n"
+        return _csv(("n", "coefficient"), enumerate(series.coeffs))
     return format_series(series) + f"   (truncation order {series.truncation_order})\n"
 
 
@@ -169,8 +174,8 @@ def _run_verifier(args: argparse.Namespace) -> VerificationReport:
             # the limit window starts at the valuation of member k
             minimum = _lowval(values[0], 1 if target == "limit-a" else 2)
         values.append(_need(getattr(args, option), option, minimum))
-    # the highest order the verifier builds, checked before it allocates anything
-    _check_order(family_order(target, args.k, args.j, args.N))
+    # the order of the family the verifier builds, checked before it allocates anything
+    _check_order(family_request(target, args.k, args.j, args.N)[2])
     return globals()[name](*values)
 
 
@@ -178,23 +183,17 @@ def _report_output(report: VerificationReport, fmt: str) -> str:
     if fmt == "json":
         return _dump_json(report.to_json_dict())
     if fmt == "csv":
-        mm = report.first_mismatch
-        header = "identity,k,j,N,passed,mismatch_exponent,mismatch_lhs,mismatch_rhs,terms_used,elapsed_ms"
-        row = ",".join(
-            [
-                report.identity,
-                "" if report.k is None else str(report.k),
-                "" if report.j is None else str(report.j),
-                str(report.order),
-                str(report.passed).lower(),
-                "" if mm is None else str(mm.exponent),
-                "" if mm is None else str(mm.lhs),
-                "" if mm is None else str(mm.rhs),
-                str(report.terms_used),
-                f"{report.elapsed_ms:.3f}",
-            ]
-        )
-        return header + "\n" + row + "\n"
+        # the JSON form's fields, the mismatch spread over one column per field
+        row = {}
+        for key, value in report.to_json_dict().items():
+            if key == "first_mismatch":
+                for field in Mismatch.__slots__:
+                    row[f"mismatch_{field}"] = value and value[field]
+            else:
+                row[key] = value
+        row["passed"] = str(report.passed).lower()
+        row["elapsed_ms"] = f"{report.elapsed_ms:.3f}"
+        return _csv(tuple(row), [tuple("" if v is None else v for v in row.values())])
     params = []
     if report.k is not None:
         params.append(f"k={report.k}")
@@ -229,10 +228,8 @@ def _table_output(values: list[list[int]], args: argparse.Namespace) -> str:
         }
         return _dump_json(obj)
     if args.format == "csv":
-        lines = ["k,n,value"]
-        for k, row in enumerate(values):
-            lines += [f"{k},{n},{v}" for n, v in enumerate(row)]
-        return "\n".join(lines) + "\n"
+        cells = ((k, n, v) for k, row in enumerate(values) for n, v in enumerate(row))
+        return _csv(("k", "n", "value"), cells)
     width = max(len(str(v)) for row in values for v in row)
     width = max(width, 6)
     nw = max(len(str(len(values[0]) - 1)), 1)
@@ -277,10 +274,8 @@ def _bench_output(rows: list[dict], fmt: str) -> str:
     if fmt == "json":
         return _dump_json(rows)
     if fmt == "csv":
-        lines = ["op,K,N,elapsed_s"]
-        for r in rows:
-            lines.append(f"{r['op']},{r['K']},{r['N']},{r['elapsed_s']:.6f}")
-        return "\n".join(lines) + "\n"
+        cells = ((r["op"], r["K"], r["N"], f"{r['elapsed_s']:.6f}") for r in rows)
+        return _csv(("op", "K", "N", "elapsed_s"), cells)
     lines = [f"{'op':<14} {'K':>4} {'N':>7} {'elapsed_s':>12}"]
     for r in rows:
         lines.append(f"{r['op']:<14} {r['K']:>4} {r['N']:>7} {r['elapsed_s']:>12.6f}")

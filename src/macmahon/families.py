@@ -370,6 +370,9 @@ compute_A_family = _CoveringStore(
 compute_C_family = _CoveringStore(
     compute_C_family_uncached, functools.partial(_request_key, 2), _covers_request, _cut_family
 )
+# update_wrapper copied the build's names; each store answers to its own
+compute_A_family.__name__ = compute_A_family.__qualname__ = "compute_A_family"
+compute_C_family.__name__ = compute_C_family.__qualname__ = "compute_C_family"
 
 
 # -- the theta-quotient route ----------------------------------------------------------

@@ -24,10 +24,12 @@ and a window:
 - limit-*: member k alone, on the j = 0 corollary window, cut short where
   the order built would pass N.
 
-family_order(identity, k, j, N) is the highest truncation order a verifier
-builds; the verifiers derive their windows from it, and the CLI checks it
-against its order limit before the verifier allocates anything.  The divisor
-formulas read members 1 and 2 directly.
+family_request(identity, k, j, N) is the one family store request (tag, K,
+order, lowest) a verifier makes: each verifier passes it to the store as it
+is and derives its window from the family it gets back, and the CLI checks
+its order against the order limit before the verifier allocates anything.
+The divisor formulas read members 1 and 2 directly, from the request
+("A", 2, N, 1).
 
 All negative-power normalizations are realized by shifting the generating
 function side upward; no series here ever carries a negative exponent.
@@ -39,7 +41,7 @@ import math
 import time
 from collections.abc import Sequence
 
-from .families import _top_member, compute_A_family, compute_C_family
+from .families import MacmahonFamily, _top_member, compute_A_family, compute_C_family
 from .partitions import _lowval, overpartition_series, p3_series, sigma
 from .series import TruncatedSeries, _check_param, _Record, _setfield
 
@@ -102,19 +104,6 @@ class VerificationReport(_Record):
         }
 
 
-def _report(
-    identity: str,
-    k: int | None,
-    j: int | None,
-    order: int,
-    mismatch: Mismatch | None,
-    terms_used: int,
-    t0: float,
-) -> VerificationReport:
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return VerificationReport(identity, k, j, order, mismatch, terms_used, elapsed_ms)
-
-
 def _compare(lhs: Sequence[int], rhs: Sequence[int], top: int) -> Mismatch | None:
     for n in range(top + 1):
         if lhs[n] != rhs[n]:
@@ -135,16 +124,45 @@ _FAMILIES = {
 }
 
 
-def _lowered_sum(tag: str, k: int, top: int, window: int) -> list[int]:
-    """Coefficients 0..window of the sum of w(m, k) times member m lowered by
-    q^lowval(k), over m = k..top."""
-    step, weight = _FAMILIES[tag]
+def family_request(
+    identity: str, k: int | None, j: int | None, N: int | None
+) -> tuple[str, int, int, int]:
+    """The one family store request (tag, K, order, lowest) the verifier of
+    `identity` (a `macmahon verify` target) makes for these parameters; those
+    it takes no part in are ignored."""
+    if identity == "divisor":
+        return "A", 2, N, 1
+    tag = identity[-1].upper()
+    step = _FAMILIES[tag][0]
     shift = _lowval(k, step)
-    store = compute_A_family if step == 1 else compute_C_family
-    fam = store(top, window + shift, lowest=k)
+    if identity.startswith("thm"):
+        order = N + shift
+        # lowval(m) >= m, so no member above `order` reaches it: that is the cap
+        return tag, _top_member(step, order, order), order, k
+    if identity.startswith("cor"):
+        return tag, k + j, _lowval(k + j + 1, step) - 1, k
+    if N < shift:
+        raise ValueError(f"order must be at least {shift}, the valuation of member {k}")
+    return tag, k, min(_lowval(k + 1, step) - 1, N), k
+
+
+def _serve(request: tuple[str, int, int, int]) -> MacmahonFamily:
+    tag, K, order, lowest = request
+    store = compute_A_family if tag == "A" else compute_C_family
+    return store(K, order, lowest=lowest)
+
+
+def _lowered_sum(fam: MacmahonFamily) -> list[int]:
+    """Coefficients 0..window of the sum of w(m, k) times member m lowered by
+    q^lowval(k), over the members m = k..K of `fam`, where k is its lowest
+    member and the window ends at its truncation order lowered the same."""
+    step, weight = _FAMILIES[fam.family]
+    k = fam.lowest
+    shift = _lowval(k, step)
+    window = fam.truncation_order - shift
     out = [0] * (window + 1)
     floor = 0  # lowval(m) - lowval(k): member m is zero below it
-    for m in range(k, top + 1):
+    for m in range(k, fam.degree_cap + 1):
         w = weight(m, k)
         cs = fam.member(m).coeffs
         # a member that is not zero below its floor is read in full, so the
@@ -158,42 +176,13 @@ def _lowered_sum(tag: str, k: int, top: int, window: int) -> list[int]:
     return out
 
 
-def family_order(identity: str, k: int | None, j: int | None, N: int | None) -> int:
-    """The highest truncation order the verifier of `identity` (a `macmahon
-    verify` target) builds for these parameters; those it takes no part in
-    are ignored."""
-    if identity == "divisor":
-        return N
-    step = _FAMILIES[identity[-1].upper()][0]
-    if identity.startswith("thm"):
-        return N + _lowval(k, step)
-    if identity.startswith("cor"):
-        return _lowval(k + j + 1, step) - 1
-    return min(_lowval(k + 1, step) - 1, N)
-
-
-def _cut(identity: str, k: int, j: int | None, order: int | None) -> tuple[int, int]:
-    """The top member and the window the sum of `identity` is cut to."""
-    step = _FAMILIES[identity[-1].upper()][0]
-    shift = _lowval(k, step)
-    if identity.startswith("limit") and order < shift:
-        raise ValueError(f"order must be at least {shift}, the valuation of member {k}")
-    built = family_order(identity, k, j, order)
-    if identity.startswith("thm"):
-        # lowval(m) >= m, so no member above `built` reaches it: that is the cap
-        top = _top_member(step, built, built)
-    else:
-        top = k if j is None else k + j
-    return top, built - shift
-
-
 def theorem_rhs(tag: str, k: int, order: int) -> tuple[TruncatedSeries, int]:
     """The member sum of the main identity for family `tag` ("A" or "C") and
     k on the window 0..order, and the number of members that reach it."""
     _check_param("k", k)
     _check_param("order", order)
-    top, window = _cut(f"thm-{tag.lower()}", k, None, order)
-    return TruncatedSeries(tuple(_lowered_sum(tag, k, top, window)), order), top - k + 1
+    fam = _serve(family_request(f"thm-{tag.lower()}", k, None, order))
+    return TruncatedSeries(tuple(_lowered_sum(fam)), order), fam.degree_cap - k + 1
 
 
 def corollary_weights(tag: str, k: int, j: int) -> list[int]:
@@ -206,12 +195,14 @@ def _verify(identity: str, k: int, j: int | None, order: int | None) -> Verifica
     _check_param("j", j)
     _check_param("order", order)
     t0 = time.perf_counter()
-    tag = identity[-1].upper()
-    top, window = _cut(identity, k, j, order)
-    rhs = _lowered_sum(tag, k, top, window)
-    gf = p3_series if tag == "A" else overpartition_series
+    fam = _serve(family_request(identity, k, j, order))
+    rhs = _lowered_sum(fam)
+    window = len(rhs) - 1
+    gf = p3_series if fam.family == "A" else overpartition_series
     mm = _compare(gf(window).coeffs, rhs, window)
-    return _report(identity, k, j, window if order is None else order, mm, top - k + 1, t0)
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    order = window if order is None else order
+    return VerificationReport(identity, k, j, order, mm, fam.degree_cap - k + 1, elapsed_ms)
 
 
 # -- main theorems ------------------------------------------------------------
@@ -271,7 +262,7 @@ def verify_divisor_identities(order: int) -> VerificationReport:
     if order < 1:
         raise ValueError("need order >= 1")
     t0 = time.perf_counter()
-    fam = compute_A_family(2, order, lowest=1)
+    fam = _serve(family_request("divisor", None, None, order))
     a1 = fam.member(1).coeffs
     a2 = fam.member(2).coeffs
     mm = None
@@ -284,5 +275,6 @@ def verify_divisor_identities(order: int) -> VerificationReport:
         if 8 * a2[n] != expr:
             mm = Mismatch(n, 8 * a2[n], expr)
             break
-    return _report("divisor", None, None, order, mm, 2, t0)
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    return VerificationReport("divisor", None, None, order, mm, 2, elapsed_ms)
 

@@ -86,6 +86,10 @@ class TruncatedSeries(_Record):
     __slots__ = ("coeffs", "truncation_order")
 
     def __init__(self, coeffs: tuple[int, ...], truncation_order: int) -> None:
+        # every cut of a kept series or family constructs one, so these two
+        # checks stay inline rather than a call of _check_param
+        if truncation_order is True or truncation_order is False:
+            raise TypeError("truncation order must be an int, not bool")
         if truncation_order < 0:
             raise ValueError("truncation order must be non-negative")
         if len(coeffs) != truncation_order + 1:

@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import operator
+import pydoc
 import random
 import sys
 import threading
@@ -34,7 +35,7 @@ from macmahon.families import (
     members,
 )
 from macmahon.cli import MAX_ORDER
-from macmahon.identities import family_order
+from macmahon.identities import family_request
 from macmahon.partitions import (
     jacobi_cube,
     mk_bruteforce,
@@ -545,7 +546,7 @@ def test_folds_satisfy_the_differential_recursion(tag, build, step):
     for route, top in routes:
         rows = {k: list(m.coeffs) for k, m in enumerate(route)}
         assert oracles.differential_recursion_failures(step, rows, top) == [], top
-    order = family_order(f"cor-{tag.lower()}", 32, 3, None)
+    order = family_request(f"cor-{tag.lower()}", 32, 3, None)[2]
     deep = build(35, order, 32)
     rows = {k: list(deep.member(k).coeffs) for k in range(32, 36)}
     assert all(any(row) for row in rows.values())
@@ -828,6 +829,24 @@ def test_store_shared_across_threads():
             for key, value, kept in out:
                 assert value == fresh(*key), (name, key)
                 assert kept <= kept_at_most, (name, key)
+
+
+def test_each_store_answers_to_its_own_name():
+    # pydoc, reprs and tracebacks name a store by __name__; the build it
+    # wraps stays reachable as __wrapped__
+    stores = {
+        "compute_A_family": compute_A_family,
+        "compute_C_family": compute_C_family,
+        "p3_series": p3_series,
+        "overpartition_series": overpartition_series,
+    }
+    for name, store in stores.items():
+        assert (store.__name__, store.__qualname__) == (name, name)
+        assert store.__wrapped__ is store._build
+    assert compute_A_family.__wrapped__ is compute_A_family_uncached
+    assert compute_C_family.__wrapped__ is compute_C_family_uncached
+    page = pydoc.render_doc(compute_C_family, renderer=pydoc.plaintext)
+    assert page.splitlines()[2].startswith("compute_C_family = ")
 
 
 # -- the theta-quotient route ---------------------------------------------------------

@@ -13,7 +13,7 @@ from macmahon.identities import (
     Mismatch,
     VerificationReport,
     corollary_weights,
-    family_order,
+    family_request,
     theorem_rhs,
     verify_corollary_A,
     verify_corollary_C,
@@ -181,18 +181,30 @@ def test_a_member_nonzero_below_its_floor_is_reported(target, verify, args, m, e
 
 
 def test_family_order_is_the_highest_order_each_verifier_builds(monkeypatch):
-    requested = []
+    # each verifier makes exactly one family store request, the one
+    # family_request names, and builds no series of a higher order
+    requested, families = [], []
 
-    def recording(fn, position):
-        def wrapper(*args, **kwargs):
-            requested.append(args[position])
-            return fn(*args, **kwargs)
+    def recording_store(tag, fn):
+        def wrapper(K, order, lowest=0):
+            requested.append(order)
+            families.append((tag, K, order, lowest))
+            return fn(K, order, lowest=lowest)
 
         return wrapper
 
-    for name, position in [("compute_A_family", 1), ("compute_C_family", 1),
-                           ("p3_series", 0), ("overpartition_series", 0)]:
-        monkeypatch.setattr(identities, name, recording(getattr(identities, name), position))
+    def recording_series(fn):
+        def wrapper(order):
+            requested.append(order)
+            return fn(order)
+
+        return wrapper
+
+    for tag in "AC":
+        name = f"compute_{tag}_family"
+        monkeypatch.setattr(identities, name, recording_store(tag, getattr(identities, name)))
+    for name in ("p3_series", "overpartition_series"):
+        monkeypatch.setattr(identities, name, recording_series(getattr(identities, name)))
     verifiers = {
         "thm-a": lambda k, j, N: verify_theorem_A(k, N),
         "thm-c": lambda k, j, N: verify_theorem_C(k, N),
@@ -208,13 +220,16 @@ def test_family_order_is_the_highest_order_each_verifier_builds(monkeypatch):
             for j in range(4):
                 for N in (1, 3, 7, 20, 45):
                     requested.clear()
+                    families.clear()
                     try:
                         assert verify(k, j, N).passed
                     except ValueError as exc:
                         # a limit order below the valuation of member k
                         assert target.startswith("limit") and f"member {k}" in str(exc)
                         continue
-                    assert max(requested) == family_order(target, k, j, N), (target, k, j, N)
+                    request = family_request(target, k, j, N)
+                    assert families == [request], (target, k, j, N)
+                    assert max(requested) == request[2], (target, k, j, N)
                     checked += 1
     assert checked > 1000
 

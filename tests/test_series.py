@@ -32,6 +32,16 @@ def test_coefficient_accessor_bounds():
         s.coefficient(-1)
 
 
+def test_truncation_order_is_a_non_negative_int():
+    # a bool order would pass as 1 or 0 and serialize as true or false
+    for order, coeffs in ((True, (1, 0)), (False, (1,))):
+        with pytest.raises(TypeError, match="truncation order must be an int, not bool"):
+            TruncatedSeries(coeffs, order)
+    with pytest.raises(ValueError, match="truncation order must be non-negative"):
+        TruncatedSeries((), -1)
+    assert TruncatedSeries((1, 0), 1).to_json_dict()["truncation"] == 1
+
+
 # -- mul ----------------------------------------------------------------------------
 
 
