@@ -19,7 +19,6 @@ from collections.abc import Container, Iterable
 # bound here, next to the generating functions and verifiers, because
 # perfbench/tracer.py wraps each layer at its name in this module
 from .families import (
-    _lowval,
     compute_A_family,
     compute_A_family_uncached,
     compute_C_family,
@@ -27,6 +26,7 @@ from .families import (
 )
 from .identities import (
     Mismatch,
+    OrderBelowFloor,
     VerificationReport,
     family_request,
     verify_corollary_A,
@@ -168,14 +168,14 @@ def _run_verifier(args: argparse.Namespace) -> VerificationReport:
     name, *options = _VERIFIERS[target]
     _check_options(args, options)
     minimum = 1 if target == "divisor" else 0  # divisor sums start at n = 1
-    values = []
-    for option in options:
-        if target.startswith("limit") and option == "N":
-            # the limit window starts at the valuation of member k
-            minimum = _lowval(values[0], 1 if target == "limit-a" else 2)
-        values.append(_need(getattr(args, option), option, minimum))
+    values = [_need(getattr(args, option), option, minimum) for option in options]
+    try:
+        request = family_request(target, args.k, args.j, args.N)
+    except OrderBelowFloor as exc:
+        # the limit window starts at the valuation of member k
+        raise UsageError(f"--N must be >= {exc.floor}, got {args.N}") from None
     # the order of the family the verifier builds, checked before it allocates anything
-    _check_order(family_request(target, args.k, args.j, args.N)[2])
+    _check_order(request[2])
     return globals()[name](*values)
 
 

@@ -124,6 +124,15 @@ _FAMILIES = {
 }
 
 
+class OrderBelowFloor(ValueError):
+    """A limit verifier's order lies below `floor`, the valuation of member
+    k, where its window would start."""
+
+    def __init__(self, k: int, floor: int) -> None:
+        super().__init__(f"order must be at least {floor}, the valuation of member {k}")
+        self.floor = floor
+
+
 def family_request(
     identity: str, k: int | None, j: int | None, N: int | None
 ) -> tuple[str, int, int, int]:
@@ -142,7 +151,7 @@ def family_request(
     if identity.startswith("cor"):
         return tag, k + j, _lowval(k + j + 1, step) - 1, k
     if N < shift:
-        raise ValueError(f"order must be at least {shift}, the valuation of member {k}")
+        raise OrderBelowFloor(k, shift)
     return tag, k, min(_lowval(k + 1, step) - 1, N), k
 
 

@@ -295,3 +295,38 @@ def reference_fold(step: int, lowest: int, k_eff: int, order: int, slot_bits: in
             # lift by q^s and align to this degree's valuation floor
             rows[k] += t << (b * (lv + s - lowvals[k]))
     return rows
+
+
+def fold_window_volume(step: int, lowest: int, k_eff: int, order: int, slot_bits: int) -> int:
+    """Bits the packed fold moves, walked over `reference_fold`'s window
+    schedule without any big integer.  A window of w slots on row k costs
+    w to cut it from row k-1, 4w per doubling step over its two passes, w to
+    lift it and the width of row k, which the add into row k copies:
+    `slot_bits * (w * (4 * steps + 2) + row_k)`, steps the least j with
+    s * 2^j >= w.  Rows stay zero until a window reaches them."""
+
+    def lowval(k: int) -> int:
+        return k + step * k * (k - 1) // 2
+
+    lowvals = [lowval(k) for k in range(k_eff + 1)]
+    widths = [order - max(lowvals[lowest] - lv, 0) - lv + 1 for lv in lowvals]
+    nonzero = [True] + [False] * k_eff
+    volume = 0
+    applied = 0
+    for s in range(1, order + 1, step):
+        applied += 1
+        for k in range(min(k_eff, applied), 0, -1):
+            r = max(lowest - k, 0)
+            w = order - r * s - step * r * (r + 1) // 2 - lowvals[k - 1] - s + 1
+            if w <= 0:
+                if k <= lowest:
+                    break
+                continue
+            if not nonzero[k - 1]:
+                continue
+            steps = 0
+            while s << steps < w:
+                steps += 1
+            volume += slot_bits * (w * (4 * steps + 2) + widths[k])
+            nonzero[k] = True
+    return volume

@@ -19,7 +19,9 @@ from macmahon.families import (
     _TOTAL_CHECKED_ORDER,
     _bound_bits,
     _dense_bound_bits,
+    _GROWTH_RATIO,
     _fold_bound_bits,
+    _fold_cost,
     _fold_packed,
     _theta_row,
     _lowval,
@@ -34,6 +36,8 @@ from macmahon.families import (
     compute_C_family_uncached,
     members,
 )
+import macmahon.families as families
+import macmahon.identities as identities
 from macmahon.cli import MAX_ORDER
 from macmahon.identities import family_request
 from macmahon.partitions import (
@@ -775,6 +779,135 @@ def test_store_keeps_at_most_twelve_families(build):
     build(*keys[-1])  # kept
     build(*keys[0])  # dropped long ago as the least recently used
     assert build.cache_info()[:2] == (1, 31)
+
+
+@pytest.mark.parametrize(
+    "build,fresh,step",
+    [(compute_A_family, compute_A_family_uncached, 1), (compute_C_family, compute_C_family_uncached, 2)],
+    ids=["A", "C"],
+)
+def test_a_miss_grows_the_most_recent_family_while_the_union_is_cheap(
+    build, fresh, step, monkeypatch
+):
+    def top(order):
+        return _top_member(step, order, order)
+
+    # the union of (150, lowest 5) and (140, lowest 3), order 150 from
+    # lowest 3, costs about 1.25 times the request
+    union = _fold_cost(step, 150, 3, top(150))
+    exact = _fold_cost(step, 140, 3, top(140))
+    assert exact < union <= _GROWTH_RATIO * exact
+    build(top(150), 150, 5)
+    assert build(top(140), 140, 3) == fresh(top(140), 140, 3)
+    assert build.cache_info() == (0, 2, 12, 1)  # the union replaced both
+    assert build(top(150), 150, 3) == fresh(top(150), 150, 3)
+    assert build.cache_info() == (1, 2, 12, 1)
+    # a limit window far below would grow the family to many times its cost
+    assert build(2, 6, 2) == fresh(2, 6, 2)
+    assert build.cache_info() == (1, 3, 12, 2)
+    # with the ratio just under the union's, the same miss builds exactly
+    build.cache_clear()
+    monkeypatch.setattr(families, "_GROWTH_RATIO", union / exact * (1 - 1e-9))
+    build(top(150), 150, 5)
+    build(top(140), 140, 3)
+    assert build.cache_info() == (0, 2, 12, 2)
+
+
+# (tag, order, lowest, top) grid of builds, the deep corollary windows'
+# shapes and the divisor's among them
+COST_GRID = [
+    (tag, order, lowest, top)
+    for tag, step in (("A", 1), ("C", 2))
+    for order in (10, 30, 60, 100, 150, 200, 278, 400, 600)
+    for lowest in range(0, _top_member(step, order, order) + 1, 2)
+    for top in sorted({lowest, lowest + 1, 2, _top_member(step, order, order)})
+    if lowest <= top <= _top_member(step, order, order)
+]
+
+
+def test_fold_cost_grows_with_the_order_and_falls_with_lowest():
+    for tag, order, lowest, top in COST_GRID:
+        step = 1 if tag == "A" else 2
+        cost = _fold_cost(step, order, lowest, top)
+        assert _fold_cost(step, order + 1, lowest, top) >= cost, (tag, order, lowest, top)
+        if lowest < top:
+            assert _fold_cost(step, order, lowest + 1, top) <= cost, (tag, order, lowest, top)
+    # past the order at which the closed family total is checked, the width
+    # switches to the looser proven bound, which is wider still
+    for step in (1, 2):
+        top = _top_member(step, _TOTAL_CHECKED_ORDER, _TOTAL_CHECKED_ORDER)
+        below = _fold_cost(step, _TOTAL_CHECKED_ORDER, top - 1, top)
+        assert _fold_cost(step, _TOTAL_CHECKED_ORDER + 1, top - 1, top) >= below
+
+
+def test_fold_cost_stays_within_a_band_of_the_walked_window_volume():
+    # the estimate ranks a union against the exact request, so it must track
+    # the bits the fold moves: on this grid it reads 1.03-24 times (median
+    # 5.6) below the volume walked over the fold's own window schedule
+    ratios = []
+    for tag, order, lowest, top in COST_GRID:
+        step = 1 if tag == "A" else 2
+        bits = _slot_bits(_fold_bound_bits(step, order, lowest, top))
+        volume = oracles.fold_window_volume(step, lowest, top, order, bits)
+        cost = _fold_cost(step, order, lowest, top)
+        assert cost <= volume <= 32 * cost, (tag, order, lowest, top)
+        if cost:
+            ratios.append(volume / cost)
+    assert len(ratios) > 300
+
+
+def _sweep(rng):
+    # two passes of the theorem, limit, divisor and corollary verifiers at
+    # N = 100 and 140, each pass in its own shuffled order
+    reports = []
+    for N in (100, 140):
+        calls = [(identities.verify_theorem_A, k, N) for k in range(13)]
+        calls += [(identities.verify_theorem_C, k, N) for k in range(13)]
+        calls += [(identities.verify_limit_A, k, N) for k in range(11)]
+        calls += [(identities.verify_limit_C, k, N) for k in range(9)]
+        calls.append((identities.verify_divisor_identities, 3 * N))
+        calls += [
+            (verify, k, j)
+            for verify in (identities.verify_corollary_A, identities.verify_corollary_C)
+            for k, j in ((0, 3), (1, 2), (2, 2), (20, 2))
+        ]
+        rng.shuffle(calls)
+        reports += [verify(*args) for verify, *args in calls]
+    return reports
+
+
+def test_a_verifier_sweep_builds_fewer_families_by_growing_them(monkeypatch):
+    # Pins the stores' work on a fixed sweep, not its time: the misses of the
+    # A and C stores must stay at most these figures, and below the same
+    # sweep with growth switched off.  A change that lowers them updates them.
+    pinned = {"A": 30, "C": 27}
+    stores = {"A": compute_A_family, "C": compute_C_family}
+    fresh = {"A": compute_A_family_uncached, "C": compute_C_family_uncached}
+
+    def checked(tag):
+        def serve(K, order, lowest=0):
+            served = stores[tag](K, order, lowest=lowest)
+            assert served == fresh[tag](K, order, lowest), (tag, K, order, lowest)
+            return served
+
+        return serve
+
+    for tag in "AC":
+        monkeypatch.setattr(identities, f"compute_{tag}_family", checked(tag))
+    reports = _sweep(random.Random(26))
+    assert len(reports) == 2 * 55 and all(report.passed for report in reports)
+    grown = {tag: stores[tag].cache_info().misses for tag in "AC"}
+    assert all(grown[tag] <= pinned[tag] for tag in "AC"), grown
+
+    for store in (compute_A_family, compute_C_family, p3_series, overpartition_series):
+        store.cache_clear()
+    for store in stores.values():
+        monkeypatch.setattr(store, "_grow", None)
+    exact = _sweep(random.Random(26))
+    assert [r.to_json_dict() | {"elapsed_ms": 0} for r in exact] == [
+        r.to_json_dict() | {"elapsed_ms": 0} for r in reports
+    ]
+    assert all(grown[tag] < stores[tag].cache_info().misses for tag in "AC"), grown
 
 
 def _family_request(rng):

@@ -8,7 +8,13 @@ import math
 import pytest
 
 import macmahon.identities as identities
-from macmahon.families import MacmahonFamily, compute_A_family, compute_C_family
+from macmahon.families import (
+    MacmahonFamily,
+    _request_key,
+    compute_A_family,
+    compute_A_family_uncached,
+    compute_C_family,
+)
 from macmahon.identities import (
     Mismatch,
     VerificationReport,
@@ -379,6 +385,33 @@ def test_divisor_identity_hand_values():
     assert fam.members[2].coeffs[3] == 1
     assert fam.members[2].coeffs[4] == 3
     assert fam.members[1].coeffs[5] == 6
+
+
+# (member doctored, its exponent, the report's first mismatch at it)
+DOCTORED_DIVISOR = [
+    (1, 17, lambda a1, a2, n: Mismatch(n, a1[n] + 1, a1[n])),
+    (2, 23, lambda a1, a2, n: Mismatch(n, 8 * (a2[n] + 1), 8 * a2[n])),
+]
+
+
+@pytest.mark.parametrize("m,n,want", DOCTORED_DIVISOR, ids=["A_1", "A_2"])
+def test_divisor_reports_a_doctored_member_through_the_store(m, n, want, monkeypatch):
+    # the store keeps a wider family with member m one too high at q^n; the
+    # verifier's request is cut out of it, and the report must name n with
+    # both sides of the formula that member feeds
+    order = 40
+    real = compute_A_family_uncached(6, order)
+    a1, a2 = real.member(1).coeffs, real.member(2).coeffs
+    rows = list(real.members)
+    coeffs = list(rows[m].coeffs)
+    coeffs[n] += 1
+    rows[m] = as_series(coeffs, order)
+    doctored = MacmahonFamily("A", tuple(rows), order, 6)
+    monkeypatch.setattr(compute_A_family, "_kept", [(_request_key(1, 6, order), doctored)])
+    report = verify_divisor_identities(30)
+    assert compute_A_family.cache_info()[:2] == (1, 0)
+    assert report.first_mismatch == want(a1, a2, n)
+    assert (report.identity, report.order, report.terms_used) == ("divisor", 30, 2)
 
 
 def test_divisor_rejects_order_below_one():
