@@ -167,12 +167,11 @@ def _run_verifier(args: argparse.Namespace) -> VerificationReport:
     target = args.target
     name, *options = _VERIFIERS[target]
     _check_options(args, options)
-    minimum = 1 if target == "divisor" else 0  # divisor sums start at n = 1
-    values = [_need(getattr(args, option), option, minimum) for option in options]
+    values = [_need(getattr(args, option), option) for option in options]
     try:
         request = family_request(target, args.k, args.j, args.N)
     except OrderBelowFloor as exc:
-        # the limit window starts at the valuation of member k
+        # the limit and divisor windows start at the valuation of a member
         raise UsageError(f"--N must be >= {exc.floor}, got {args.N}") from None
     # the order of the family the verifier builds, checked before it allocates anything
     _check_order(request[2])
@@ -266,7 +265,9 @@ def _run_bench(args: argparse.Namespace) -> list[dict]:
     compute_A_family_uncached(min(cap, 4), 16)  # warm up allocators
     for n in args.bench_family_sizes:
         dt = _best_of(repeat, lambda: compute_A_family_uncached(cap, n))
-        rows.append({"op": "family", "K": cap, "N": n, "elapsed_s": dt})
+        # six fixed decimals in every format; JSON carries them as a string,
+        # since a JSON number would print a fast row in exponent form
+        rows.append({"op": "family", "K": cap, "N": n, "elapsed_s": f"{dt:.6f}"})
     return rows
 
 
@@ -274,11 +275,11 @@ def _bench_output(rows: list[dict], fmt: str) -> str:
     if fmt == "json":
         return _dump_json(rows)
     if fmt == "csv":
-        cells = ((r["op"], r["K"], r["N"], f"{r['elapsed_s']:.6f}") for r in rows)
+        cells = ((r["op"], r["K"], r["N"], r["elapsed_s"]) for r in rows)
         return _csv(("op", "K", "N", "elapsed_s"), cells)
     lines = [f"{'op':<14} {'K':>4} {'N':>7} {'elapsed_s':>12}"]
     for r in rows:
-        lines.append(f"{r['op']:<14} {r['K']:>4} {r['N']:>7} {r['elapsed_s']:>12.6f}")
+        lines.append(f"{r['op']:<14} {r['K']:>4} {r['N']:>7} {r['elapsed_s']:>12}")
     return "\n".join(lines) + "\n"
 
 

@@ -34,9 +34,10 @@ high, since a prefix of a truncated series is exact and member k depends
 neither on the cap nor on the lowest member asked for.  A miss builds the
 union of the request and the most recently used kept family (the larger
 order, the lower lowest member, every member that can be nonzero at that
-order) when `_fold_cost` puts the union at most 1.5 times the request, and
-exactly the request otherwise.  A theorem sweep over k then builds one
-family that each later k reads.  The `_uncached` functions always build.
+order) when `_fold_cost` puts the union at most the request's cost plus the
+kept family's, the two builds it replaces, and exactly the request
+otherwise.  A theorem sweep over k then builds one family that each later
+k reads.  The `_uncached` functions always build.
 
 `members(family, ks, order)` is the second route: each member is p3 (for
 A) or overp (for C) times a sparse theta row of O(sqrt(order)) terms, the
@@ -247,9 +248,9 @@ def _fold_packed(step: int, lowest: int, k_eff: int, order: int, slot_bits: int)
                 # through row k to row lowest only grows as k falls: no lower
                 # row has a window
                 break
+            # the loop reaches row k-1 only once k-1 factors are in, enough
+            # for its first term; were it still zero, it would only add zero
             x = rows[k - 1]
-            if not x:
-                continue
             # drop the exponents above order - cut - s; since s is at least
             # the k-th factor, neither this shift nor the lift below is
             # negative: cut - drop[k] = r*(s - 1 - step*(k-1))
@@ -346,15 +347,9 @@ def compute_C_family_uncached(K: int, order: int, lowest: int = 0) -> MacmahonFa
     return _compute_family("C", 2, K, order, lowest)
 
 
-# a miss builds the union with the most recently used family only while its
-# estimated fold cost is at most this multiple of the request's; at 2.0 the
-# deep corollary windows, which never reuse a family, fold 5-11% more bits
-_GROWTH_RATIO = 1.5
-
-
 def _fold_cost(step: int, order: int, lowest: int, top: int) -> int:
     # An estimate of a build's fold work, from its key alone: no series read
-    # and no walk over the part sizes, so a miss can afford to ask it twice.
+    # and no walk over the part sizes, so a miss can afford to ask it three times.
     # Row k's first window, at s = the k-th smallest part, is W_k wide (the
     # window w of _fold_packed), and its later windows shrink by r + 1 slots
     # per factor, r = max(lowest - k, 0), so the row moves about W_k^2/(r+1)
@@ -376,12 +371,13 @@ def _fold_cost(step: int, order: int, lowest: int, top: int) -> int:
 
 def _grow_request(step: int, kept: tuple, key: tuple) -> tuple | None:
     # the build (K, order, lowest) of the union of a kept family and a missed
-    # request, or None where the union costs more than _GROWTH_RATIO times
-    # the request
+    # request, or None where the union costs more than the two builds it
+    # replaces, the request and the kept family it evicts: then the work a
+    # union spends beyond the request is at most what the kept family cost
     order, lowest = max(kept[0], key[0]), min(kept[1], key[1])
     top = _top_member(step, order, order)
-    exact = _fold_cost(step, key[0], key[1], key[2])
-    if exact == 0 or _fold_cost(step, order, lowest, top) > _GROWTH_RATIO * exact:
+    union = _fold_cost(step, order, lowest, top)
+    if union > _fold_cost(step, *key[:3]) + _fold_cost(step, *kept[:3]):
         return None
     return top, order, lowest
 

@@ -125,8 +125,8 @@ _FAMILIES = {
 
 
 class OrderBelowFloor(ValueError):
-    """A limit verifier's order lies below `floor`, the valuation of member
-    k, where its window would start."""
+    """A limit or divisor verifier's order lies below `floor`, the valuation
+    of member k, where its window would start."""
 
     def __init__(self, k: int, floor: int) -> None:
         super().__init__(f"order must be at least {floor}, the valuation of member {k}")
@@ -140,6 +140,9 @@ def family_request(
     `identity` (a `macmahon verify` target) makes for these parameters; those
     it takes no part in are ignored."""
     if identity == "divisor":
+        # the divisor sums start at n = 1, the valuation of member 1
+        if N < 1:
+            raise OrderBelowFloor(1, 1)
         return "A", 2, N, 1
     tag = identity[-1].upper()
     step = _FAMILIES[tag][0]
@@ -268,8 +271,6 @@ def verify_divisor_identities(order: int) -> VerificationReport:
     8*coeff = (1-2n)*sigma_1(n) + sigma_3(n), which in particular forces the
     right side to be divisible by 8.  Checked for 1 <= n <= order."""
     _check_param("order", order)
-    if order < 1:
-        raise ValueError("need order >= 1")
     t0 = time.perf_counter()
     fam = _serve(family_request("divisor", None, None, order))
     a1 = fam.member(1).coeffs

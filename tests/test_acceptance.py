@@ -224,7 +224,7 @@ def test_criterion_10_bench_sanity(capsys):
     if [r["op"] for r in rows] != ["family"] * 3:
         failures.append(("bench ops", [r["op"] for r in rows]))
     sizes = [r["N"] for r in rows]
-    times = [r["elapsed_s"] for r in rows]
+    times = [float(r["elapsed_s"]) for r in rows]
     if sizes != sorted(set(sizes)):
         failures.append(("family", "sizes not strictly increasing", sizes))
     if times != sorted(times):

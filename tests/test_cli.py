@@ -189,7 +189,19 @@ def test_bench_ladder(capsys):
     assert main(["bench", "--K", "4", "--sizes", "20,40", "--format", "json"]) == 0
     rows = json.loads(out_of(capsys))
     assert [(r["op"], r["K"], r["N"]) for r in rows] == [("family", 4, 20), ("family", 4, 40)]
-    assert all(r["elapsed_s"] >= 0 for r in rows)
+    assert all(float(r["elapsed_s"]) >= 0 for r in rows)
+
+
+def test_bench_json_carries_the_csv_cell(capsys, monkeypatch):
+    # a fast row reads in six fixed decimals in every format, not in
+    # exponent form in JSON
+    monkeypatch.setattr(cli, "_best_of", lambda repeats, fn: 6.81e-05)
+    argv = ["bench", "--K", "2", "--sizes", "10,20"]
+    assert main(argv + ["--format", "json"]) == 0
+    json_cells = [r["elapsed_s"] for r in json.loads(out_of(capsys))]
+    assert main(argv + ["--format", "csv"]) == 0
+    csv_cells = [line.split(",")[3] for line in out_of(capsys).splitlines()[1:]]
+    assert json_cells == csv_cells == ["0.000068", "0.000068"]
 
 
 def test_bench_csv_and_text(capsys):
@@ -462,6 +474,8 @@ REFUSED = [
      "error: --N must be >= 6, got 5\n"),
     ("limit-c below the floor", ["verify", "--target", "limit-c", "--k", "3", "--N", "8"],
      "error: --N must be >= 9, got 8\n"),
+    ("divisor below the floor", ["verify", "--target", "divisor", "--N", "0"],
+     "error: --N must be >= 1, got 0\n"),
 ]
 
 

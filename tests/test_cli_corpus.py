@@ -65,7 +65,6 @@ LINES = [
     *[(argv, True) for argv in _formatted(["verify", "--target", "thm-a", "--k", "1", "--N", "30"])],
     *[(argv, False) for _, argv, _ in REFUSED],
     (["bench", "--sizes", "10,x"], False),
-    (["verify", "--target", "divisor", "--N", "0"], False),
     (["verify", "--target", "divisor", "--N", "-1"], False),
 ]
 

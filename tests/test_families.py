@@ -19,7 +19,6 @@ from macmahon.families import (
     _TOTAL_CHECKED_ORDER,
     _bound_bits,
     _dense_bound_bits,
-    _GROWTH_RATIO,
     _fold_bound_bits,
     _fold_cost,
     _fold_packed,
@@ -786,31 +785,44 @@ def test_store_keeps_at_most_twelve_families(build):
     [(compute_A_family, compute_A_family_uncached, 1), (compute_C_family, compute_C_family_uncached, 2)],
     ids=["A", "C"],
 )
-def test_a_miss_grows_the_most_recent_family_while_the_union_is_cheap(
+def test_a_miss_grows_the_union_while_it_costs_no_more_than_the_two_builds(
     build, fresh, step, monkeypatch
 ):
     def top(order):
         return _top_member(step, order, order)
 
     # the union of (150, lowest 5) and (140, lowest 3), order 150 from
-    # lowest 3, costs about 1.25 times the request
-    union = _fold_cost(step, 150, 3, top(150))
-    exact = _fold_cost(step, 140, 3, top(140))
-    assert exact < union <= _GROWTH_RATIO * exact
+    # lowest 3, costs less than the two builds it replaces
+    kept, request, union = (150, 5, top(150)), (140, 3, top(140)), (150, 3, top(150))
+    assert _fold_cost(step, *union) < _fold_cost(step, *kept) + _fold_cost(step, *request)
     build(top(150), 150, 5)
     assert build(top(140), 140, 3) == fresh(top(140), 140, 3)
     assert build.cache_info() == (0, 2, 12, 1)  # the union replaced both
     assert build(top(150), 150, 3) == fresh(top(150), 150, 3)
     assert build.cache_info() == (1, 2, 12, 1)
-    # a limit window far below would grow the family to many times its cost
+    # growing the family down to a limit window far below would cost more
+    # than that window and the family together
     assert build(2, 6, 2) == fresh(2, 6, 2)
     assert build.cache_info() == (1, 3, 12, 2)
-    # with the ratio just under the union's, the same miss builds exactly
-    build.cache_clear()
-    monkeypatch.setattr(families, "_GROWTH_RATIO", union / exact * (1 - 1e-9))
-    build(top(150), 150, 5)
-    build(top(140), 140, 3)
-    assert build.cache_info() == (0, 2, 12, 2)
+
+    # the rule's edge: a union that costs exactly the two builds is grown, one
+    # that costs one unit more is not
+    cost = _fold_cost
+
+    def union_costs(excess):
+        def patched(step, order, lowest, top):
+            if (order, lowest, top) == union:
+                return cost(step, *kept) + cost(step, *request) + excess
+            return cost(step, order, lowest, top)
+
+        return patched
+
+    for excess, currsize in ((0, 1), (1, 2)):
+        build.cache_clear()
+        monkeypatch.setattr(families, "_fold_cost", union_costs(excess))
+        build(top(150), 150, 5)
+        assert build(top(140), 140, 3) == fresh(top(140), 140, 3)
+        assert build.cache_info() == (0, 2, 12, currsize), excess
 
 
 # (tag, order, lowest, top) grid of builds, the deep corollary windows'
@@ -880,7 +892,7 @@ def test_a_verifier_sweep_builds_fewer_families_by_growing_them(monkeypatch):
     # Pins the stores' work on a fixed sweep, not its time: the misses of the
     # A and C stores must stay at most these figures, and below the same
     # sweep with growth switched off.  A change that lowers them updates them.
-    pinned = {"A": 30, "C": 27}
+    pinned = {"A": 26, "C": 26}
     stores = {"A": compute_A_family, "C": compute_C_family}
     fresh = {"A": compute_A_family_uncached, "C": compute_C_family_uncached}
 

@@ -17,6 +17,7 @@ from macmahon.families import (
 )
 from macmahon.identities import (
     Mismatch,
+    OrderBelowFloor,
     VerificationReport,
     corollary_weights,
     family_request,
@@ -415,8 +416,13 @@ def test_divisor_reports_a_doctored_member_through_the_store(m, n, want, monkeyp
 
 
 def test_divisor_rejects_order_below_one():
-    with pytest.raises(ValueError):
+    # the divisor sums start at n = 1, the valuation of member 1
+    floor = "at least 1, the valuation of member 1"
+    with pytest.raises(OrderBelowFloor, match=floor) as exc:
         verify_divisor_identities(0)
+    assert exc.value.floor == 1
+    with pytest.raises(OrderBelowFloor, match=floor):
+        family_request("divisor", None, None, 0)
 
 
 # -- report plumbing ----------------------------------------------------------------------------

@@ -42,6 +42,11 @@ def test_truncation_order_is_a_non_negative_int():
     assert TruncatedSeries((1, 0), 1).to_json_dict()["truncation"] == 1
 
 
+def test_coefficient_count_must_match_the_order():
+    with pytest.raises(ValueError, match="need exactly 1 coefficients, got 2"):
+        TruncatedSeries((1, 2), 0)
+
+
 # -- mul ----------------------------------------------------------------------------
 
 
@@ -64,6 +69,13 @@ def test_mul_min_order_propagation():
     a = as_series([1, 2, 3], 2)
     b = as_series([1, 1], 9)
     assert (a * b).truncation_order == 2
+
+
+def test_mul_by_a_non_series_is_a_type_error():
+    one = TruncatedSeries.one(3)
+    assert one.__mul__(3) is NotImplemented
+    with pytest.raises(TypeError):
+        one * 3
 
 
 # -- invert ----------------------------------------------------------------------------
@@ -178,6 +190,10 @@ def test_format_series():
     assert format_series(jacobi_cube(10)) == "1 - 3q + 5q^3 - 7q^6 + 9q^10"
     assert format_series(TruncatedSeries.zero(5)) == "0"
     assert format_series(as_series([0, 1], 1)) == "q"
+    # repr shows six terms, then cuts the rest
+    assert repr(p3_series(20)) == (
+        "TruncatedSeries('1 + 3q + 9q^2 + 22q^3 + 51q^4 + 108q^5 + ...', order=20)"
+    )
 
 
 def test_json_round_trip():
