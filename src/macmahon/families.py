@@ -36,8 +36,8 @@ union of the request and the most recently used kept family (the larger
 order, the lower lowest member, every member that can be nonzero at that
 order) when `_fold_cost` puts the union at most the request's cost plus the
 kept family's, the two builds it replaces, and exactly the request
-otherwise.  A theorem sweep over k then builds one family that each later
-k reads.  The `_uncached` functions always build.
+otherwise, as it does a request with nothing to fold.  A theorem sweep over
+k then builds one family that each later k reads.  The `_uncached` functions always build.
 
 `members(family, ks, order)` is the second route: each member is p3 (for
 A) or overp (for C) times a sparse theta row of O(sqrt(order)) terms, the
@@ -349,7 +349,8 @@ def compute_C_family_uncached(K: int, order: int, lowest: int = 0) -> MacmahonFa
 
 def _fold_cost(step: int, order: int, lowest: int, top: int) -> int:
     # An estimate of a build's fold work, from its key alone: no series read
-    # and no walk over the part sizes, so a miss can afford to ask it three times.
+    # and no walk over the part sizes, so a miss can afford to ask it three
+    # times.
     # Row k's first window, at s = the k-th smallest part, is W_k wide (the
     # window w of _fold_packed), and its later windows shrink by r + 1 slots
     # per factor, r = max(lowest - k, 0), so the row moves about W_k^2/(r+1)
@@ -372,12 +373,15 @@ def _fold_cost(step: int, order: int, lowest: int, top: int) -> int:
 def _grow_request(step: int, kept: tuple, key: tuple) -> tuple | None:
     # the build (K, order, lowest) of the union of a kept family and a missed
     # request, or None where the union costs more than the two builds it
-    # replaces, the request and the kept family it evicts: then the work a
-    # union spends beyond the request is at most what the kept family cost
+    # replaces, the request and the kept family it evicts; so the work a
+    # union spends beyond the request is at most what the kept family cost.
+    # A request with nothing to fold (member 0 alone, say) is built exactly:
+    # its union could cost as much as the kept family, only to fold it again.
     order, lowest = max(kept[0], key[0]), min(kept[1], key[1])
     top = _top_member(step, order, order)
     union = _fold_cost(step, order, lowest, top)
-    if union > _fold_cost(step, *key[:3]) + _fold_cost(step, *kept[:3]):
+    exact = _fold_cost(step, *key[:3])
+    if exact == 0 or union > exact + _fold_cost(step, *kept[:3]):
         return None
     return top, order, lowest
 

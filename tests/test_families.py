@@ -804,6 +804,13 @@ def test_a_miss_grows_the_union_while_it_costs_no_more_than_the_two_builds(
     # than that window and the family together
     assert build(2, 6, 2) == fresh(2, 6, 2)
     assert build.cache_info() == (1, 3, 12, 2)
+    # a request with nothing to fold is built exactly, though a union from
+    # lowest 0 would cost no more than the kept family from lowest 1
+    build.cache_clear()
+    assert _fold_cost(step, 150, 0, top(150)) == _fold_cost(step, 150, 1, top(150))
+    build(top(150), 150, 1)
+    assert build(0, 150) == fresh(0, 150)
+    assert build.cache_info() == (0, 2, 12, 2)
 
     # the rule's edge: a union that costs exactly the two builds is grown, one
     # that costs one unit more is not
@@ -853,9 +860,10 @@ def test_fold_cost_grows_with_the_order_and_falls_with_lowest():
 
 
 def test_fold_cost_stays_within_a_band_of_the_walked_window_volume():
-    # the estimate ranks a union against the exact request, so it must track
-    # the bits the fold moves: on this grid it reads 1.03-24 times (median
-    # 5.6) below the volume walked over the fold's own window schedule
+    # the estimate ranks a union against the two builds it replaces, so it
+    # must track the bits the fold moves: on this grid it reads 1.03-24
+    # times (median 5.6) below the volume walked over the fold's own window
+    # schedule
     ratios = []
     for tag, order, lowest, top in COST_GRID:
         step = 1 if tag == "A" else 2
