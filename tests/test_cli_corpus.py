@@ -6,8 +6,10 @@ Each entry keeps a SHA-256 of each stream and, for a stream of at most
 SHORT characters, its full text.  Timings are masked by a fake clock that
 makes every timed span last exactly TICK seconds, and argparse formats
 its usage at COLUMNS=80, so the bytes do not depend on the machine or the
-terminal.  A "doctored" line runs with the A family store returning its
-lowest member one too high at the top exponent, so its report fails.
+terminal.  The lines argparse refuses pin argparse's own wording, as
+Python 3.11 prints it.  A "doctored" line runs with the A family store
+returning its lowest member one too high at the top exponent, so its
+report fails.
 
 A change that alters a line's bytes on purpose regenerates the corpus
 from the repository root with
