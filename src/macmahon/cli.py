@@ -191,7 +191,6 @@ def _report_output(report: VerificationReport, fmt: str) -> str:
             else:
                 row[key] = value
         row["passed"] = str(report.passed).lower()
-        row["elapsed_ms"] = f"{report.elapsed_ms:.3f}"
         return _csv(tuple(row), [tuple("" if v is None else v for v in row.values())])
     params = []
     if report.k is not None:
@@ -200,7 +199,7 @@ def _report_output(report: VerificationReport, fmt: str) -> str:
         params.append(f"j={report.j}")
     params.append(f"N={report.order}")
     head = f"{report.identity} {' '.join(params)}"
-    tail = f"(terms_used={report.terms_used}, {report.elapsed_ms:.1f} ms)"
+    tail = f"(terms_used={report.terms_used}, {report.elapsed_ms:.3f} ms)"
     if report.passed:
         return f"{head}: PASS {tail}\n"
     mm = report.first_mismatch

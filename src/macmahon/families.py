@@ -51,7 +51,7 @@ Every coefficient either route returns is bounded by the coefficient at the
 order of prod over the family's part sizes s of 1/(1-q^s)^2, since 1 +
 x/(1-x)^2 <= 1/(1-x)^2 coefficientwise: the 2-colored partition count p2
 for A, (-q;q)^2 for C.  The theta route's slots hold the dense series
-itself, so they are sized by p3 (A) or overp (C).  The fold's slots have
+itself, so they are sized by the series they hold.  The fold's slots have
 tighter bounds: `_fold_bound_bits` takes the smallest of the family total,
 a prefix sum of p3 or overp and a binomial in the cap, and its comment holds
 the argument for each.  The theta route checks member k against the same
@@ -117,10 +117,6 @@ class MacmahonFamily(_Record):
         if not self.lowest <= k <= self.degree_cap:
             raise IndexError(f"family holds members {self.lowest}..{self.degree_cap}")
         return self.members[k - self.lowest]
-
-    def coefficient(self, k: int, n: int) -> int:
-        """The multiplicity-product partition count encoded at q^n of member k."""
-        return self.member(k).coefficient(n)
 
 
 def _bound_bits(step: int, order: int) -> int:
@@ -197,13 +193,6 @@ def _fold_bound_bits(step: int, order: int, lowest: int, top: int) -> int:
         return bound
     dense = p3_series(reach) if step == 1 else overpartition_series(reach)
     return min(bound, sum(dense.coeffs).bit_length())
-
-
-def _dense_bound_bits(step: int, order: int) -> int:
-    # The theta route packs p3 (A) or overp (C) through the order, so its
-    # slots must hold p3(order) < exp(pi*sqrt(2*order)) or overp(order) <
-    # exp(pi*sqrt(order)).
-    return int(math.pi * math.sqrt(2 * order / step) / math.log(2)) + 1
 
 
 def _slot_bits(bound_bits: int) -> int:
@@ -440,11 +429,11 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
         A_k = p3    * sum_{m>=k} (-1)^(m+k) (2m+1)/(2k+1) C(m+k, 2k) q^(m(m+1)/2)
         C_k = overp * sum_{m>=k} (-1)^(m+k) 2m/(m+k) C(m+k, 2k) q^(m^2)
 
-    The dense series is packed once into slots wide enough for its own
-    bound at the order plus at least 8 guard bits, so a theta term c*q^e
-    adds c times the packed series shifted right by e slots.  The sum then
-    equals, as an integer, the member packed the same way; nothing is
-    masked, so negative partial sums are harmless.  Unpacking checks every
+    The dense series is packed once into slots sized by the series they
+    hold, its largest coefficient plus at least 8 guard bits, so a theta
+    term c*q^e adds c times the packed series shifted right by e slots.  The
+    sum then equals, as an integer, the member packed the same way; nothing
+    is masked, so negative partial sums are harmless.  Unpacking checks every
     slot of member k against `_fold_bound_bits`, the bound of a fold of
     members k..k, so a slot too narrow for its coefficient raises
     ArithmeticError.  A member whose valuation floor lies above the order is
@@ -461,18 +450,21 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
         _check_param("member indices", k)
     step = 1 if family == "A" else 2
     dense = p3_series(order) if step == 1 else overpartition_series(order)
-    bits = _slot_bits(_dense_bound_bits(step, order))
+    # Packing needs only the dense coefficients to fit.  Each member's own
+    # bound, checked below with its 8 guard bits, lies under the family
+    # total T, and for n >= 1 p3 >= 3T and overp >= 2T, since the weights of
+    # the k = 0 identity are at least 3 (A) and 2 (C); so a slot too narrow
+    # for a member still raises in unpacking, never passes silently.
+    bits = _slot_bits(max(dense.coeffs).bit_length())
     b8 = bits // 8
     packed = _bigint(
         int.from_bytes(b"".join(c.to_bytes(b8, "big") for c in dense.coeffs), "big")
     )
-    built = {}
+    built = []
     for k in ks:
-        if k in built:
-            continue
         lowval = _lowval(k, step)
         if lowval > order:
-            built[k] = TruncatedSeries.zero(order)
+            built.append(TruncatedSeries.zero(order))
             continue
         acc = 0
         for c, e in _theta_row(step, k, order):
@@ -480,10 +472,8 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
         # member k obeys the bounds of a fold of members k..k, so each
         # member is checked against its own
         own = _fold_bound_bits(step, order, k, k)
-        built[k] = TruncatedSeries(
-            _unpack_packed_row(acc, lowval, order, bits, own), order
-        )
-    return tuple(built[k] for k in ks)
+        built.append(TruncatedSeries(_unpack_packed_row(acc, lowval, order, bits, own), order))
+    return tuple(built)
 
 
 def a_k_directsum(k: int, order: int) -> TruncatedSeries:

@@ -100,7 +100,7 @@ class VerificationReport(_Record):
             "passed": self.passed,
             "first_mismatch": mm,
             "terms_used": self.terms_used,
-            "elapsed_ms": self.elapsed_ms,
+            "elapsed_ms": f"{self.elapsed_ms:.3f}",
         }
 
 

@@ -113,13 +113,6 @@ class TruncatedSeries(_Record):
             raise IndexError(f"exponent {n} outside exact range 0..{self.truncation_order}")
         return self.coeffs[n]
 
-    def valuation(self) -> int | None:
-        """Index of the first nonzero coefficient, or None for the zero series."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
-
     def truncate(self, order: int) -> "TruncatedSeries":
         """Restrict to a smaller truncation order, or to the same (itself)."""
         if order == self.truncation_order:

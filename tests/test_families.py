@@ -18,7 +18,6 @@ from macmahon.families import (
     MacmahonFamily,
     _TOTAL_CHECKED_ORDER,
     _bound_bits,
-    _dense_bound_bits,
     _fold_bound_bits,
     _fold_cost,
     _fold_packed,
@@ -67,7 +66,6 @@ def test_A_family_matches_snapshots():
         member = fam.members[k]
         for i, c in enumerate(coeffs):
             assert member.coeffs[start + i] == c, (k, start + i)
-        assert member.valuation() == (start if k else 0)
         # nothing below the valuation floor
         assert all(member.coeffs[i] == 0 for i in range(start))
 
@@ -99,13 +97,16 @@ def test_C_member_0_is_one():
 def test_C_valuations_are_squares():
     fam = compute_C_family(5, 40)
     for k in range(6):
-        assert fam.members[k].valuation() == (k * k if k else 0)
+        coeffs = fam.members[k].coeffs
+        assert not any(coeffs[: k * k]) and coeffs[k * k], k
 
 
 def test_A_valuations_are_triangular():
     fam = compute_A_family(6, 30)
     for k in range(7):
-        assert fam.members[k].valuation() == (k * (k + 1) // 2 if k else 0)
+        coeffs = fam.members[k].coeffs
+        floor = k * (k + 1) // 2
+        assert not any(coeffs[:floor]) and coeffs[floor], k
 
 
 def test_family_coefficients_are_nonnegative():
@@ -125,7 +126,7 @@ def test_members_beyond_reach_are_zero():
 def test_family_accessors():
     fam = compute_A_family(3, 12)
     assert fam.member(2) == fam.members[2]
-    assert fam.coefficient(2, 5) == 9
+    assert fam.member(2).coefficient(5) == 9
     with pytest.raises(IndexError):
         fam.member(4)
 
@@ -179,8 +180,7 @@ def test_shifted_members_track_the_generating_function():
             [fam.members[k].coeffs[n + start] - p3.coeffs[n] for n in range(window + 1)],
             window,
         )
-        v = remainder.valuation()
-        assert v is None or v >= k + 1, k
+        assert not any(remainder.coeffs[: k + 1]), k
 
 
 # -- members-only builds ------------------------------------------------------------
@@ -264,7 +264,7 @@ def test_member_below_lowest_raises():
     with pytest.raises(IndexError):
         fam.member(2)
     with pytest.raises(IndexError):
-        fam.coefficient(0, 0)
+        fam.member(0)
     with pytest.raises(IndexError):
         fam.member(6)
 
@@ -295,21 +295,26 @@ def test_lowest_out_of_range_or_bool_rejected():
 
 
 def test_slot_widths_leave_guard_bits_above_their_bounds():
-    bounds = (_bound_bits, _dense_bound_bits, _total_bound_bits)
+    bounds = (_bound_bits, _total_bound_bits)
     for order in (0, 1, 31, 600, 1295, 10608, MAX_ORDER):
         for step in (1, 2):
             for bound in (bits(step, order) for bits in bounds):
                 assert _slot_bits(bound) % 8 == 0
                 assert _slot_bits(bound) >= bound + 8
     # full folds: A on p2, C on (-q;q)^2, or either on its family total;
-    # theta-route slots: A on p3, C on overp
+    # theta-route slots: A on p3, C on overp, the series they hold
+    dense = {1: p3_series, 2: overpartition_series}
     widths = {
-        (step, order): tuple(_slot_bits(bits(step, order)) for bits in bounds)
+        (step, order): (
+            _slot_bits(_bound_bits(step, order)),
+            _slot_bits(max(dense[step](order).coeffs).bit_length()),
+            _slot_bits(_total_bound_bits(step, order)),
+        )
         for step in (1, 2) for order in (600, 1295)
     }
     assert widths == {
-        (1, 600): (144, 168, 112), (1, 1295): (200, 240, 168),
-        (2, 600): (104, 120, 88), (2, 1295): (144, 176, 120),
+        (1, 600): (144, 152, 112), (1, 1295): (200, 224, 168),
+        (2, 600): (104, 112, 88), (2, 1295): (144, 160, 120),
     }
 
 
@@ -381,11 +386,12 @@ def test_bounds_hold_through_the_order_limit(order_limit_series):
     for n in range(MAX_ORDER + 1):
         assert p2[n].bit_length() <= _bound_bits(1, n), n
         assert odd2[n].bit_length() <= _bound_bits(2, n), n
-        assert p3[n].bit_length() <= _dense_bound_bits(1, n), n
-        assert overp[n].bit_length() <= _dense_bound_bits(2, n), n
     # the closed form for the total holds the running maximum of the exact
     # total at every order, within one bit, and stays under the fold bound,
-    # so it never widens a slot
+    # so it never widens a slot.  It also stays under the dense series the
+    # theta route packs, whose slots are sized by that series alone: p3 >=
+    # 3T and overp >= 2T above q^0, the k = 0 identity's least weights
+    dense, weight = {1: p3, 2: overp}, {1: 3, 2: 2}
     for step, total in totals.items():
         most = 0
         for n in range(MAX_ORDER + 1):
@@ -393,6 +399,8 @@ def test_bounds_hold_through_the_order_limit(order_limit_series):
             closed = _total_bound_bits(step, n)
             assert most.bit_length() <= closed <= most.bit_length() + 1, (step, n)
             assert closed <= _bound_bits(step, n), (step, n)
+            assert closed <= dense[step][n].bit_length(), (step, n)
+            assert n == 0 or dense[step][n] >= weight[step] * total[n], (step, n)
     # the closed form is checked through the CLI's order limit exactly, and
     # above it the proven fold bound takes over
     assert _TOTAL_CHECKED_ORDER == MAX_ORDER
@@ -535,14 +543,13 @@ def test_folds_satisfy_the_differential_recursion(tag, build, step):
     # anchored on the divisor sieves, the recursion fixes every member from
     # member 1 up: relations 1..12 of a full fold and of the theta route at
     # order 300, relations 1..12 of the A fold at the north-star row K = 12,
-    # N = 1000, every relation of the theta route at order 1000 (A) or 2000
-    # (C), and relations 33..35 of the members-only build the corollary
-    # verifier makes at (32, 3)
-    wide = 1000 if step == 1 else 2000
+    # N = 1000, every relation of the theta route at order 2000, and
+    # relations 33..35 of the members-only build the corollary verifier
+    # makes at (32, 3)
     routes = [
         (build(12, 300).members, 300),
         (members(tag, range(13), 300), 300),
-        (members(tag, range(_top_member(step, wide, wide) + 1), wide), wide),
+        (members(tag, range(_top_member(step, 2000, 2000) + 1), 2000), 2000),
     ]
     if step == 1:
         routes.append((build(12, 1000).members, 1000))
@@ -1036,8 +1043,9 @@ def test_members_above_the_top_are_zero():
     # A_6 starts at q^21 and C_5 at q^25: past order 20 and 24 respectively
     assert members("A", [6, 7, 100], 20) == (TruncatedSeries.zero(20),) * 3
     assert members("C", [5, 1000], 24) == (TruncatedSeries.zero(24),) * 2
-    assert members("A", [5], 15)[0].valuation() == 15
-    assert members("C", [4], 16)[0].valuation() == 16
+    for tag, k, floor in (("A", 5, 15), ("C", 4, 16)):
+        coeffs = members(tag, [k], floor)[0].coeffs
+        assert not any(coeffs[:floor]) and coeffs[floor], tag
 
 
 @pytest.mark.parametrize("tag", ["A", "C"])
@@ -1127,6 +1135,39 @@ def test_members_check_each_member_against_its_own_bound(tag, order, monkeypatch
     assert checked[0][1] == 1
     assert checked[1][1] == binomial[1] < min(total, prefix[1]) // 4
     assert checked[-1][1] == prefix[ks[-1]] < total // 3
+
+
+@pytest.mark.parametrize(
+    "tag,pinned",
+    [("A", [16, 16, 152, 224, 896]), ("C", [16, 16, 112, 160, 632])],
+    ids=["A", "C"],
+)
+def test_theta_slots_are_sized_by_the_series_they_hold(
+    tag, pinned, order_limit_stores, monkeypatch
+):
+    # the width is the packed series' own bit length plus 8 to 15 guard
+    # bits, and it clears every member's own bound by at least 8 bits up to
+    # the top member, so unpacking's guard-bit check refuses none of them
+    step = 1 if tag == "A" else 2
+    widths = []
+    unpack = families._unpack_packed_row
+
+    def spy(row, lowval, order, slot_bits, bound_bits):
+        widths.append(slot_bits)
+        return unpack(row, lowval, order, slot_bits, bound_bits)
+
+    monkeypatch.setattr(families, "_unpack_packed_row", spy)
+    orders = [0, 1, 600, 1295, MAX_ORDER]
+    for order in orders:
+        dense = order_limit_stores[tag].truncate(order)
+        top = _top_member(step, order, order)
+        # the top member's theta row has a single term
+        members(tag, [top], order)
+        width = widths[-1]
+        assert width == _slot_bits(max(dense.coeffs).bit_length()), order
+        for k in range(top + 1):
+            assert width >= _fold_bound_bits(step, order, k, k) + 8, (order, k)
+    assert widths == pinned
 
 
 @pytest.mark.parametrize("tag", ["A", "C"])
