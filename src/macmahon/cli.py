@@ -199,7 +199,7 @@ def _report_output(report: VerificationReport, fmt: str) -> str:
         params.append(f"j={report.j}")
     params.append(f"N={report.order}")
     head = f"{report.identity} {' '.join(params)}"
-    tail = f"(terms_used={report.terms_used}, {report.elapsed_ms:.3f} ms)"
+    tail = f"(terms_used={report.terms_used}, {report.to_json_dict()['elapsed_ms']} ms)"
     if report.passed:
         return f"{head}: PASS {tail}\n"
     mm = report.first_mismatch
