@@ -2,7 +2,10 @@
 and benchmarks.
 
 Exit status: 0 success (and verification passed), 1 verification mismatch,
-2 usage error, an --output path that cannot be written included.
+2 usage error, an --output path that cannot be written included.  A call
+that would build past the package's order limit (families.MAX_ORDER) exits 2
+before anything is built: compute, table and every bench size are checked
+up front, and a verifier's family store refuses the order it is asked for.
 Coefficients are always emitted as decimal strings; they outgrow anything a
 JSON number can hold exactly almost immediately.
 """
@@ -19,6 +22,7 @@ from collections.abc import Container, Iterable
 # bound here, next to the generating functions and verifiers, because
 # perfbench/tracer.py wraps each layer at its name in this module
 from .families import (
+    _check_order,
     compute_A_family,
     compute_A_family_uncached,
     compute_C_family,
@@ -28,7 +32,6 @@ from .identities import (
     Mismatch,
     OrderBelowFloor,
     VerificationReport,
-    family_request,
     verify_corollary_A,
     verify_corollary_C,
     verify_divisor_identities,
@@ -66,24 +69,9 @@ class UsageError(Exception):
     pass
 
 
-# The highest truncation order any command builds: above the order 10608 of
-# the deep k=100 corollary window. It bounds the size of every coefficient
-# vector and of every fold's packed integers; it does not bound time, since a
-# verifier's fold grows about 8x per doubling of its order.
-MAX_ORDER = 20_000
-
-
-def _check_order(order: int) -> int:
-    if order > MAX_ORDER:
-        raise UsageError(
-            f"this call builds truncation order {order}, above the order limit {MAX_ORDER}"
-        )
-    return order
-
-
 # The most cells (K+1)*(N+1) one `table` call or one `bench` row builds:
-# above the 13 x 20001 grid of the cap-12 family at the order limit, below
-# caps whose members, zero ones included, would exhaust memory.
+# above the 13 x (MAX_ORDER + 1) grid of the cap-12 family at the order
+# limit, below caps whose members, zero ones included, would exhaust memory.
 MAX_CELLS = 300_000
 
 
@@ -164,18 +152,16 @@ def _series_output(series: TruncatedSeries, fmt: str) -> str:
 
 
 def _run_verifier(args: argparse.Namespace) -> VerificationReport:
-    target = args.target
-    name, *options = _VERIFIERS[target]
+    # the verifier refuses an order below its window's floor, and its family
+    # store one above the order limit, before anything is built
+    name, *options = _VERIFIERS[args.target]
     _check_options(args, options)
     values = [_need(getattr(args, option), option) for option in options]
     try:
-        request = family_request(target, args.k, args.j, args.N)
+        return globals()[name](*values)
     except OrderBelowFloor as exc:
         # the limit and divisor windows start at the valuation of a member
         raise UsageError(f"--N must be >= {exc.floor}, got {args.N}") from None
-    # the order of the family the verifier builds, checked before it allocates anything
-    _check_order(request[2])
-    return globals()[name](*values)
 
 
 def _report_output(report: VerificationReport, fmt: str) -> str:
@@ -258,11 +244,11 @@ def _run_bench(args: argparse.Namespace) -> list[dict]:
     rows: list[dict] = []
     cap = _need(args.K, "K")
     repeat = _need(args.repeat, "repeat", 1)
-    for n in args.bench_family_sizes:
+    for n in args.sizes:
         _check_order(n)
         _check_cells(cap, n)
     compute_A_family_uncached(min(cap, 4), 16)  # warm up allocators
-    for n in args.bench_family_sizes:
+    for n in args.sizes:
         dt = _best_of(repeat, lambda: compute_A_family_uncached(cap, n))
         # six fixed decimals in every format; JSON carries them as a string,
         # since a JSON number would print a fast row in exponent form
@@ -320,14 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time family computation")
     p_bench.add_argument("--K", type=int, default=12)
-    p_bench.add_argument(
-        "--sizes", dest="bench_family_sizes", type=_parse_sizes, default=(100, 200, 400)
-    )
+    p_bench.add_argument("--sizes", type=_parse_sizes, default=(100, 200, 400))
     p_bench.add_argument("--repeat", type=int, default=3, help="best-of repetitions per row")
 
     for p in (p_compute, p_verify, p_table, p_bench):
         p.add_argument("--format", choices=FORMATS, default="text")
-        p.add_argument("--output", dest="output_path")
+        p.add_argument("--output")
     return parser
 
 
@@ -337,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "verify":
             report = _run_verifier(args)
-            _emit(_report_output(report, args.format), args.output_path)
+            _emit(_report_output(report, args.format), args.output)
             return 0 if report.passed else 1
         if args.command == "compute":
             text = _series_output(_compute_series(args), args.format)
@@ -345,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
             text = _table_output(_table_values(args), args)
         else:
             text = _bench_output(_run_bench(args), args.format)
-        _emit(text, args.output_path)
+        _emit(text, args.output)
         return 0
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,7 +37,8 @@ order, the lower lowest member, every member that can be nonzero at that
 order) when `_fold_cost` puts the union at most the request's cost plus the
 kept family's, the two builds it replaces, and exactly the request
 otherwise, as it does a request with nothing to fold.  A theorem sweep over
-k then builds one family that each later k reads.  The `_uncached` functions always build.
+k then builds one family that each later k reads.  The `_uncached` functions
+always build.
 
 `members(family, ks, order)` is the second route: each member is p3 (for
 A) or overp (for C) times a sparse theta row of O(sqrt(order)) terms, the
@@ -47,16 +48,17 @@ The identities the verifiers check are the binomial inverse of that closed
 form, so checking them on its output would prove little: every verifier,
 the two family stores, the `_uncached` functions and the bench run the fold.
 
-Every coefficient either route returns is bounded by the coefficient at the
-order of prod over the family's part sizes s of 1/(1-q^s)^2, since 1 +
-x/(1-x)^2 <= 1/(1-x)^2 coefficientwise: the 2-colored partition count p2
-for A, (-q;q)^2 for C.  The theta route's slots hold the dense series
-itself, so they are sized by the series they hold.  The fold's slots have
-tighter bounds: `_fold_bound_bits` takes the smallest of the family total,
-a prefix sum of p3 or overp and a binomial in the cap, and its comment holds
-the argument for each.  The theta route checks member k against the same
-helper as a fold of members k..k, which reads the prefix sum from the
-series store that already holds the dense series.
+MAX_ORDER is the package's one order limit: both stores, the `_uncached`
+functions and `members` refuse an order above it with ValueError before they
+read a series or fold anything.
+
+The theta route's slots hold the dense series itself, so they are sized by
+the series they hold.  The fold's slots are sized by `_fold_bound_bits`,
+the smallest of the family total, a prefix sum of p3 or overp and a
+binomial in the cap; its comment holds the argument for each.  The theta
+route checks member k against the same helper as a fold of members k..k,
+which reads the prefix sum from the series store that already holds the
+dense series.
 
 Every width leaves at least 8 guard bits above its bound.  Unpacking raises
 ArithmeticError on a width with fewer, before it reads a slot, and checks
@@ -119,17 +121,20 @@ class MacmahonFamily(_Record):
         return self.members[k - self.lowest]
 
 
-def _bound_bits(step: int, order: int) -> int:
-    # Every slot the fold holds and every returned coefficient is bounded by
-    # the coefficient at the order of prod over the family's part sizes s of
-    # 1/(1-q^s)^2: for A the 2-colored count p2 < exp(pi*sqrt(4*order/3)),
-    # for C (odd s only) (-q;q)^2 < exp(pi*sqrt(2*order/3)).
-    return int(math.pi * math.sqrt(4 * order / (3 * step)) / math.log(2)) + 1
+# The highest truncation order any build reaches, above the order 10608 of
+# the deep k=100 corollary window.  It bounds the size of every coefficient
+# vector and packed integer, not time: a fold grows about 8x per doubling of
+# its order.
+MAX_ORDER = 20_000
 
 
-# the highest order at which the closed form of _total_bound_bits is checked
-# against the exact family total; the CLI's order limit
-_TOTAL_CHECKED_ORDER = 20_000
+def _check_order(order: int) -> int:
+    # the package's one check of the order limit; returns the order
+    if order > MAX_ORDER:
+        raise ValueError(
+            f"this call builds truncation order {order}, above the order limit {MAX_ORDER}"
+        )
+    return order
 
 
 def _total_bound_bits(step: int, order: int) -> int:
@@ -138,11 +143,9 @@ def _total_bound_bits(step: int, order: int) -> int:
     # (q^4;q^4)(q^6;q^6)^2/((q;q)(q^3;q^3)(q^12;q^12)) for C.  Both grow like
     # n^-alpha exp(pi*sqrt(c*n)), alpha from the eta quotient's weight; beta
     # is fitted on the exact total, so the closed form stays within one bit
-    # of it at every order it is checked at.  Above that, the proven bound.
+    # of it at every order up to MAX_ORDER.
     if order == 0:
         return 1
-    if order > _TOTAL_CHECKED_ORDER:
-        return _bound_bits(step, order)
     c, alpha, beta = (10 / 9, 1.25, -3.3) if step == 1 else (5 / 9, 0.75, -2.6)
     return math.ceil(
         math.pi * math.sqrt(c * order) / math.log(2) - alpha * math.log2(order) + beta
@@ -164,8 +167,7 @@ def _fold_bound_bits(step: int, order: int, lowest: int, top: int) -> int:
     #   the quotient in _total_bound_bits once 1+q^(3s) = (1-q^(6s))/(1-q^(3s))
     #   (for C, s odd, the same steps over odd s).  No series is read.  Its
     #   closed form is checked against the exact total at every order up to
-    #   the order limit; above it the p2 or (-q;q)^2 bound of _bound_bits
-    #   takes over.
+    #   MAX_ORDER, above which no build goes.
     # - The prefix sum.  A_k(lowval(k)+d) <= sum_{j<=d} [q^j] P_k, P_k =
     #   prod_{i<=k} (1-q^i)^-3.  Write the parts as s_i = i + t_i with t
     #   non-decreasing, and read the weight prod m_i as marking one copy of
@@ -173,18 +175,18 @@ def _fold_bound_bits(step: int, order: int, lowest: int, top: int) -> int:
     #   its offset sum t_i + sum (a_i+b_i)*i is at most d, and P_k counts
     #   the triples.  P_k lies under p3; for C, s_i = 2i-1+2t_i gives prod_{i<=k}
     #   (1-q^(2i))^-1 (1-q^(2i-1))^-2, under 1/((q^2;q^2)(q;q^2)^2) = overp.
-    #   The series is read only where 3D < 2*order, since the analytic
-    #   bounds exp(pi*sqrt(2D)) (or exp(pi*sqrt(D))) and the fold bound cross
-    #   at 3D = 2*order and the family total lies under the latter.  A
-    #   verifier's D is its own window, the prefix it reads next anyway, and
-    #   the theta route already holds the series through the order.  This
-    #   bound takes the k = 100 corollary windows from 392-bit to 112-bit
-    #   slots.
+    #   The series is read only where 3D < 2*order, where its bound
+    #   exp(pi*sqrt(2D)) (or exp(pi*sqrt(D))) falls below the family total's,
+    #   p2 < exp(pi*sqrt(4*order/3)) (or (-q;q)^2), as 1 + x/(1-x)^2 <=
+    #   1/(1-x)^2.  A verifier's D is its own window, the prefix it reads
+    #   next anyway, and the theta route already holds the series through
+    #   the order.  This bound takes the k = 100 corollary windows from the
+    #   family total's 344-bit slots to 112-bit ones.
     # - The cap.  Each of P_k's 3k factors lies under 1/(1-q) (also for C),
     #   so the prefix sum of P_k through d is at most that of (1-q)^-3k,
     #   which is C(d+3k, 3k) <= C(D+3*top, 3*top).  With a small cap this is
     #   a polynomial in the order: the divisor build (members 1..2) at order
-    #   600 takes 56-bit slots instead of 144.
+    #   600 takes 56-bit slots instead of the family total's 112.
     reach = order - _lowval(lowest, step)
     bound = min(
         _total_bound_bits(step, order), math.comb(reach + 3 * top, 3 * top).bit_length()
@@ -287,10 +289,11 @@ def _unpack_packed_row(
 
 
 def _request_key(step: int, K: int, order: int, lowest: int = 0) -> tuple:
-    # refuses a bad request, and keys a good one by (order, lowest, top
-    # member, K) for the family stores
+    # refuses a bad request, an order above the limit included, and keys a
+    # good one by (order, lowest, top member, K) for the family stores
     _check_param("family cap", K)
     _check_param("truncation order", order)
+    _check_order(order)
     _check_param("lowest member", lowest)
     if lowest > K:
         raise ValueError("lowest member must lie in 0..K")
@@ -437,7 +440,8 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
     slot of member k against `_fold_bound_bits`, the bound of a fold of
     members k..k, so a slot too narrow for its coefficient raises
     ArithmeticError.  A member whose valuation floor lies above the order is
-    the zero series.
+    the zero series.  An order above MAX_ORDER raises ValueError before the
+    dense series is read.
 
     These formulas are the binomial inverse of the identities the verifiers
     check, so the verifiers never use this route; they read the fold.
@@ -446,6 +450,7 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
         raise ValueError("family tag must be 'A' or 'C'")
     ks = tuple(ks)
     _check_param("truncation order", order)
+    _check_order(order)
     for k in ks:
         _check_param("member indices", k)
     step = 1 if family == "A" else 2

@@ -26,8 +26,10 @@ and a window:
 
 family_request(identity, k, j, N) is the one family store request (tag, K,
 order, lowest) a verifier makes: each verifier passes it to the store as it
-is and derives its window from the family it gets back, and the CLI checks
-its order against the order limit before the verifier allocates anything.
+is and derives its window from the family it gets back.  The store refuses
+an order above the package's order limit (families.MAX_ORDER) with
+ValueError before anything is built, and family_request refuses a limit or
+divisor order below its window's floor with OrderBelowFloor.
 The divisor formulas read members 1 and 2 directly, from the request
 ("A", 2, N, 1).
 

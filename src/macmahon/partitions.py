@@ -97,7 +97,7 @@ def overpartition_series(order: int) -> TruncatedSeries:
 def sigma(nu: int, n: int) -> int:
     """Divisor power sum: sum of d^nu over divisors d of n, by trial division
     up to sqrt(n).  The divisor verifier calls it twice for every n up to its
-    order, which a `macmahon verify` call may take to the order limit 20000."""
+    order, which may reach the package's order limit, families.MAX_ORDER."""
     _check_param("nu", nu)
     _check_param("n", n)
     if n < 1:

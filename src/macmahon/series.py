@@ -236,9 +236,8 @@ class _CoveringStore:
     supply `grow(kept_key, key)`, which a miss asks with the most recently
     used kept key: it returns the arguments of a wider build that covers
     both keys, or None to build exactly the request, and the request is
-    then cut out of the wider value.  The
-    bookkeeping is under a lock, so one store is safe to share across
-    threads."""
+    then cut out of the wider value.  The bookkeeping is under a lock, so
+    one store is safe to share across threads."""
 
     def __init__(self, build, check, covers, cut, grow=None) -> None:
         # the build's __dict__ is empty, and leaving this one unread keeps the

@@ -5,8 +5,7 @@ fixtures; the series are immutable, so sharing them changes no outcome."""
 
 import pytest
 
-from macmahon.cli import MAX_ORDER
-from macmahon.families import compute_A_family, compute_C_family
+from macmahon.families import MAX_ORDER, compute_A_family, compute_C_family
 from macmahon.partitions import overpartition_series, p3_series
 
 

@@ -13,6 +13,12 @@ copy; the working tree is never touched.  It exits 1 if a mutant survives
 or an old text does not occur exactly once, and 0 otherwise.  Tier-1 does
 not collect this file (it is not named test_*).
 
+Each mutant has a kind.  A "fold", "theta" or "bound" mutant changes a
+route the verifiers' identities were derived from, or the bounds its slots
+are sized by; a "verifier" mutant changes a verifier; a "store" mutant
+changes what a family store builds on a miss, and a "limit" one the
+package's order limit.
+
 The north star's rule that a verifier must never be the only check on a
 route derived from the paper's identities is checked here too.  The test
 that kills a fold, theta or bound mutant must lie outside
@@ -56,7 +62,7 @@ VERIFIER_CRITERIA = tuple(
 
 class Mutant(NamedTuple):
     name: str
-    kind: str  # "fold", "theta", "bound" or "verifier"
+    kind: str  # "fold", "theta", "bound", "verifier", "store" or "limit"
     path: str  # under src/macmahon/
     old: str
     new: str
@@ -65,6 +71,8 @@ class Mutant(NamedTuple):
 
 FAMILIES = "tests/test_families.py::"
 IDENTITIES = "tests/test_identities.py::"
+
+GROWTH = FAMILIES + "test_a_miss_grows_the_union_while_it_costs_no_more_than_the_two_builds"
 
 MUTANTS = [
     Mutant(
@@ -199,6 +207,38 @@ MUTANTS = [
         "if 8 * a2[n] != expr:",
         "if False and 8 * a2[n] != expr:",
         (IDENTITIES + "test_divisor_reports_a_doctored_member_through_the_store",),
+    ),
+    Mutant(
+        "growth-refuses-a-union-at-exactly-the-two-builds",
+        "store",
+        "families.py",
+        "union > exact + ",
+        "union >= exact + ",
+        (GROWTH,),
+    ),
+    Mutant(
+        "growth-folds-a-request-with-nothing-to-fold",
+        "store",
+        "families.py",
+        "exact == 0 or ",
+        "",
+        (GROWTH,),
+    ),
+    Mutant(
+        "growth-ignores-the-kept-family-cost",
+        "store",
+        "families.py",
+        " + _fold_cost(step, *kept[:3])",
+        "",
+        (GROWTH,),
+    ),
+    Mutant(
+        "order-limit-one-too-high",
+        "limit",
+        "families.py",
+        "order > MAX_ORDER",
+        "order > MAX_ORDER + 1",
+        (FAMILIES + "test_builds_past_the_order_limit_raise_before_anything_is_built",),
     ),
 ]
 

@@ -10,12 +10,13 @@ The one exception is `as_series`, a tool rather than an oracle: it wraps a
 coefficient list in the library's series type for tests that hand one to the
 library.  `reference_fold` is a reference rather than an oracle: the
 library's packed fold with the plainest loop bounds and its own slot layout,
-kept to check the library's tighter bounds.
+kept to check the library's tighter bounds, and `p2_bound_bits` gives it a
+slot width wider than any the library takes.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, log, pi, sqrt
 
 from macmahon.series import TruncatedSeries
 
@@ -212,6 +213,17 @@ def family_total(step: int, top: int) -> list[int]:
         for n in range(top, s - 1, -1):
             c[n] += sum(j * c[n - s * j] for j in range(1, n // s + 1))
     return c
+
+
+def p2_bound_bits(step: int, order: int) -> int:
+    """A bit length no family member's coefficient at `order` passes, nor
+    any slot a fold of the family holds: the coefficient of prod over the
+    part sizes s of 1/(1-q^s)^2, which lies above the family's product at
+    t = 1 since 1 + x/(1-x)^2 <= 1/(1-x)^2.  For step 1 that is the
+    2-colored count p2 < exp(pi*sqrt(4*order/3)), for step 2 (-q;q)^2 <
+    exp(pi*sqrt(2*order/3)).  Looser than every bound the fold takes, so a
+    deliberately wide slot."""
+    return int(pi * sqrt(4 * order / (3 * step)) / log(2)) + 1
 
 
 def differential_recursion_failures(step: int, rows: dict[int, list[int]], top: int) -> list[int]:

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import macmahon.cli as cli
+import macmahon.families as families
+import macmahon.identities as identities
 from macmahon.cli import main
 from macmahon.families import compute_A_family_uncached, compute_C_family_uncached
 from macmahon.identities import Mismatch, VerificationReport
@@ -305,22 +307,34 @@ def test_cli_binds_every_layer_by_name():
 
 def test_order_limit_sits_above_every_documented_order():
     # the deep k=100 corollary windows build orders 5355 and 10608
-    assert cli.MAX_ORDER > 10608
+    assert families.MAX_ORDER > 10608
+
+
+# (a command line without its --N, the valuation its family's order adds to N)
+PAST_THE_LIMIT = [
+    (["table", "--target", "a", "--K", "0"], 0),
+    (["compute", "--target", "theta-cube"], 0),
+    (["compute", "--target", "theta-square"], 0),
+    (["verify", "--target", "thm-a", "--k", "0"], 0),
+    (["verify", "--target", "thm-c", "--k", "3"], 9),
+    (["verify", "--target", "divisor"], 0),
+]
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["table", "--target", "a", "--K", "0"],
-        ["compute", "--target", "theta-cube"],
-        ["compute", "--target", "theta-square"],
-    ],
-    ids=["table", "theta-cube", "theta-square"],
+    "argv,shift",
+    PAST_THE_LIMIT,
+    ids=["table", "theta-cube", "theta-square", "thm-a", "thm-c", "divisor"],
 )
-def test_order_past_the_limit_exits_two(argv, capsys):
-    # each of these stays cheap even if the limit were not checked
-    assert main(argv + ["--N", str(cli.MAX_ORDER + 1)]) == 2
-    assert f"order limit {cli.MAX_ORDER}" in capsys.readouterr().err
+def test_order_past_the_limit_exits_two(argv, shift, monkeypatch, capsys):
+    # before anything is built: compute and table check the order up front,
+    # and the family store a verifier asks refuses it
+    built = _refuse_to_build(monkeypatch, family_stores=False)
+    limit = families.MAX_ORDER
+    assert main(argv + ["--N", str(limit + 1 - shift)]) == 2
+    err = f"error: this call builds truncation order {limit + 1}, above the order limit {limit}\n"
+    assert capsys.readouterr() == ("", err)
+    assert built == []
 
 
 # (argv, the highest truncation order the call builds)
@@ -342,9 +356,9 @@ BUILT_ORDERS = [
 
 @pytest.mark.parametrize("argv,order", BUILT_ORDERS, ids=[" ".join(a) for a, _ in BUILT_ORDERS])
 def test_order_limit_applies_to_the_order_each_call_builds(argv, order, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "MAX_ORDER", order)
+    monkeypatch.setattr(families, "MAX_ORDER", order)
     assert main(argv) == 0
-    monkeypatch.setattr(cli, "MAX_ORDER", order - 1)
+    monkeypatch.setattr(families, "MAX_ORDER", order - 1)
     assert main(argv) == 2
     assert f"truncation order {order}, above the order limit {order - 1}" in capsys.readouterr().err
 
@@ -355,7 +369,7 @@ def test_order_limit_applies_to_the_order_each_call_builds(argv, order, monkeypa
 def test_cell_limit_sits_above_every_documented_grid():
     # the cap-12 family at the order limit; README, the acceptance bench and
     # perfbench stay at K = 12, N <= 500
-    assert cli.MAX_CELLS >= 13 * (cli.MAX_ORDER + 1)
+    assert cli.MAX_CELLS >= 13 * (families.MAX_ORDER + 1)
 
 
 # (argv, the most cells (K+1)*(N+1) one table or bench row of the call builds)
@@ -419,21 +433,31 @@ def test_output_into_a_missing_directory_exits_two(argv, tmp_path, capsys):
     assert not path.parent.exists()
 
 
-def _refuse_to_build(monkeypatch):
-    # every name a command builds through, each recording the call it refuses
+def _refuse_to_build(monkeypatch, family_stores=True):
+    # every builder a command reaches, each recording the call it refuses:
+    # the CLI's own, the family and series stores the verifiers read, and
+    # the fold and the series the family routes read.  The verifiers
+    # themselves stay, so their own refusals are the ones a call meets; with
+    # family_stores=False the family stores stay too, and so do theirs
     built = []
 
     def refuse(name):
-        def build(*args):
+        def build(*args, **kwargs):
             built.append(name)
             raise AssertionError(f"{name} built for a refused call")
 
         return build
 
-    names = ["members", "compute_A_family_uncached", "p3_series", "overpartition_series",
-             "jacobi_cube", "theta_square"] + [v[0] for v in cli._VERIFIERS.values()]
-    for name in names:
-        monkeypatch.setattr(cli, name, refuse(name))
+    builders = {
+        cli: ["members", "compute_A_family_uncached", "p3_series", "overpartition_series",
+              "jacobi_cube", "theta_square"],
+        identities: ["p3_series", "overpartition_series"]
+        + (["compute_A_family", "compute_C_family"] if family_stores else []),
+        families: ["_fold_packed", "p3_series", "overpartition_series"],
+    }
+    for module, names in builders.items():
+        for name in names:
+            monkeypatch.setattr(module, name, refuse(f"{module.__name__}.{name}"))
     return built
 
 
@@ -510,27 +534,18 @@ def test_table_without_a_target_exits_two(monkeypatch, capsys):
         (["verify", "--target", "cor-a", "--k", "2", "--j", "1"],
          dict(target="cor-a", k=2, j=1, N=None)),
         (["table", "--target", "c", "--K", "3", "--N", "4"], dict(target="c", K=3, N=4)),
-        (["bench"], dict(K=12, bench_family_sizes=(100, 200, 400), repeat=3)),
+        (["bench"], dict(K=12, sizes=(100, 200, 400), repeat=3)),
     ],
     ids=["compute", "verify", "table", "bench"],
 )
-def test_parsed_defaults_are_the_run_config_defaults(argv, namespace):
-    # the parsed Namespace is the run's configuration and the parser holds
-    # every default; an option a target does not take stays None, so main
-    # can refuse it when it is given
+def test_parsed_namespace_holds_every_default_under_its_option_name(argv, namespace):
+    # the parser holds every default, and each is kept under the name of its
+    # option: a bare bench writes text to stdout and runs the documented
+    # ladder.  An option a target does not take stays None, so main can
+    # refuse it when it is given, and the options of a single target are
+    # not bench's to take
     args = cli.build_parser().parse_args(argv)
-    assert vars(args) == dict(command=argv[0], format="text", output_path=None, **namespace)
-
-
-def test_run_config_defaults():
-    # a bare bench writes text to stdout and runs the documented ladder;
-    # the options of a single target are not bench's to take
-    args = cli.build_parser().parse_args(["bench"])
-    assert (args.format, args.output_path, args.bench_family_sizes, args.repeat) == (
-        "text", None, (100, 200, 400), 3
-    )
-    assert args.K == 12
-    assert not any(hasattr(args, name) for name in ("target", "k", "j", "N"))
+    assert vars(args) == dict(command=argv[0], format="text", output=None, **namespace)
 
 
 # -- the entry point as a process ----------------------------------------------------

@@ -15,9 +15,8 @@ import pytest
 
 import oracles
 from macmahon.families import (
+    MAX_ORDER,
     MacmahonFamily,
-    _TOTAL_CHECKED_ORDER,
-    _bound_bits,
     _fold_bound_bits,
     _fold_cost,
     _fold_packed,
@@ -36,7 +35,6 @@ from macmahon.families import (
 )
 import macmahon.families as families
 import macmahon.identities as identities
-from macmahon.cli import MAX_ORDER
 from macmahon.identities import family_request
 from macmahon.partitions import (
     jacobi_cube,
@@ -217,7 +215,7 @@ def test_fold_visits_every_window_the_reference_loop_does(step, deep):
         orders = set(range(41)) | {_lowval(K, step) - 1, _lowval(K, step), 333, deep}
         for order in sorted(orders - {-1}):
             k_eff = _top_member(step, K, order)
-            bits = _slot_bits(_bound_bits(step, order))
+            bits = _slot_bits(oracles.p2_bound_bits(step, order))
             lowests = {K - 1, K} | ({0, 1} if order <= 333 else set())
             mask = (1 << bits) - 1
             for lowest in sorted(lo for lo in lowests if 0 <= lo <= k_eff):
@@ -295,21 +293,18 @@ def test_lowest_out_of_range_or_bool_rejected():
 
 
 def test_slot_widths_leave_guard_bits_above_their_bounds():
-    bounds = (_bound_bits, _total_bound_bits)
+    bounds = (oracles.p2_bound_bits, _total_bound_bits)
     for order in (0, 1, 31, 600, 1295, 10608, MAX_ORDER):
         for step in (1, 2):
             for bound in (bits(step, order) for bits in bounds):
                 assert _slot_bits(bound) % 8 == 0
                 assert _slot_bits(bound) >= bound + 8
-    # full folds: A on p2, C on (-q;q)^2, or either on its family total
+    # full folds, on the family total
     widths = {
-        (step, order): tuple(_slot_bits(bits(step, order)) for bits in bounds)
+        (step, order): _slot_bits(_total_bound_bits(step, order))
         for step in (1, 2) for order in (600, 1295)
     }
-    assert widths == {
-        (1, 600): (144, 112), (1, 1295): (200, 168),
-        (2, 600): (104, 88), (2, 1295): (144, 120),
-    }
+    assert widths == {(1, 600): 112, (1, 1295): 168, (2, 600): 88, (2, 1295): 120}
 
 
 def total_theta(step, top):
@@ -377,12 +372,13 @@ def test_bounds_hold_through_the_order_limit(order_limit_series):
     assert odd2[:6] == [1, 2, 3, 6, 9, 14]
     assert totals[1][:8] == [1, 1, 3, 5, 10, 15, 28, 41]
     assert totals[2][:8] == [1, 1, 2, 4, 5, 8, 12, 16]
+    # the p2 bound the tests take deliberately wide slots from holds
     for n in range(MAX_ORDER + 1):
-        assert p2[n].bit_length() <= _bound_bits(1, n), n
-        assert odd2[n].bit_length() <= _bound_bits(2, n), n
+        assert p2[n].bit_length() <= oracles.p2_bound_bits(1, n), n
+        assert odd2[n].bit_length() <= oracles.p2_bound_bits(2, n), n
     # the closed form for the total holds the running maximum of the exact
-    # total at every order, within one bit, and stays under the fold bound,
-    # so it never widens a slot.  It also stays under the dense series the
+    # total at every order up to the order limit, the highest any build
+    # reaches, within one bit.  It also stays under the dense series the
     # theta route packs, whose slots are sized by that series alone: p3 >=
     # 3T and overp >= 2T above q^0, the k = 0 identity's least weights
     dense, weight = {1: p3, 2: overp}, {1: 3, 2: 2}
@@ -392,15 +388,8 @@ def test_bounds_hold_through_the_order_limit(order_limit_series):
             most = max(most, total[n])
             closed = _total_bound_bits(step, n)
             assert most.bit_length() <= closed <= most.bit_length() + 1, (step, n)
-            assert closed <= _bound_bits(step, n), (step, n)
             assert closed <= dense[step][n].bit_length(), (step, n)
             assert n == 0 or dense[step][n] >= weight[step] * total[n], (step, n)
-    # the closed form is checked through the CLI's order limit exactly, and
-    # above it the proven fold bound takes over
-    assert _TOTAL_CHECKED_ORDER == MAX_ORDER
-    for step in (1, 2):
-        for n in (MAX_ORDER + 1, 5 * MAX_ORDER):
-            assert _total_bound_bits(step, n) == _bound_bits(step, n)
 
 
 @pytest.mark.parametrize(
@@ -511,10 +500,9 @@ def test_members_only_builds_equal_the_reference_fold_at_the_full_width(
     build, step, K, order, lowest
 ):
     # the narrow slots must not change a coefficient: the plain reference
-    # loop at the fold bound's width gives the same rows
+    # loop at the wider p2 bound's width gives the same rows
     fam = build(K, order, lowest)
-    bound = _bound_bits(step, order)
-    wide = _slot_bits(bound)
+    wide = _slot_bits(oracles.p2_bound_bits(step, order))
     assert _slot_bits(_fold_bound_bits(step, order, lowest, _top_member(step, K, order))) < wide
     rows = oracles.reference_fold(step, lowest, K, order, wide)
     mask = (1 << wide) - 1
@@ -631,9 +619,10 @@ def test_unpack_rejects_a_slot_too_narrow_for_its_coefficients(slot_bits):
     # a row with no slot for the per-slot check to catch
     with pytest.raises(ArithmeticError, match="guard bits"):
         _unpack_packed_row(0, 6, order, slot_bits, slot_bits - 7)
-    bits = _slot_bits(_bound_bits(1, order))
+    bound = oracles.p2_bound_bits(1, order)
+    bits = _slot_bits(bound)
     wide = _fold_packed(1, 0, k, order, bits)
-    got = _unpack_packed_row(wide[k], 6, order, bits, _bound_bits(1, order))
+    got = _unpack_packed_row(wide[k], 6, order, bits, bound)
     assert list(got) == oracles.theta_family_A(k, order)[k]
 
 
@@ -852,12 +841,6 @@ def test_fold_cost_grows_with_the_order_and_falls_with_lowest():
         assert _fold_cost(step, order + 1, lowest, top) >= cost, (tag, order, lowest, top)
         if lowest < top:
             assert _fold_cost(step, order, lowest + 1, top) <= cost, (tag, order, lowest, top)
-    # past the order at which the closed family total is checked, the width
-    # switches to the looser proven bound, which is wider still
-    for step in (1, 2):
-        top = _top_member(step, _TOTAL_CHECKED_ORDER, _TOTAL_CHECKED_ORDER)
-        below = _fold_cost(step, _TOTAL_CHECKED_ORDER, top - 1, top)
-        assert _fold_cost(step, _TOTAL_CHECKED_ORDER + 1, top - 1, top) >= below
 
 
 def test_fold_cost_stays_within_a_band_of_the_walked_window_volume():
@@ -1197,6 +1180,42 @@ def test_members_at_the_order_limit(tag, order_limit_stores, monkeypatch):
             assert 8 * got[1].coeffs[n] == (1 - 2 * n) * s1[n] + s3[n], n
     else:
         assert list(got[0].coeffs) == oracles.odd_divisor_cofactor_sums(order)
+
+
+def test_builds_past_the_order_limit_raise_before_anything_is_built(monkeypatch):
+    # both stores, both _uncached builds and the theta route refuse an order
+    # past MAX_ORDER with the CLI's message, before they fold or read a
+    # series, and a refused store call counts neither a hit nor a miss;
+    # with the limit patched low, a build at exactly the limit still runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("built past the order limit")
+
+    stores = (compute_A_family, compute_C_family, p3_series, overpartition_series)
+    builds = [
+        compute_A_family,
+        compute_C_family,
+        compute_A_family_uncached,
+        compute_C_family_uncached,
+        lambda K, order: members("A", range(K + 1), order),
+        lambda K, order: members("C", range(K + 1), order),
+    ]
+    for limit in (MAX_ORDER, 30):
+        monkeypatch.setattr(families, "MAX_ORDER", limit)
+        info = [store.cache_info() for store in stores]
+        text = f"this call builds truncation order {limit + 1}, above the order limit {limit}"
+        with monkeypatch.context() as mp:
+            for name in ("_fold_packed", "p3_series", "overpartition_series"):
+                mp.setattr(families, name, refuse)
+            for build in builds:
+                with pytest.raises(ValueError) as exc:
+                    build(3, limit + 1)
+                assert str(exc.value) == text
+        assert [store.cache_info() for store in stores] == info
+    want = {"A": oracles.theta_family_A(3, 30), "C": oracles.theta_family_C(3, 30)}
+    for build, tag in zip(builds, "ACACAC"):
+        got = build(3, 30)
+        got = got.members if isinstance(got, MacmahonFamily) else got
+        assert [list(m.coeffs) for m in got] == want[tag]
 
 
 def test_verifiers_do_not_read_the_theta_route():
