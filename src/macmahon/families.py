@@ -7,9 +7,12 @@ Both families are the t-coefficients of the same kind of product,
 with s running over all positive integers for the A family and over odd
 integers for the C family.  The product is folded in one pass over s with all
 t-degrees carried jointly.  Each t-degree's coefficient window lives in one
-big integer with fixed-width slots, so the two divisions by (1-q^s) become
-geometric doublings on machine-speed bignum adds (on gmpy2 integers when
-available).
+big integer with fixed-width slots, so division by (1-q^s)^2 becomes one
+geometric-doubling loop of machine-speed bignum adds (on gmpy2 integers when
+available) that adds each factor of (1+q^s)^2 (1+q^2s)^2 (1+q^4s)^2 ... twice.
+It is exact: the factors commute, cutting at the window is a ring map, and
+each partial sum is a non-negative partial sum of the final slot, so no slot
+carries.
 
 Both routes below pack a series one way: a row cut at q^top holds q^e in
 slot top - e, so the least significant slot holds q^top and the most
@@ -227,35 +230,36 @@ def _fold_packed(step: int, lowest: int, k_eff: int, order: int, slot_bits: int)
         while lowvals[top - 1] + s > order:
             top -= 1
         for k in range(min(top, applied), 0, -1):
-            lv = lowvals[k - 1]
-            # a term of an intermediate row k < lowest still needs r more
-            # distinct factors above s, which add at least r*s+step*r(r+1)/2
-            r = max(lowest - k, 0)
-            cut = r * s + step * r * (r + 1) // 2
-            # slots of x that still matter once everything is lifted by q^s
-            w = order - cut - lv - s + 1
-            if w <= 0:
-                # only a row k < lowest gets here, and the cheapest way
-                # through row k to row lowest only grows as k falls: no lower
-                # row has a window
-                break
-            # the loop reaches row k-1 only once k-1 factors are in, enough
-            # for its first term; were it still zero, it would only add zero
-            x = rows[k - 1]
-            # drop the exponents above order - cut - s; since s is at least
-            # the k-th factor, neither this shift nor the lift below is
-            # negative: cut - drop[k] = r*(s - 1 - step*(k-1))
-            t = x >> (b * (cut + s - drop[k - 1]))
-            # two geometric-doubling passes realize division by (1-q^s)^2;
-            # shifts only move slots toward higher exponents, and those past
-            # the window fall off the bottom
-            for _ in range(2):
-                span = s
-                while span < w:
-                    t += t >> (b * span)
-                    span <<= 1
-            # lift by q^s: the bottom slot of t moves to q^(order - cut)
-            rows[k] += t << (b * (cut - drop[k]))
+            # row k-1 is read once k-1 factors are in, enough for its first
+            # term, and s is at least the k-th factor: no shift is negative
+            if k >= lowest:
+                # uncut: `top` keeps the window open, and row k-1 is cut only
+                # at k = lowest, where its top slot is q^(order - drop[k-1])
+                w = order - lowvals[k - 1] - s + 1
+                t = rows[k - 1] >> (b * (s - drop[k - 1]))
+                lift = 0
+            else:
+                # a term of row k < lowest still needs r more distinct
+                # factors above s, which add at least r*s+step*r(r+1)/2
+                r = lowest - k
+                cut = r * s + step * r * (r + 1) // 2
+                w = order - cut - lowvals[k - 1] - s + 1
+                if w <= 0:
+                    break  # the way through row k to row lowest only grows as k falls
+                # drop the exponents above order - cut - s
+                t = rows[k - 1] >> (b * (cut + s - drop[k - 1]))
+                lift = b * (cut - drop[k])
+            # the w slots that still matter, times (1-q^s)^-2 = prod (1+q^span)^2
+            # over span = s, 2s, 4s, ... < w: one loop adds each factor twice,
+            # sh = b*span bits apart (exact, as the module docstring says)
+            sh, end = b * s, b * w
+            while sh < end:
+                t += t >> sh
+                t += t >> sh
+                sh <<= 1
+            # lift by q^s: the bottom slot of t moves to q^(order - cut); a
+            # zero lift would only copy t
+            rows[k] += t << lift if lift else t
     return rows
 
 
@@ -270,22 +274,16 @@ def _unpack_packed_row(
         raise ArithmeticError(
             f"{slot_bits}-bit slots leave fewer than 8 guard bits above {bound_bits} bits"
         )
-    width = order - lowval + 1
     b8 = slot_bits // 8
     # to_bytes overflows if the floor slot ever carried out of its window
-    raw = int(row).to_bytes(width * b8, "big")
-    coeffs = [0] * (order + 1)
-    for i in range(width):
-        c = int.from_bytes(raw[i * b8 : (i + 1) * b8], "big")
-        if c:
-            # a slot past the family's bound means the bound, and with it
-            # the slot width, can no longer be trusted
-            if c >> bound_bits:
-                raise ArithmeticError(
-                    f"packed slot at q^{lowval + i} exceeds {bound_bits} bits"
-                )
-            coeffs[lowval + i] = c
-    return tuple(coeffs)
+    raw = int(row).to_bytes((order - lowval + 1) * b8, "big")
+    slots = [int.from_bytes(raw[i : i + b8], "big") for i in range(0, len(raw), b8)]
+    # a slot past the family's bound means the bound, and with it the slot
+    # width, can no longer be trusted
+    if max(slots, default=0) >> bound_bits:
+        e = next(i for i, c in enumerate(slots) if c >> bound_bits)
+        raise ArithmeticError(f"packed slot at q^{lowval + e} exceeds {bound_bits} bits")
+    return (0,) * lowval + tuple(slots)
 
 
 def _request_key(step: int, K: int, order: int, lowest: int = 0) -> tuple:

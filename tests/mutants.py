@@ -81,7 +81,10 @@ MUTANTS = [
         "families.py",
         "cut = r * s + step * r * (r + 1) // 2\n",
         "cut = r * s + step * r * (r + 1) // 2 + 1\n",
-        (FAMILIES + "test_A_member_2_at_order_7", FAMILIES + "test_fold_equals_theta_oracle_C"),
+        (
+            FAMILIES + "test_corollary_shapes_match_theta_and_bruteforce",
+            FAMILIES + "test_fold_visits_every_window_the_reference_loop_does",
+        ),
     ),
     Mutant(
         "fold-row-loop-stops-one-row-early",
@@ -90,6 +93,28 @@ MUTANTS = [
         "for k in range(min(top, applied), 0, -1):",
         "for k in range(min(top, applied), 1, -1):",
         (FAMILIES + "test_A_member_2_at_order_7", FAMILIES + "test_C_valuations_are_squares"),
+    ),
+    Mutant(
+        "fold-one-doubling-add-dropped",
+        "fold",
+        "families.py",
+        "                t += t >> sh\n                t += t >> sh\n",
+        "                t += t >> sh\n",
+        (
+            FAMILIES + "test_A_member_2_at_order_7",
+            FAMILIES + "test_fold_visits_every_window_the_reference_loop_does",
+        ),
+    ),
+    Mutant(
+        "fold-uncut-branch-one-row-low",
+        "fold",
+        "families.py",
+        "if k >= lowest:",
+        "if k >= lowest - 1:",
+        (
+            FAMILIES + "test_fold_visits_every_window_the_reference_loop_does",
+            FAMILIES + "test_corollary_shapes_match_theta_and_bruteforce",
+        ),
     ),
     Mutant(
         "fold-part-sizes-one-step-short",
@@ -114,11 +139,12 @@ MUTANTS = [
         "unpack-slot-check-dropped",
         "bound",
         "families.py",
-        "if c >> bound_bits:",
+        "if max(slots, default=0) >> bound_bits:",
         "if False:",
         (
             FAMILIES + "test_members_reject_a_slot_too_narrow",
             FAMILIES + "test_a_doctored_series_raises",
+            FAMILIES + "test_unpack_names_the_lowest_exponent_past_the_bound",
         ),
     ),
     Mutant(

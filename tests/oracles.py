@@ -312,7 +312,7 @@ def reference_fold(step: int, lowest: int, k_eff: int, order: int, slot_bits: in
 def fold_window_volume(step: int, lowest: int, k_eff: int, order: int, slot_bits: int) -> int:
     """Bits the packed fold moves, walked over `reference_fold`'s window
     schedule without any big integer.  A window of w slots on row k costs
-    w to cut it from row k-1, 4w per doubling step over its two passes, w to
+    w to cut it from row k-1, 4w per doubling step for its two adds, w to
     lift it and the width of row k, which the add into row k copies:
     `slot_bits * (w * (4 * steps + 2) + row_k)`, steps the least j with
     s * 2^j >= w.  Rows stay zero until a window reaches them."""

@@ -210,13 +210,19 @@ def test_fold_visits_every_window_the_reference_loop_does(step, deep):
     # take most of 20 s and run the same loop bounds as the rest.  The
     # reference keeps q^lowval(k) in the lowest slot; the fold keeps q^e in
     # slot top_k - e, so each reference row is re-packed that way, and it
-    # must hold nothing above the top the fold gives its row
+    # must hold nothing above the top the fold gives its row.  The fold
+    # splits on k >= lowest, and the deep corollary windows ask for lowest
+    # K-1..K-3 at order lowval(K+1) - 1, so those shapes run too; past
+    # order 40 only there, to keep the test's time down
     for K in (0, 1, 2, 5, 12, 33):
-        orders = set(range(41)) | {_lowval(K, step) - 1, _lowval(K, step), 333, deep}
+        corollary = _lowval(K + 1, step) - 1
+        orders = set(range(41)) | {_lowval(K, step) - 1, _lowval(K, step), corollary, 333, deep}
         for order in sorted(orders - {-1}):
             k_eff = _top_member(step, K, order)
             bits = _slot_bits(oracles.p2_bound_bits(step, order))
             lowests = {K - 1, K} | ({0, 1} if order <= 333 else set())
+            if order <= 40 or order == corollary:
+                lowests |= {K - 3, K - 2}
             mask = (1 << bits) - 1
             for lowest in sorted(lo for lo in lowests if 0 <= lo <= k_eff):
                 got = _fold_packed(step, lowest, k_eff, order, bits)
@@ -624,6 +630,21 @@ def test_unpack_rejects_a_slot_too_narrow_for_its_coefficients(slot_bits):
     wide = _fold_packed(1, 0, k, order, bits)
     got = _unpack_packed_row(wide[k], 6, order, bits, bound)
     assert list(got) == oracles.theta_family_A(k, order)[k]
+
+
+def test_unpack_names_the_lowest_exponent_past_the_bound():
+    # with two slots over an 8-bit bound, at q^9 and q^14, the message names
+    # the lower one
+    order, lowval, bits = 20, 6, 16
+
+    def packed(coeffs):
+        return sum(c << (bits * (order - e)) for e, c in coeffs.items())
+
+    under = {e: e for e in range(lowval, order + 1)}
+    got = _unpack_packed_row(packed(under), lowval, order, bits, 8)
+    assert got == (0,) * lowval + tuple(range(lowval, order + 1))
+    with pytest.raises(ArithmeticError, match=r"^packed slot at q\^9 exceeds 8 bits$"):
+        _unpack_packed_row(packed(under | {9: 300, 14: 700}), lowval, order, bits, 8)
 
 
 # -- the literal nested sum ---------------------------------------------------------
