@@ -5,7 +5,7 @@ Exit status: 0 success (and verification passed), 1 verification mismatch,
 2 usage error, an --output path that cannot be written included.  A call
 that would build past the package's order limit (families.MAX_ORDER) exits 2
 before anything is built: compute, table and every bench size are checked
-up front, and a verifier's family store refuses the order it is asked for.
+up front, and a verifier, or the family store it asks, refuses its order.
 Coefficients are always emitted as decimal strings; they outgrow anything a
 JSON number can hold exactly almost immediately.
 """
@@ -152,8 +152,8 @@ def _series_output(series: TruncatedSeries, fmt: str) -> str:
 
 
 def _run_verifier(args: argparse.Namespace) -> VerificationReport:
-    # the verifier refuses an order below its window's floor, and its family
-    # store one above the order limit, before anything is built
+    # the verifier refuses an order below its window's floor, and it or its
+    # family store one above the order limit, before anything is built
     name, *options = _VERIFIERS[args.target]
     _check_options(args, options)
     values = [_need(getattr(args, option), option) for option in options]

@@ -48,8 +48,9 @@ A) or overp (for C) times a sparse theta row of O(sqrt(order)) terms, the
 closed form of Andrews and Rose.  It builds only the members asked for and
 is far cheaper than the fold, so it serves the CLI's `compute` and `table`.
 The identities the verifiers check are the binomial inverse of that closed
-form, so checking them on its output would prove little: every verifier,
-the two family stores, the `_uncached` functions and the bench run the fold.
+form, so checking them on its output would prove little: every verifier
+that reads a family, the two family stores, the `_uncached` functions and
+the bench run the fold.
 
 MAX_ORDER is the package's one order limit: both stores, the `_uncached`
 functions and `members` refuse an order above it with ValueError before they
@@ -188,8 +189,8 @@ def _fold_bound_bits(step: int, order: int, lowest: int, top: int) -> int:
     # - The cap.  Each of P_k's 3k factors lies under 1/(1-q) (also for C),
     #   so the prefix sum of P_k through d is at most that of (1-q)^-3k,
     #   which is C(d+3k, 3k) <= C(D+3*top, 3*top).  With a small cap this is
-    #   a polynomial in the order: the divisor build (members 1..2) at order
-    #   600 takes 56-bit slots instead of the family total's 112.
+    #   a polynomial in the order: a build of members 1..2 at order 600
+    #   takes 56-bit slots instead of the family total's 112.
     reach = order - _lowval(lowest, step)
     bound = min(
         _total_bound_bits(step, order), math.comb(reach + 3 * top, 3 * top).bit_length()

@@ -28,10 +28,12 @@ family_request(identity, k, j, N) is the one family store request (tag, K,
 order, lowest) a verifier makes: each verifier passes it to the store as it
 is and derives its window from the family it gets back.  The store refuses
 an order above the package's order limit (families.MAX_ORDER) with
-ValueError before anything is built, and family_request refuses a limit or
-divisor order below its window's floor with OrderBelowFloor.
-The divisor formulas read members 1 and 2 directly, from the request
-("A", 2, N, 1).
+ValueError before anything is built, and family_request refuses a limit
+order below its window's floor with OrderBelowFloor.
+
+The divisor verifier makes no store request.  It reads members 1 and 2 of A
+from the power sums of the product's factors, by Newton's identity, and
+refuses an order below 1 or above the order limit itself.
 
 All negative-power normalizations are realized by shifting the generating
 function side upward; no series here ever carries a negative exponent.
@@ -43,8 +45,20 @@ import math
 import time
 from collections.abc import Sequence
 
-from .families import MacmahonFamily, _top_member, compute_A_family, compute_C_family
-from .partitions import _lowval, overpartition_series, p3_series, sigma
+from .families import (
+    MacmahonFamily,
+    _check_order,
+    _slot_bits,
+    _top_member,
+    _unpack_packed_row,
+    compute_A_family,
+    compute_C_family,
+)
+from .partitions import _divisor_sums, _lowval, overpartition_series, p3_series
+
+# sigma serves no verifier; it stays bound here because perfbench/tracer.py
+# wraps macmahon.identities.sigma
+from .partitions import sigma
 from .series import TruncatedSeries, _check_param, _Record, _setfield
 
 
@@ -141,12 +155,10 @@ def family_request(
     """The one family store request (tag, K, order, lowest) the verifier of
     `identity` (a `macmahon verify` target) makes for these parameters; those
     it takes no part in are ignored."""
-    if identity == "divisor":
-        # the divisor sums start at n = 1, the valuation of member 1
-        if N < 1:
-            raise OrderBelowFloor(1, 1)
-        return "A", 2, N, 1
     tag = identity[-1].upper()
+    if tag not in _FAMILIES:
+        # the divisor verifier reads its members from power sums
+        raise ValueError(f"{identity} makes no family store request")
     step = _FAMILIES[tag][0]
     shift = _lowval(k, step)
     if identity.startswith("thm"):
@@ -268,25 +280,63 @@ def verify_limit_C(k: int, order: int) -> VerificationReport:
 # -- divisor-sum formulas -------------------------------------------------------
 
 
+def _square(row: list[int]) -> tuple[int, ...]:
+    """Coefficients 0..top of the square of the series `row`, whose
+    coefficients are non-negative and whose top exponent is top, from one
+    product of packed big integers."""
+    top = len(row) - 1
+    # By Cauchy-Schwarz every coefficient of the square, a sum of
+    # row[i] * row[e - i], is at most the sum of the squares of the row.
+    # With 8 guard bits above that bound no slot carries, and unpacking
+    # checks every slot read against it, as it does the fold's.
+    bound = sum(c * c for c in row).bit_length()
+    bits = _slot_bits(bound)
+    b8 = bits // 8
+    # packed as the fold packs a row, q^e in slot top - e: the square holds
+    # q^e in slot 2*top - e, so shifted right by top slots it is q^0..q^top
+    # packed the same way
+    packed = int.from_bytes(b"".join(c.to_bytes(b8, "big") for c in row), "big")
+    return _unpack_packed_row((packed * packed) >> (bits * top), 0, top, bits, bound)
+
+
+def _power_sum_members(s1: list[int], s3: list[int]) -> tuple[list[int], list[int]]:
+    # Members 1 and 2 of A through the order of the divisor sums s1 = sigma_1
+    # and s3 = sigma_3.  A_k is the k-th elementary symmetric function of
+    # the factors x_s = q^s/(1-q^s)^2 = sum over m of m q^(sm), whose power
+    # sums have [q^n] p_1 = sigma_1(n) and, as x_s^2 = sum over m of
+    # C(m+1, 3) q^(sm), [q^n] p_2 = sum over d | n of C(d+1, 3) =
+    # (sigma_3(n) - sigma_1(n))/6.  Newton's identity gives A_1 = p_1 and
+    # A_2 = (p_1^2 - p_2)/2, from the product definition alone.
+    square = _square(s1)
+    return s1, [(sq - (c3 - c1) // 6) // 2 for sq, c1, c3 in zip(square, s1, s3)]
+
+
 def verify_divisor_identities(order: int) -> VerificationReport:
     """Member 1 carries sigma_1(n); member 2 satisfies
     8*coeff = (1-2n)*sigma_1(n) + sigma_3(n), which in particular forces the
-    right side to be divisible by 8.  Checked for 1 <= n <= order."""
+    right side to be divisible by 8.  Checked for 1 <= n <= order.
+
+    Both members come from the power sums of the product's factors, by
+    Newton's identity, and the sums from one divisor sieve; no family is
+    folded.  So the A_1 comparison is nearly tautological, as p_1 is the
+    sigma_1 row itself.  The substance is the A_2 formula, which equates
+    the square of that row with a combination of sigma_1 and sigma_3."""
     _check_param("order", order)
+    # the divisor sums start at n = 1, the valuation of member 1
+    if order < 1:
+        raise OrderBelowFloor(1, 1)
+    _check_order(order)
     t0 = time.perf_counter()
-    fam = _serve(family_request("divisor", None, None, order))
-    a1 = fam.member(1).coeffs
-    a2 = fam.member(2).coeffs
+    s1, s3 = _divisor_sums(order)
+    a1, a2 = _power_sum_members(s1, s3)
     mm = None
     for n in range(1, order + 1):
-        s1 = sigma(1, n)
-        if a1[n] != s1:
-            mm = Mismatch(n, a1[n], s1)
+        if a1[n] != s1[n]:
+            mm = Mismatch(n, a1[n], s1[n])
             break
-        expr = (1 - 2 * n) * s1 + sigma(3, n)
+        expr = (1 - 2 * n) * s1[n] + s3[n]
         if 8 * a2[n] != expr:
             mm = Mismatch(n, 8 * a2[n], expr)
             break
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return VerificationReport("divisor", None, None, order, mm, 2, elapsed_ms)
-

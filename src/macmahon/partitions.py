@@ -69,7 +69,7 @@ def theta_square(order: int) -> TruncatedSeries:
     return _dense_row_zero(2, order)
 
 
-def _check_order(order: int) -> int:
+def _series_key(order: int) -> int:
     # the key of a generating-function request is its order
     _check_param("truncation order", order)
     return order
@@ -78,7 +78,7 @@ def _check_order(order: int) -> int:
 # a kept series serves every order up to its own with a prefix; a miss is
 # longer than every kept series and drops them, so only the longest is kept
 _series_store = functools.partial(
-    _CoveringStore, check=_check_order, covers=operator.ge, cut=TruncatedSeries.truncate
+    _CoveringStore, check=_series_key, covers=operator.ge, cut=TruncatedSeries.truncate
 )
 
 
@@ -96,8 +96,8 @@ def overpartition_series(order: int) -> TruncatedSeries:
 
 def sigma(nu: int, n: int) -> int:
     """Divisor power sum: sum of d^nu over divisors d of n, by trial division
-    up to sqrt(n).  The divisor verifier calls it twice for every n up to its
-    order, which may reach the package's order limit, families.MAX_ORDER."""
+    up to sqrt(n).  For every n up to an order at once, `_divisor_sums` sieves
+    sigma_1 and sigma_3."""
     _check_param("nu", nu)
     _check_param("n", n)
     if n < 1:
@@ -110,6 +110,23 @@ def sigma(nu: int, n: int) -> int:
             if e != d:
                 total += e**nu
     return total
+
+
+def _divisor_sums(order: int) -> tuple[list[int], list[int]]:
+    # sigma_1(n) and sigma_3(n) for n = 0..order, 0 at n = 0, from one sieve
+    # over the divisor pairs d * e = n with d <= e: O(order log order) adds
+    s1 = [0] * (order + 1)
+    s3 = [0] * (order + 1)
+    for d in range(1, math.isqrt(order) + 1):
+        d3 = d**3
+        # n = d^2 has the divisor d once
+        s1[d * d] += d
+        s3[d * d] += d3
+        # n = d * e for e > d has both
+        for e in range(d + 1, order // d + 1):
+            s1[d * e] += d + e
+            s3[d * e] += d3 + e * e * e
+    return s1, s3
 
 
 class PartitionOracleResult(_Record):

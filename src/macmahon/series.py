@@ -36,8 +36,8 @@ def _check_param(name: str, value: int | None) -> None:
     # The package's one check of a count argument: an order, a member index,
     # a cap.  bool is an int subclass; a True k would otherwise pass as 1 and
     # be reported as true.  None marks a parameter the caller does not take.
-    # One value per call: the divisor verifier calls sigma twice for every
-    # n, and collecting keyword arguments would double the check's cost.
+    # One value per call: it runs on every store request and sigma call, and
+    # collecting keyword arguments would double its cost.
     if isinstance(value, bool):
         raise TypeError(f"{name} must be an int, not bool")
     if value is not None and value < 0:

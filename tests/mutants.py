@@ -15,16 +15,18 @@ not collect this file (it is not named test_*).
 
 Each mutant has a kind.  A "fold", "theta" or "bound" mutant changes a
 route the verifiers' identities were derived from, or the bounds its slots
-are sized by; a "verifier" mutant changes a verifier; a "store" mutant
-changes what a family store builds on a miss, and a "limit" one the
-package's order limit.
+are sized by; a "power-sum" mutant changes the rows the divisor verifier
+reads members 1 and 2 from; a "verifier" mutant changes a verifier; a
+"store" mutant changes what a family store builds on a miss, and a "limit"
+one the package's order limit.
 
 The north star's rule that a verifier must never be the only check on a
-route derived from the paper's identities is checked here too.  The test
-that kills a fold, theta or bound mutant must lie outside
-tests/test_identities.py and the verifier criteria of tests/test_acceptance.py,
-and each of those criteria must still be defined there, so that a renamed
-one cannot pass for an independent test.
+route derived from the paper's identities is checked here too, and so is
+the same rule for the rows a verifier reads.  The test that kills a fold,
+theta, bound or power-sum mutant must lie outside tests/test_identities.py
+and the verifier criteria of tests/test_acceptance.py, and each of those
+criteria must still be defined there, so that a renamed one cannot pass for
+an independent test.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 
 # the kinds of mutant that change a route the verifiers' identities were
-# derived from, or the bounds its slots are sized by
-ROUTE_KINDS = ("fold", "theta", "bound")
+# derived from, the bounds its slots are sized by, or the rows the divisor
+# verifier reads
+ROUTE_KINDS = ("fold", "theta", "bound", "power-sum")
 
 # the acceptance criteria that call a verifier or read its identities
 VERIFIER_CRITERIA = tuple(
@@ -62,7 +65,7 @@ VERIFIER_CRITERIA = tuple(
 
 class Mutant(NamedTuple):
     name: str
-    kind: str  # "fold", "theta", "bound", "verifier", "store" or "limit"
+    kind: str  # "fold", "theta", "bound", "power-sum", "verifier", "store" or "limit"
     path: str  # under src/macmahon/
     old: str
     new: str
@@ -71,6 +74,7 @@ class Mutant(NamedTuple):
 
 FAMILIES = "tests/test_families.py::"
 IDENTITIES = "tests/test_identities.py::"
+PARTITIONS = "tests/test_partitions.py::"
 
 GROWTH = FAMILIES + "test_a_miss_grows_the_union_while_it_costs_no_more_than_the_two_builds"
 
@@ -232,7 +236,23 @@ MUTANTS = [
         "identities.py",
         "if 8 * a2[n] != expr:",
         "if False and 8 * a2[n] != expr:",
-        (IDENTITIES + "test_divisor_reports_a_doctored_member_through_the_store",),
+        (IDENTITIES + "test_divisor_reports_a_doctored_member_of_its_rows",),
+    ),
+    Mutant(
+        "divisor-newton-sign",
+        "power-sum",
+        "identities.py",
+        "(sq - (c3 - c1) // 6) // 2",
+        "(sq + (c3 - c1) // 6) // 2",
+        (PARTITIONS + "test_divisor_rows_match_the_sieve_oracle_and_the_fold",),
+    ),
+    Mutant(
+        "divisor-sieve-drops-square-divisors",
+        "power-sum",
+        "partitions.py",
+        "        s1[d * d] += d\n        s3[d * d] += d3\n",
+        "",
+        (PARTITIONS + "test_divisor_rows_match_the_sieve_oracle_and_the_fold",),
     ),
     Mutant(
         "growth-refuses-a-union-at-exactly-the-two-builds",

@@ -9,8 +9,8 @@ import pytest
 
 import macmahon.identities as identities
 from macmahon.families import (
+    MAX_ORDER,
     MacmahonFamily,
-    _request_key,
     compute_A_family,
     compute_A_family_uncached,
     compute_C_family,
@@ -188,8 +188,11 @@ def test_a_member_nonzero_below_its_floor_is_reported(target, verify, args, m, e
 
 
 def test_family_order_is_the_highest_order_each_verifier_builds(monkeypatch):
-    # each verifier makes exactly one family store request, the one
-    # family_request names, and builds no series of a higher order
+    # each verifier but the divisor's makes exactly one family store request,
+    # the one family_request names, and builds no series of a higher order;
+    # the divisor verifier reads its members from power sums, so it makes no
+    # family request and reads no generating function, and family_request
+    # refuses it
     requested, families = [], []
 
     def recording_store(tag, fn):
@@ -234,9 +237,14 @@ def test_family_order_is_the_highest_order_each_verifier_builds(monkeypatch):
                         # a limit order below the valuation of member k
                         assert target.startswith("limit") and f"member {k}" in str(exc)
                         continue
-                    request = family_request(target, k, j, N)
-                    assert families == [request], (target, k, j, N)
-                    assert max(requested) == request[2], (target, k, j, N)
+                    if target == "divisor":
+                        assert families == requested == [], N
+                        with pytest.raises(ValueError, match="no family store request"):
+                            family_request(target, k, j, N)
+                    else:
+                        request = family_request(target, k, j, N)
+                        assert families == [request], (target, k, j, N)
+                        assert max(requested) == request[2], (target, k, j, N)
                     checked += 1
     assert checked > 1000
 
@@ -396,33 +404,42 @@ DOCTORED_DIVISOR = [
 
 
 @pytest.mark.parametrize("m,n,want", DOCTORED_DIVISOR, ids=["A_1", "A_2"])
-def test_divisor_reports_a_doctored_member_through_the_store(m, n, want, monkeypatch):
-    # the store keeps a wider family with member m one too high at q^n; the
-    # verifier's request is cut out of it, and the report must name n with
-    # both sides of the formula that member feeds
-    order = 40
-    real = compute_A_family_uncached(6, order)
+def test_divisor_reports_a_doctored_member_of_its_rows(m, n, want, monkeypatch):
+    # the row builder returns member m one too high at q^n; the report must
+    # name n with both sides of the formula that member feeds
+    order = 30
+    real = compute_A_family_uncached(2, order, 1)
     a1, a2 = real.member(1).coeffs, real.member(2).coeffs
-    rows = list(real.members)
-    coeffs = list(rows[m].coeffs)
-    coeffs[n] += 1
-    rows[m] = as_series(coeffs, order)
-    doctored = MacmahonFamily("A", tuple(rows), order, 6)
-    monkeypatch.setattr(compute_A_family, "_kept", [(_request_key(1, 6, order), doctored)])
-    report = verify_divisor_identities(30)
-    assert compute_A_family.cache_info()[:2] == (1, 0)
+    build = identities._power_sum_members
+
+    def doctored(s1, s3):
+        rows = [list(row) for row in build(s1, s3)]
+        rows[m - 1][n] += 1
+        return rows
+
+    monkeypatch.setattr(identities, "_power_sum_members", doctored)
+    report = verify_divisor_identities(order)
     assert report.first_mismatch == want(a1, a2, n)
     assert (report.identity, report.order, report.terms_used) == ("divisor", 30, 2)
 
 
 def test_divisor_rejects_order_below_one():
     # the divisor sums start at n = 1, the valuation of member 1
-    floor = "at least 1, the valuation of member 1"
-    with pytest.raises(OrderBelowFloor, match=floor) as exc:
+    with pytest.raises(OrderBelowFloor, match="at least 1, the valuation of member 1") as exc:
         verify_divisor_identities(0)
     assert exc.value.floor == 1
-    with pytest.raises(OrderBelowFloor, match=floor):
-        family_request("divisor", None, None, 0)
+
+
+def test_divisor_identities_pass_at_the_order_limit(monkeypatch):
+    # the order limit is checked before the divisor sums are sieved
+    assert verify_divisor_identities(MAX_ORDER).passed
+
+    def refuse(order):
+        raise AssertionError(f"sieved order {order} for a refused call")
+
+    monkeypatch.setattr(identities, "_divisor_sums", refuse)
+    with pytest.raises(ValueError, match="above the order limit"):
+        verify_divisor_identities(MAX_ORDER + 1)
 
 
 # -- report plumbing ----------------------------------------------------------------------------

@@ -3,8 +3,11 @@ enumeration oracles, each checked against an independent route."""
 
 import pytest
 
+import macmahon.identities as identities
 import oracles
+from macmahon.families import compute_A_family_uncached
 from macmahon.partitions import (
+    _divisor_sums,
     jacobi_cube,
     mk_bruteforce,
     mk_odd_bruteforce,
@@ -138,6 +141,30 @@ def test_sigma_against_full_scan():
     for n in range(1, 200):
         assert sigma(1, n) == oracles.divisor_power_sum(n, 1)
         assert sigma(3, n) == oracles.divisor_power_sum(n, 3)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 40, 600, 3000])
+def test_divisor_rows_match_the_sieve_oracle_and_the_fold(order):
+    # the rows the divisor verifier reads: sigma_1 and sigma_3 from the
+    # divisor-pair sieve, the square of the sigma_1 row, and members 1 and 2
+    # by Newton's identity, each against a route that shares nothing with it
+    s1, s3 = _divisor_sums(order)
+    assert s1 == oracles.divisor_power_sums(order, 1)
+    assert s3 == oracles.divisor_power_sums(order, 3)
+    assert list(identities._square(s1)) == oracles.convolve(s1, s1, order)
+    fam = compute_A_family_uncached(2, order, 1)
+    a1, a2 = identities._power_sum_members(s1, s3)
+    assert [list(a1), list(a2)] == [list(fam.member(m).coeffs) for m in (1, 2)]
+
+
+def test_divisor_square_rejects_a_slot_one_byte_too_narrow(monkeypatch):
+    # fewer than 8 guard bits above the square's bound leave a coefficient
+    # past it able to carry into its neighbour unseen, so unpacking refuses
+    s1 = _divisor_sums(600)[0]
+    slot_bits = identities._slot_bits
+    monkeypatch.setattr(identities, "_slot_bits", lambda bound: slot_bits(bound) - 8)
+    with pytest.raises(ArithmeticError, match="guard bits"):
+        identities._square(s1)
 
 
 # -- brute-force multiplicity-product counters -----------------------------------------
