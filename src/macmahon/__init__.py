@@ -3,12 +3,9 @@ functions: the families A_k and C_k, the 3-colored partition and
 overpartition generating functions, and coefficient-exact verification of
 the identity families connecting them."""
 
-from .series import TruncatedSeries, format_series, geometric_square
+from .series import TruncatedSeries, format_series
 from .partitions import (
-    PartitionOracleResult,
     jacobi_cube,
-    mk_bruteforce,
-    mk_odd_bruteforce,
     overpartition_series,
     p3_series,
     sigma,
@@ -16,7 +13,6 @@ from .partitions import (
 )
 from .families import (
     MacmahonFamily,
-    a_k_directsum,
     compute_A_family,
     compute_C_family,
     members,
@@ -38,20 +34,15 @@ __version__ = "0.1.0"
 __all__ = [
     "TruncatedSeries",
     "format_series",
-    "geometric_square",
     "jacobi_cube",
     "theta_square",
     "p3_series",
     "overpartition_series",
     "sigma",
-    "mk_bruteforce",
-    "mk_odd_bruteforce",
-    "PartitionOracleResult",
     "MacmahonFamily",
     "compute_A_family",
     "compute_C_family",
     "members",
-    "a_k_directsum",
     "VerificationReport",
     "Mismatch",
     "verify_theorem_A",

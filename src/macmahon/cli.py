@@ -65,10 +65,6 @@ TABLE_TARGETS = ("a", "c")
 FORMATS = ("text", "json", "csv")
 
 
-class UsageError(Exception):
-    pass
-
-
 # The most cells (K+1)*(N+1) one `table` call or one `bench` row builds:
 # above the 13 x (MAX_ORDER + 1) grid of the cap-12 family at the order
 # limit, below caps whose members, zero ones included, would exhaust memory.
@@ -78,16 +74,16 @@ MAX_CELLS = 300_000
 def _check_cells(cap: int, order: int) -> None:
     cells = (cap + 1) * (order + 1)
     if cells > MAX_CELLS:
-        raise UsageError(
+        raise ValueError(
             f"this call builds {cells} cells (K+1)*(N+1), above the cell limit {MAX_CELLS}"
         )
 
 
 def _need(value: int | None, name: str, minimum: int = 0) -> int:
     if value is None:
-        raise UsageError(f"--{name} is required for this target")
+        raise ValueError(f"--{name} is required for this target")
     if value < minimum:
-        raise UsageError(f"--{name} must be >= {minimum}, got {value}")
+        raise ValueError(f"--{name} must be >= {minimum}, got {value}")
     return value
 
 
@@ -95,7 +91,7 @@ def _check_options(args: argparse.Namespace, taken: Container[str]) -> None:
     # an option the target does not take is refused rather than ignored
     for option in ("k", "j", "K", "N"):
         if option not in taken and getattr(args, option, None) is not None:
-            raise UsageError(f"--{option} is not an option of target {args.target}")
+            raise ValueError(f"--{option} is not an option of target {args.target}")
 
 
 def _dump_json(obj) -> str:
@@ -119,7 +115,7 @@ def _emit(text: str, path: str | None) -> None:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise UsageError(f"cannot write --output {path}: {exc.strerror}") from exc
+            raise ValueError(f"cannot write --output {path}: {exc.strerror}") from exc
 
 
 # -- compute -------------------------------------------------------------------
@@ -161,7 +157,7 @@ def _run_verifier(args: argparse.Namespace) -> VerificationReport:
         return globals()[name](*values)
     except OrderBelowFloor as exc:
         # the limit and divisor windows start at the valuation of a member
-        raise UsageError(f"--N must be >= {exc.floor}, got {args.N}") from None
+        raise ValueError(f"--N must be >= {exc.floor}, got {args.N}") from None
 
 
 def _report_output(report: VerificationReport, fmt: str) -> str:
@@ -331,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
             text = _bench_output(_run_bench(args), args.format)
         _emit(text, args.output)
         return 0
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

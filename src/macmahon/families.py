@@ -14,8 +14,9 @@ It is exact: the factors commute, cutting at the window is a ring map, and
 each partial sum is a non-negative partial sum of the final slot, so no slot
 carries.
 
-Both routes below pack a series one way: a row cut at q^top holds q^e in
-slot top - e, so the least significant slot holds q^top and the most
+Both routes below, and `_packed_square`, which squares the divisor
+verifier's sigma_1 row, pack a series one way: a row cut at q^top holds q^e
+in slot top - e, so the least significant slot holds q^top and the most
 significant one the row's valuation floor.  Multiplying by q^s and cutting
 at the top is then one right shift, slots that move past the top fall off
 the bottom of the integer, and no step needs a mask.  Unpacking reads the
@@ -287,6 +288,30 @@ def _unpack_packed_row(
     return (0,) * lowval + tuple(slots)
 
 
+def _pack(coeffs, slot_bits: int) -> int:
+    # the non-negative coefficients of a row that starts at q^0, packed as
+    # the fold packs a row: q^e in slot top - e
+    b8 = slot_bits // 8
+    return int.from_bytes(b"".join(c.to_bytes(b8, "big") for c in coeffs), "big")
+
+
+def _packed_square(row: list[int]) -> tuple[int, ...]:
+    """Coefficients 0..top of the square of the series `row`, whose
+    coefficients are non-negative and whose top exponent is top, from one
+    product of packed big integers."""
+    top = len(row) - 1
+    # By Cauchy-Schwarz every coefficient of the square, a sum of
+    # row[i] * row[e - i], is at most the sum of the squares of the row.
+    # With 8 guard bits above that bound no slot carries, and unpacking
+    # checks every slot read against it, as it does the fold's.
+    bound = sum(c * c for c in row).bit_length()
+    bits = _slot_bits(bound)
+    packed = _pack(row, bits)
+    # the square holds q^e in slot 2*top - e, so shifted right by top slots
+    # it is q^0..q^top packed the same way
+    return _unpack_packed_row((packed * packed) >> (bits * top), 0, top, bits, bound)
+
+
 def _request_key(step: int, K: int, order: int, lowest: int = 0) -> tuple:
     # refuses a bad request, an order above the limit included, and keys a
     # good one by (order, lowest, top member, K) for the family stores
@@ -396,26 +421,24 @@ def _cut_family(fam: MacmahonFamily, key: tuple) -> MacmahonFamily:
     return MacmahonFamily(fam.family, cut, order, K, lowest)
 
 
+def _family_store(build, step: int) -> _CoveringStore:
+    # update_wrapper copies the build's names; the store answers to its own
+    store = _CoveringStore(
+        build,
+        functools.partial(_request_key, step),
+        _covers_request,
+        _cut_family,
+        functools.partial(_grow_request, step),
+    )
+    store.__name__ = store.__qualname__ = build.__name__.removesuffix("_uncached")
+    return store
+
+
 # verification suites read overlapping members of one family at orders that
 # differ from call to call, so most requests are covered by an earlier build
 # or by the union a miss grows; results are immutable, so sharing them is safe
-compute_A_family = _CoveringStore(
-    compute_A_family_uncached,
-    functools.partial(_request_key, 1),
-    _covers_request,
-    _cut_family,
-    functools.partial(_grow_request, 1),
-)
-compute_C_family = _CoveringStore(
-    compute_C_family_uncached,
-    functools.partial(_request_key, 2),
-    _covers_request,
-    _cut_family,
-    functools.partial(_grow_request, 2),
-)
-# update_wrapper copied the build's names; each store answers to its own
-compute_A_family.__name__ = compute_A_family.__qualname__ = "compute_A_family"
-compute_C_family.__name__ = compute_C_family.__qualname__ = "compute_C_family"
+compute_A_family = _family_store(compute_A_family_uncached, 1)
+compute_C_family = _family_store(compute_C_family_uncached, 2)
 
 
 # -- the theta-quotient route ----------------------------------------------------------
@@ -460,10 +483,7 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
     # the k = 0 identity are at least 3 (A) and 2 (C); so a slot too narrow
     # for a member still raises in unpacking, never passes silently.
     bits = _slot_bits(max(dense.coeffs).bit_length())
-    b8 = bits // 8
-    packed = _bigint(
-        int.from_bytes(b"".join(c.to_bytes(b8, "big") for c in dense.coeffs), "big")
-    )
+    packed = _bigint(_pack(dense.coeffs, bits))
     built = []
     for k in ks:
         lowval = _lowval(k, step)

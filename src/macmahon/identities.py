@@ -48,9 +48,8 @@ from collections.abc import Sequence
 from .families import (
     MacmahonFamily,
     _check_order,
-    _slot_bits,
+    _packed_square,
     _top_member,
-    _unpack_packed_row,
     compute_A_family,
     compute_C_family,
 )
@@ -280,25 +279,6 @@ def verify_limit_C(k: int, order: int) -> VerificationReport:
 # -- divisor-sum formulas -------------------------------------------------------
 
 
-def _square(row: list[int]) -> tuple[int, ...]:
-    """Coefficients 0..top of the square of the series `row`, whose
-    coefficients are non-negative and whose top exponent is top, from one
-    product of packed big integers."""
-    top = len(row) - 1
-    # By Cauchy-Schwarz every coefficient of the square, a sum of
-    # row[i] * row[e - i], is at most the sum of the squares of the row.
-    # With 8 guard bits above that bound no slot carries, and unpacking
-    # checks every slot read against it, as it does the fold's.
-    bound = sum(c * c for c in row).bit_length()
-    bits = _slot_bits(bound)
-    b8 = bits // 8
-    # packed as the fold packs a row, q^e in slot top - e: the square holds
-    # q^e in slot 2*top - e, so shifted right by top slots it is q^0..q^top
-    # packed the same way
-    packed = int.from_bytes(b"".join(c.to_bytes(b8, "big") for c in row), "big")
-    return _unpack_packed_row((packed * packed) >> (bits * top), 0, top, bits, bound)
-
-
 def _power_sum_members(s1: list[int], s3: list[int]) -> tuple[list[int], list[int]]:
     # Members 1 and 2 of A through the order of the divisor sums s1 = sigma_1
     # and s3 = sigma_3.  A_k is the k-th elementary symmetric function of
@@ -307,7 +287,7 @@ def _power_sum_members(s1: list[int], s3: list[int]) -> tuple[list[int], list[in
     # C(m+1, 3) q^(sm), [q^n] p_2 = sum over d | n of C(d+1, 3) =
     # (sigma_3(n) - sigma_1(n))/6.  Newton's identity gives A_1 = p_1 and
     # A_2 = (p_1^2 - p_2)/2, from the product definition alone.
-    square = _square(s1)
+    square = _packed_square(s1)
     return s1, [(sq - (c3 - c1) // 6) // 2 for sq, c1, c3 in zip(square, s1, s3)]
 
 

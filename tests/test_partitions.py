@@ -3,6 +3,7 @@ enumeration oracles, each checked against an independent route."""
 
 import pytest
 
+import macmahon.families as families
 import macmahon.identities as identities
 import oracles
 from macmahon.families import compute_A_family_uncached
@@ -151,7 +152,7 @@ def test_divisor_rows_match_the_sieve_oracle_and_the_fold(order):
     s1, s3 = _divisor_sums(order)
     assert s1 == oracles.divisor_power_sums(order, 1)
     assert s3 == oracles.divisor_power_sums(order, 3)
-    assert list(identities._square(s1)) == oracles.convolve(s1, s1, order)
+    assert list(families._packed_square(s1)) == oracles.convolve(s1, s1, order)
     fam = compute_A_family_uncached(2, order, 1)
     a1, a2 = identities._power_sum_members(s1, s3)
     assert [list(a1), list(a2)] == [list(fam.member(m).coeffs) for m in (1, 2)]
@@ -161,10 +162,10 @@ def test_divisor_square_rejects_a_slot_one_byte_too_narrow(monkeypatch):
     # fewer than 8 guard bits above the square's bound leave a coefficient
     # past it able to carry into its neighbour unseen, so unpacking refuses
     s1 = _divisor_sums(600)[0]
-    slot_bits = identities._slot_bits
-    monkeypatch.setattr(identities, "_slot_bits", lambda bound: slot_bits(bound) - 8)
+    slot_bits = families._slot_bits
+    monkeypatch.setattr(families, "_slot_bits", lambda bound: slot_bits(bound) - 8)
     with pytest.raises(ArithmeticError, match="guard bits"):
-        identities._square(s1)
+        families._packed_square(s1)
 
 
 # -- brute-force multiplicity-product counters -----------------------------------------

@@ -1,0 +1,145 @@
+"""The family stores' work on fixed request sequences, pinned in figures
+that do not depend on the machine: requests, builds and hits, the widest
+slot a build packs, and the walked volume, `oracles.fold_window_volume`
+summed over the builds.
+
+The stores decide from keys alone, so each sequence is replayed against the
+real `compute_A_family` and `compute_C_family` with their `_build` replaced
+by one that records (K, order, lowest) and returns a family of zero members
+of the right shape.  Nothing is folded.  Every figure but the request count
+is an upper bound: a change that raises one fails here, and a change that
+lowers one updates the ledger and says why in CHANGES.md.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import oracles
+from macmahon.families import (
+    MacmahonFamily,
+    _fold_bound_bits,
+    _slot_bits,
+    _top_member,
+    compute_A_family,
+    compute_C_family,
+)
+from macmahon.identities import family_request
+from macmahon.series import TruncatedSeries
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+STORES = {"A": compute_A_family, "C": compute_C_family}
+
+
+def _load_workloads():
+    # registered before it runs, as its dataclass looks its module up
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
+
+
+def _requests(ops):
+    # the family store request of each verifier call; the divisor verifier
+    # makes none
+    return [
+        family_request(op["target"], op.get("k"), op.get("j"), op.get("N"))
+        for op in ops
+        if op["target"] != "divisor"
+    ]
+
+
+def _corollary(tag, k, j):
+    return lambda: [_requests([{"target": tag, "k": k, "j": j}])]
+
+
+def _sweep(tag, N):
+    # a cold theorem sweep over k = 0..12
+    return lambda: [_requests([{"target": tag, "k": k, "N": N} for k in range(13)])]
+
+
+def _identity_sweep():
+    # one long-lived process: the warm-up, then every pass, in one pair of stores
+    run = workloads.identity_sweep(1, 15)
+    return [_requests(run.warmup + run.shards[0])]
+
+
+def _deep_window():
+    # one fresh process, and so a fresh pair of stores, per shard, each
+    # after the warm-up
+    run = workloads.deep_window(1, 15)
+    return [_requests(run.warmup + shard) for shard in run.shards]
+
+
+# sequence -> (its requests, one list per fresh pair of stores; requests,
+# builds, hits, walked volume in bits, widest slot in bits)
+LEDGER = {
+    "thm-a k=0..12 N=120": (_sweep("thm-a", 120), 13, 13, 0, 828_061_496, 64),
+    "thm-c k=0..12 N=150": (_sweep("thm-c", 150), 13, 13, 0, 388_862_080, 64),
+    "cor-a(20,2)": (_corollary("cor-a", 20, 2), 1, 1, 0, 5_593_952, 56),
+    "cor-c(20,2)": (_corollary("cor-c", 20, 2), 1, 1, 0, 10_880_912, 56),
+    "cor-a(100,2)": (_corollary("cor-a", 100, 2), 1, 1, 0, 326_943_680, 112),
+    "cor-c(100,2)": (_corollary("cor-c", 100, 2), 1, 1, 0, 650_875_120, 112),
+    "A K=12 N=500": (lambda: [[("A", 12, 500, 0)]], 1, 1, 0, 1_645_105_280, 104),
+    "identity-sweep seed 1": (_identity_sweep, 1792, 77, 1715, 3_731_765_776, 80),
+    "deep-window seed 1": (_deep_window, 138, 114, 24, 1_876_505_464, 80),
+}
+
+
+def _replay(monkeypatch, runs):
+    built = []
+
+    def recorder(tag):
+        def build(K, order, lowest=0):
+            built.append((tag, K, order, lowest))
+            members = [TruncatedSeries.zero(order) for _ in range(lowest, K + 1)]
+            if lowest == 0:
+                members[0] = TruncatedSeries.one(order)
+            return MacmahonFamily(tag, tuple(members), order, K, lowest)
+
+        return build
+
+    for tag, store in STORES.items():
+        monkeypatch.setattr(store, "_build", recorder(tag))
+    hits = 0
+    for requests in runs:
+        for store in STORES.values():
+            store.cache_clear()
+        for tag, K, order, lowest in requests:
+            STORES[tag](K, order, lowest=lowest)
+        hits += sum(store.cache_info().hits for store in STORES.values())
+    return built, hits
+
+
+def _work(built):
+    # the widest slot and the walked volume over the builds; a build whose
+    # members are all zero at its order folds nothing
+    widest = volume = 0
+    for tag, K, order, lowest in built:
+        step = 1 if tag == "A" else 2
+        top = _top_member(step, K, order)
+        if lowest > top:
+            continue
+        bits = _slot_bits(_fold_bound_bits(step, order, lowest, top))
+        widest = max(widest, bits)
+        volume += oracles.fold_window_volume(step, lowest, top, order, bits)
+    return widest, volume
+
+
+@pytest.mark.parametrize("name", LEDGER)
+def test_family_stores_do_no_more_work_than_the_ledger(name, monkeypatch):
+    sequence, requests, builds, hits, volume, widest = LEDGER[name]
+    runs = sequence()
+    built, seen_hits = _replay(monkeypatch, runs)
+    seen_widest, seen_volume = _work(built)
+    assert sum(map(len, runs)) == requests
+    # every request is a hit or a miss, and every miss builds once
+    assert seen_hits + len(built) == requests
+    assert len(built) <= builds and seen_hits >= hits, (len(built), seen_hits)
+    assert seen_volume <= volume, seen_volume
+    assert seen_widest <= widest, seen_widest
