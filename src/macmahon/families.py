@@ -35,14 +35,10 @@ truncation orders 5355 and 10608) cost a fraction of a second.
 `compute_A_family` and `compute_C_family` are covering stores (series.py):
 a request is cut out of any kept family that reaches as low, as far and as
 high, since a prefix of a truncated series is exact and member k depends
-neither on the cap nor on the lowest member asked for.  A miss builds the
-union of the request and the most recently used kept family (the larger
-order, the lower lowest member, every member that can be nonzero at that
-order) when `_fold_cost` puts the union at most the request's cost plus the
-kept family's, the two builds it replaces, and exactly the request
-otherwise, as it does a request with nothing to fold.  A theorem sweep over
-k then builds one family that each later k reads.  The `_uncached` functions
-always build.
+neither on the cap nor on the lowest member asked for.  A miss builds
+exactly the request.  A theorem verifier asks for a build rounded to a grid
+of orders (identities.py), so a theorem sweep over k builds a few families
+that the later k read.  The `_uncached` functions always build.
 
 `members(family, ks, order)` is the second route: each member is p3 (for
 A) or overp (for C) times a sparse theta row of O(sqrt(order)) terms, the
@@ -363,45 +359,6 @@ def compute_C_family_uncached(K: int, order: int, lowest: int = 0) -> MacmahonFa
     return _compute_family("C", 2, K, order, lowest)
 
 
-def _fold_cost(step: int, order: int, lowest: int, top: int) -> int:
-    # An estimate of a build's fold work, from its key alone: no series read
-    # and no walk over the part sizes, so a miss can afford to ask it three
-    # times.
-    # Row k's first window, at s = the k-th smallest part, is W_k wide (the
-    # window w of _fold_packed), and its later windows shrink by r + 1 slots
-    # per factor, r = max(lowest - k, 0), so the row moves about W_k^2/(r+1)
-    # slots, each as wide as the family total.  It does not fall as the order
-    # grows, and does not rise as lowest grows.
-    if lowest > top:
-        return 0  # nothing to fold: every member asked for is zero
-    total = 0
-    lowval = 0  # of row k - 1; the k-th smallest part is 1 + (k-1)*step
-    for k in range(1, top + 1):
-        part = 1 + (k - 1) * step
-        r = lowest - k if lowest > k else 0
-        w = order - lowval - step * r * (r + 1) // 2 - part * (r + 1) + 1
-        if w > 0:
-            total += w * w // (r + 1)
-        lowval += part
-    return total * _total_bound_bits(step, order)
-
-
-def _grow_request(step: int, kept: tuple, key: tuple) -> tuple | None:
-    # the build (K, order, lowest) of the union of a kept family and a missed
-    # request, or None where the union costs more than the two builds it
-    # replaces, the request and the kept family it evicts; so the work a
-    # union spends beyond the request is at most what the kept family cost.
-    # A request with nothing to fold (member 0 alone, say) is built exactly:
-    # its union could cost as much as the kept family, only to fold it again.
-    order, lowest = max(kept[0], key[0]), min(kept[1], key[1])
-    top = _top_member(step, order, order)
-    union = _fold_cost(step, order, lowest, top)
-    exact = _fold_cost(step, *key[:3])
-    if exact == 0 or union > exact + _fold_cost(step, *kept[:3]):
-        return None
-    return top, order, lowest
-
-
 def _covers_request(kept: tuple, key: tuple) -> bool:
     # the kept family holds every member lowest..top that can be nonzero at
     # the order, each at least that far
@@ -423,20 +380,15 @@ def _cut_family(fam: MacmahonFamily, key: tuple) -> MacmahonFamily:
 
 def _family_store(build, step: int) -> _CoveringStore:
     # update_wrapper copies the build's names; the store answers to its own
-    store = _CoveringStore(
-        build,
-        functools.partial(_request_key, step),
-        _covers_request,
-        _cut_family,
-        functools.partial(_grow_request, step),
-    )
+    check = functools.partial(_request_key, step)
+    store = _CoveringStore(build, check, _covers_request, _cut_family)
     store.__name__ = store.__qualname__ = build.__name__.removesuffix("_uncached")
     return store
 
 
 # verification suites read overlapping members of one family at orders that
-# differ from call to call, so most requests are covered by an earlier build
-# or by the union a miss grows; results are immutable, so sharing them is safe
+# differ from call to call, so many requests are covered by an earlier build;
+# results are immutable, so sharing them is safe
 compute_A_family = _family_store(compute_A_family_uncached, 1)
 compute_C_family = _family_store(compute_C_family_uncached, 2)
 

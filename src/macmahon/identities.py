@@ -24,12 +24,18 @@ and a window:
 - limit-*: member k alone, on the j = 0 corollary window, cut short where
   the order built would pass N.
 
-family_request(identity, k, j, N) is the one family store request (tag, K,
-order, lowest) a verifier makes: each verifier passes it to the store as it
-is and derives its window from the family it gets back.  The store refuses
-an order above the package's order limit (families.MAX_ORDER) with
-ValueError before anything is built, and family_request refuses a limit
-order below its window's floor with OrderBelowFloor.
+family_request(identity, k, j, N) names what a verifier reads, (tag, K,
+order, lowest): members lowest..K through the order, from which it derives
+its window and terms_used.  A corollary or limit verifier asks its store
+for exactly that.  A theorem verifier asks for a rounded build that covers
+it: the order rounded up to a multiple of 32 and kept within the order
+limit, the lowest member rounded down to an even one, and every member that
+can be nonzero at that order.  Theorem orders change only a little from one
+k to the next, so a sweep over k builds a few families and reads the rest
+out of them.  An order above the package's order limit (families.MAX_ORDER)
+is refused with ValueError before anything is built, the theorem's exact
+order before its rounded one, and family_request refuses a limit order
+below its window's floor with OrderBelowFloor.
 
 The divisor verifier makes no store request.  It reads members 1 and 2 of A
 from the power sums of the product's factors, by Newton's identity, and
@@ -45,6 +51,7 @@ import math
 import time
 from collections.abc import Sequence
 
+from . import families
 from .families import (
     MacmahonFamily,
     _check_order,
@@ -151,9 +158,9 @@ class OrderBelowFloor(ValueError):
 def family_request(
     identity: str, k: int | None, j: int | None, N: int | None
 ) -> tuple[str, int, int, int]:
-    """The one family store request (tag, K, order, lowest) the verifier of
-    `identity` (a `macmahon verify` target) makes for these parameters; those
-    it takes no part in are ignored."""
+    """What the verifier of `identity` (a `macmahon verify` target) reads for
+    these parameters, (tag, K, order, lowest): members lowest..K of family
+    tag through the order.  Parameters it takes no part in are ignored."""
     tag = identity[-1].upper()
     if tag not in _FAMILIES:
         # the divisor verifier reads its members from power sums
@@ -171,23 +178,40 @@ def family_request(
     return tag, k, min(_lowval(k + 1, step) - 1, N), k
 
 
-def _serve(request: tuple[str, int, int, int]) -> MacmahonFamily:
-    tag, K, order, lowest = request
+# a theorem verifier's store request is rounded to a multiple of this order
+# and down to an even lowest member
+_ORDER_GRID = 32
+
+
+def _serve(
+    identity: str, k: int | None, j: int | None, N: int | None
+) -> tuple[tuple[str, int, int, int], MacmahonFamily]:
+    """The family_request of the verifier of `identity` and the family its
+    store serves it from: the request itself, or for a theorem verifier a
+    rounded build that covers it."""
+    request = tag, K, order, lowest = family_request(identity, k, j, N)
     store = compute_A_family if tag == "A" else compute_C_family
-    return store(K, order, lowest=lowest)
+    if identity.startswith("thm"):
+        # the exact order is refused first, so the error names it
+        _check_order(order)
+        order = min(-(-order // _ORDER_GRID) * _ORDER_GRID, families.MAX_ORDER)
+        lowest -= lowest % 2
+        K = _top_member(_FAMILIES[tag][0], order, order)
+    return request, store(K, order, lowest=lowest)
 
 
-def _lowered_sum(fam: MacmahonFamily) -> list[int]:
+def _lowered_sum(request: tuple[str, int, int, int], fam: MacmahonFamily) -> list[int]:
     """Coefficients 0..window of the sum of w(m, k) times member m lowered by
-    q^lowval(k), over the members m = k..K of `fam`, where k is its lowest
-    member and the window ends at its truncation order lowered the same."""
-    step, weight = _FAMILIES[fam.family]
-    k = fam.lowest
+    q^lowval(k), over the members m = k..K of `request` (tag, K, order, k),
+    read out of `fam`, a family that covers it; the window ends at the
+    request's order lowered the same."""
+    tag, K, order, k = request
+    step, weight = _FAMILIES[tag]
     shift = _lowval(k, step)
-    window = fam.truncation_order - shift
+    window = order - shift
     out = [0] * (window + 1)
     floor = 0  # lowval(m) - lowval(k): member m is zero below it
-    for m in range(k, fam.degree_cap + 1):
+    for m in range(k, K + 1):
         w = weight(m, k)
         cs = fam.member(m).coeffs
         # a member that is not zero below its floor is read in full, so the
@@ -206,8 +230,8 @@ def theorem_rhs(tag: str, k: int, order: int) -> tuple[TruncatedSeries, int]:
     k on the window 0..order, and the number of members that reach it."""
     _check_param("k", k)
     _check_param("order", order)
-    fam = _serve(family_request(f"thm-{tag.lower()}", k, None, order))
-    return TruncatedSeries(tuple(_lowered_sum(fam)), order), fam.degree_cap - k + 1
+    request, fam = _serve(f"thm-{tag.lower()}", k, None, order)
+    return TruncatedSeries(tuple(_lowered_sum(request, fam)), order), request[1] - k + 1
 
 
 def corollary_weights(tag: str, k: int, j: int) -> list[int]:
@@ -220,14 +244,14 @@ def _verify(identity: str, k: int, j: int | None, order: int | None) -> Verifica
     _check_param("j", j)
     _check_param("order", order)
     t0 = time.perf_counter()
-    fam = _serve(family_request(identity, k, j, order))
-    rhs = _lowered_sum(fam)
+    request, fam = _serve(identity, k, j, order)
+    rhs = _lowered_sum(request, fam)
     window = len(rhs) - 1
-    gf = p3_series if fam.family == "A" else overpartition_series
+    gf = p3_series if request[0] == "A" else overpartition_series
     mm = _compare(gf(window).coeffs, rhs, window)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     order = window if order is None else order
-    return VerificationReport(identity, k, j, order, mm, fam.degree_cap - k + 1, elapsed_ms)
+    return VerificationReport(identity, k, j, order, mm, request[1] - k + 1, elapsed_ms)
 
 
 # -- main theorems ------------------------------------------------------------

@@ -15,8 +15,9 @@ also the base of the package's other records (the family, the verification
 report and its mismatch, and the brute-force result).
 
 `_CoveringStore` caches `p3_series`, `overpartition_series`,
-`compute_A_family` and `compute_C_family`, whose requests overlap;
-partitions.py and families.py each supply one store kind.  `_check_param` is
+`compute_A_family` and `compute_C_family`, whose requests overlap: a request
+is cut out of any kept value that covers it, and a miss builds exactly the
+request.  partitions.py and families.py each supply one store kind.  `_check_param` is
 the package's one check that a count argument (an order, a member index, a
 cap) is a non-negative int and not a bool.
 """
@@ -229,17 +230,14 @@ _KEPT_VALUES = 12
 class _CoveringStore:
     """The values `build` returned, each kept under its key and cut to serve
     any request whose key it covers; the most recently used goes first.  A
-    miss builds the request and drops the kept values the new one covers.
-    A store kind supplies `check(*args)`, which refuses bad arguments before
-    any lookup and returns the key, `covers(kept_key, key)` and `cut(value,
-    key)`, which returns the value itself for its own key.  It may also
-    supply `grow(kept_key, key)`, which a miss asks with the most recently
-    used kept key: it returns the arguments of a wider build that covers
-    both keys, or None to build exactly the request, and the request is
-    then cut out of the wider value.  The bookkeeping is under a lock, so
-    one store is safe to share across threads."""
+    miss builds exactly the request and drops the kept values the new one
+    covers.  A store kind supplies `check(*args)`, which refuses bad
+    arguments before any lookup and returns the key, `covers(kept_key,
+    key)` and `cut(value, key)`, which returns the value itself for its own
+    key.  The bookkeeping is under a lock, so one store is safe to share
+    across threads."""
 
-    def __init__(self, build, check, covers, cut, grow=None) -> None:
+    def __init__(self, build, check, covers, cut) -> None:
         # the build's __dict__ is empty, and leaving this one unread keeps the
         # attributes inline, which keeps the hit path's reads fast
         functools.update_wrapper(self, build, updated=())
@@ -247,7 +245,6 @@ class _CoveringStore:
         self._check = check
         self._covers = covers
         self._cut = cut
-        self._grow = grow
         self._kept: list[tuple] = []  # (key, value), most recently used first
         self._hits = self._misses = 0
         self._lock = threading.Lock()
@@ -267,20 +264,15 @@ class _CoveringStore:
                         kept.insert(0, entry)
                     return self._cut(entry[1], key)
             self._misses += 1
-            recent = kept[0][0] if kept and self._grow is not None else None
         finally:
             self._lock.release()
-        wider = None if recent is None else self._grow(recent, key)
-        if wider is None:
-            built_key, value = key, self._build(*args, **kwargs)
-        else:
-            built_key, value = self._check(*wider), self._build(*wider)
+        value = self._build(*args, **kwargs)
         with self._lock:
             # another thread may have kept a cover of this build meanwhile
-            if not any(covers(kept_key, built_key) for kept_key, _ in self._kept):
-                kept = [entry for entry in self._kept if not covers(built_key, entry[0])]
-                self._kept = [(built_key, value)] + kept[: _KEPT_VALUES - 1]
-        return self._cut(value, key)
+            if not any(covers(kept_key, key) for kept_key, _ in self._kept):
+                kept = [entry for entry in self._kept if not covers(key, entry[0])]
+                self._kept = [(key, value)] + kept[: _KEPT_VALUES - 1]
+        return value
 
     def cache_info(self) -> CacheInfo:
         """Hits, misses (builds), the bound and the number of values kept."""

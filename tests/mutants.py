@@ -17,8 +17,8 @@ Each mutant has a kind.  A "fold", "theta" or "bound" mutant changes a
 route the verifiers' identities were derived from, or the bounds its slots
 are sized by; a "power-sum" mutant changes the rows the divisor verifier
 reads members 1 and 2 from; a "verifier" mutant changes a verifier; a
-"store" mutant changes what a family store builds on a miss, and a "limit"
-one the package's order limit.
+"store" mutant changes what a verifier asks its family store for, and a
+"limit" one the package's order limit.
 
 The north star's rule that a verifier must never be the only check on a
 route derived from the paper's identities is checked here too, and so is
@@ -76,7 +76,8 @@ FAMILIES = "tests/test_families.py::"
 IDENTITIES = "tests/test_identities.py::"
 PARTITIONS = "tests/test_partitions.py::"
 
-GROWTH = FAMILIES + "test_a_miss_grows_the_union_while_it_costs_no_more_than_the_two_builds"
+FAMILY_ORDER = IDENTITIES + "test_family_order_is_the_highest_order_each_verifier_builds"
+LEDGER = "tests/test_store_ledger.py::test_family_stores_do_no_more_work_than_the_ledger"
 
 MUTANTS = [
     Mutant(
@@ -207,7 +208,7 @@ MUTANTS = [
         "return tag, k + j, _lowval(k + j + 1, step) - 1, k",
         "return tag, k + j, _lowval(k + j + 1, step), k",
         (
-            IDENTITIES + "test_family_order_is_the_highest_order_each_verifier_builds",
+            FAMILY_ORDER,
             IDENTITIES + "test_corollary_A_smallest_window",
         ),
     ),
@@ -223,12 +224,9 @@ MUTANTS = [
         "store-called-one-order-higher",
         "verifier",
         "identities.py",
-        "return store(K, order, lowest=lowest)",
-        "return store(K, order + 1, lowest=lowest)",
-        (
-            IDENTITIES + "test_family_order_is_the_highest_order_each_verifier_builds",
-            IDENTITIES + "test_limit_A_examples",
-        ),
+        "store(K, order, lowest=lowest)",
+        "store(K, order + 1, lowest=lowest)",
+        (FAMILY_ORDER, IDENTITIES + "test_limit_A_examples"),
     ),
     Mutant(
         "divisor-never-reports-member-2",
@@ -237,6 +235,30 @@ MUTANTS = [
         "if 8 * a2[n] != expr:",
         "if False and 8 * a2[n] != expr:",
         (IDENTITIES + "test_divisor_reports_a_doctored_member_of_its_rows",),
+    ),
+    Mutant(
+        "divisor-skips-exponent-1",
+        "verifier",
+        "identities.py",
+        "for n in range(1, order + 1):",
+        "for n in range(2, order + 1):",
+        (IDENTITIES + "test_divisor_reports_a_doctored_member_of_its_rows",),
+    ),
+    Mutant(
+        "elapsed-ms-adds-the-clock-readings",
+        "verifier",
+        "identities.py",
+        "elapsed_ms = (time.perf_counter() - t0) * 1000.0\n    order = window",
+        "elapsed_ms = (time.perf_counter() + t0) * 1000.0\n    order = window",
+        (IDENTITIES + "test_elapsed_ms_is_the_span_between_two_clock_readings",),
+    ),
+    Mutant(
+        "divisor-elapsed-ms-adds-the-clock-readings",
+        "verifier",
+        "identities.py",
+        '(time.perf_counter() - t0) * 1000.0\n    return VerificationReport("divisor"',
+        '(time.perf_counter() + t0) * 1000.0\n    return VerificationReport("divisor"',
+        (IDENTITIES + "test_elapsed_ms_is_the_span_between_two_clock_readings",),
     ),
     Mutant(
         "divisor-newton-sign",
@@ -255,28 +277,37 @@ MUTANTS = [
         (PARTITIONS + "test_divisor_rows_match_the_sieve_oracle_and_the_fold",),
     ),
     Mutant(
-        "growth-refuses-a-union-at-exactly-the-two-builds",
+        "theorem-order-rounded-down",
         "store",
-        "families.py",
-        "union > exact + ",
-        "union >= exact + ",
-        (GROWTH,),
+        "identities.py",
+        "-(-order // _ORDER_GRID) * _ORDER_GRID",
+        "order // _ORDER_GRID * _ORDER_GRID",
+        (FAMILY_ORDER, IDENTITIES + "test_theorem_A_passes"),
     ),
     Mutant(
-        "growth-folds-a-request-with-nothing-to-fold",
+        "theorem-lowest-rounded-up",
         "store",
-        "families.py",
-        "exact == 0 or ",
-        "",
-        (GROWTH,),
+        "identities.py",
+        "lowest -= lowest % 2",
+        "lowest += lowest % 2",
+        (FAMILY_ORDER, IDENTITIES + "test_theorem_A_passes"),
     ),
     Mutant(
-        "growth-ignores-the-kept-family-cost",
+        "theorem-exact-order-not-refused-first",
         "store",
-        "families.py",
-        " + _fold_cost(step, *kept[:3])",
-        "",
-        (GROWTH,),
+        "identities.py",
+        "        _check_order(order)\n        order = min(",
+        "        order = min(",
+        ("tests/test_cli.py::test_order_limit_applies_to_the_order_each_call_builds",),
+    ),
+    Mutant(
+        # every report stays the same; only the work the stores do shows it
+        "corollary-and-limit-requests-rounded-too",
+        "store",
+        "identities.py",
+        '    if identity.startswith("thm"):\n        # the exact order',
+        "    if True:\n        # the exact order",
+        (LEDGER + "[deep-window seed 1]", LEDGER + "[cor-a(100,2)]"),
     ),
     Mutant(
         "order-limit-one-too-high",

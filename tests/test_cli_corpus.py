@@ -8,8 +8,8 @@ makes every timed span last exactly TICK seconds, and argparse formats
 its usage at COLUMNS=80, so the bytes do not depend on the machine or the
 terminal.  The lines argparse refuses pin argparse's own wording, as
 Python 3.11 prints it.  A "doctored" line runs with the A family store
-returning its lowest member one too high at the top exponent, so its
-report fails.
+returning member 1 one too high at q^31, the top exponent its verifier
+reads, so its report fails.
 
 A change that alters a line's bytes on purpose regenerates the corpus
 from the repository root with
@@ -76,10 +76,14 @@ def _line_id(argv, doctored):
 
 
 def _doctored_A(K, order, lowest=0):
+    # member 1 one too high at q^31, the top exponent `thm-a --k 1 --N 30`
+    # reads, wherever the reply's order and lowest member lie
     fam = compute_A_family(K, order, lowest=lowest)
-    bumped = fam.members[0].coeffs[:-1] + (fam.members[0].coeffs[-1] + 1,)
-    rest = fam.members[1:]
-    return MacmahonFamily("A", (TruncatedSeries(bumped, order),) + rest, order, K, lowest)
+    coeffs = list(fam.member(1).coeffs)
+    coeffs[31] += 1
+    rows = list(fam.members)
+    rows[1 - lowest] = TruncatedSeries(tuple(coeffs), order)
+    return MacmahonFamily("A", tuple(rows), order, K, lowest)
 
 
 def _stream(text):

@@ -18,7 +18,6 @@ from macmahon.families import (
     MAX_ORDER,
     MacmahonFamily,
     _fold_bound_bits,
-    _fold_cost,
     _fold_packed,
     _theta_row,
     _lowval,
@@ -791,96 +790,6 @@ def test_store_keeps_at_most_twelve_families(build):
     assert build.cache_info()[:2] == (1, 31)
 
 
-@pytest.mark.parametrize(
-    "build,fresh,step",
-    [(compute_A_family, compute_A_family_uncached, 1), (compute_C_family, compute_C_family_uncached, 2)],
-    ids=["A", "C"],
-)
-def test_a_miss_grows_the_union_while_it_costs_no_more_than_the_two_builds(
-    build, fresh, step, monkeypatch
-):
-    def top(order):
-        return _top_member(step, order, order)
-
-    # the union of (150, lowest 5) and (140, lowest 3), order 150 from
-    # lowest 3, costs less than the two builds it replaces
-    kept, request, union = (150, 5, top(150)), (140, 3, top(140)), (150, 3, top(150))
-    assert _fold_cost(step, *union) < _fold_cost(step, *kept) + _fold_cost(step, *request)
-    build(top(150), 150, 5)
-    assert build(top(140), 140, 3) == fresh(top(140), 140, 3)
-    assert build.cache_info() == (0, 2, 12, 1)  # the union replaced both
-    assert build(top(150), 150, 3) == fresh(top(150), 150, 3)
-    assert build.cache_info() == (1, 2, 12, 1)
-    # growing the family down to a limit window far below would cost more
-    # than that window and the family together
-    assert build(2, 6, 2) == fresh(2, 6, 2)
-    assert build.cache_info() == (1, 3, 12, 2)
-    # a request with nothing to fold is built exactly, though a union from
-    # lowest 0 would cost no more than the kept family from lowest 1
-    build.cache_clear()
-    assert _fold_cost(step, 150, 0, top(150)) == _fold_cost(step, 150, 1, top(150))
-    build(top(150), 150, 1)
-    assert build(0, 150) == fresh(0, 150)
-    assert build.cache_info() == (0, 2, 12, 2)
-
-    # the rule's edge: a union that costs exactly the two builds is grown, one
-    # that costs one unit more is not
-    cost = _fold_cost
-
-    def union_costs(excess):
-        def patched(step, order, lowest, top):
-            if (order, lowest, top) == union:
-                return cost(step, *kept) + cost(step, *request) + excess
-            return cost(step, order, lowest, top)
-
-        return patched
-
-    for excess, currsize in ((0, 1), (1, 2)):
-        build.cache_clear()
-        monkeypatch.setattr(families, "_fold_cost", union_costs(excess))
-        build(top(150), 150, 5)
-        assert build(top(140), 140, 3) == fresh(top(140), 140, 3)
-        assert build.cache_info() == (0, 2, 12, currsize), excess
-
-
-# (tag, order, lowest, top) grid of builds, the deep corollary windows'
-# shapes and the divisor's among them
-COST_GRID = [
-    (tag, order, lowest, top)
-    for tag, step in (("A", 1), ("C", 2))
-    for order in (10, 30, 60, 100, 150, 200, 278, 400, 600)
-    for lowest in range(0, _top_member(step, order, order) + 1, 2)
-    for top in sorted({lowest, lowest + 1, 2, _top_member(step, order, order)})
-    if lowest <= top <= _top_member(step, order, order)
-]
-
-
-def test_fold_cost_grows_with_the_order_and_falls_with_lowest():
-    for tag, order, lowest, top in COST_GRID:
-        step = 1 if tag == "A" else 2
-        cost = _fold_cost(step, order, lowest, top)
-        assert _fold_cost(step, order + 1, lowest, top) >= cost, (tag, order, lowest, top)
-        if lowest < top:
-            assert _fold_cost(step, order, lowest + 1, top) <= cost, (tag, order, lowest, top)
-
-
-def test_fold_cost_stays_within_a_band_of_the_walked_window_volume():
-    # the estimate ranks a union against the two builds it replaces, so it
-    # must track the bits the fold moves: on this grid it reads 1.03-24
-    # times (median 5.6) below the volume walked over the fold's own window
-    # schedule
-    ratios = []
-    for tag, order, lowest, top in COST_GRID:
-        step = 1 if tag == "A" else 2
-        bits = _slot_bits(_fold_bound_bits(step, order, lowest, top))
-        volume = oracles.fold_window_volume(step, lowest, top, order, bits)
-        cost = _fold_cost(step, order, lowest, top)
-        assert cost <= volume <= 32 * cost, (tag, order, lowest, top)
-        if cost:
-            ratios.append(volume / cost)
-    assert len(ratios) > 300
-
-
 def _sweep(rng):
     # two passes of the theorem, limit, divisor and corollary verifiers at
     # N = 100 and 140, each pass in its own shuffled order
@@ -901,11 +810,12 @@ def _sweep(rng):
     return reports
 
 
-def test_a_verifier_sweep_builds_fewer_families_by_growing_them(monkeypatch):
+def test_a_verifier_sweep_builds_fewer_families_by_rounding_theorem_requests(monkeypatch):
     # Pins the stores' work on a fixed sweep, not its time: the misses of the
     # A and C stores must stay at most these figures, and below the same
-    # sweep with growth switched off.  A change that lowers them updates them.
-    pinned = {"A": 26, "C": 26}
+    # sweep with every theorem request served exactly.  A change that lowers
+    # them updates them.
+    pinned = {"A": 12, "C": 20}
     stores = {"A": compute_A_family, "C": compute_C_family}
     fresh = {"A": compute_A_family_uncached, "C": compute_C_family_uncached}
 
@@ -921,18 +831,22 @@ def test_a_verifier_sweep_builds_fewer_families_by_growing_them(monkeypatch):
         monkeypatch.setattr(identities, f"compute_{tag}_family", checked(tag))
     reports = _sweep(random.Random(26))
     assert len(reports) == 2 * 55 and all(report.passed for report in reports)
-    grown = {tag: stores[tag].cache_info().misses for tag in "AC"}
-    assert all(grown[tag] <= pinned[tag] for tag in "AC"), grown
+    rounded = {tag: stores[tag].cache_info().misses for tag in "AC"}
+    assert all(rounded[tag] <= pinned[tag] for tag in "AC"), rounded
 
     for store in (compute_A_family, compute_C_family, p3_series, overpartition_series):
         store.cache_clear()
-    for store in stores.values():
-        monkeypatch.setattr(store, "_grow", None)
-    exact = _sweep(random.Random(26))
-    assert [r.to_json_dict() | {"elapsed_ms": 0} for r in exact] == [
+
+    def exact(identity, k, j, N):
+        request = tag, K, order, lowest = family_request(identity, k, j, N)
+        return request, stores[tag](K, order, lowest=lowest)
+
+    monkeypatch.setattr(identities, "_serve", exact)
+    exact_reports = _sweep(random.Random(26))
+    assert [r.to_json_dict() | {"elapsed_ms": 0} for r in exact_reports] == [
         r.to_json_dict() | {"elapsed_ms": 0} for r in reports
     ]
-    assert all(grown[tag] < stores[tag].cache_info().misses for tag in "AC"), grown
+    assert all(rounded[tag] < stores[tag].cache_info().misses for tag in "AC"), rounded
 
 
 def _family_request(rng):

@@ -2,8 +2,10 @@
 their predicted first-mismatch exponents, truncation soundness, and the
 sharpness of the corollary windows."""
 
+import itertools
 import json
 import math
+import types
 
 import pytest
 
@@ -11,6 +13,7 @@ import macmahon.identities as identities
 from macmahon.families import (
     MAX_ORDER,
     MacmahonFamily,
+    _top_member,
     compute_A_family,
     compute_A_family_uncached,
     compute_C_family,
@@ -188,11 +191,14 @@ def test_a_member_nonzero_below_its_floor_is_reported(target, verify, args, m, e
 
 
 def test_family_order_is_the_highest_order_each_verifier_builds(monkeypatch):
-    # each verifier but the divisor's makes exactly one family store request,
-    # the one family_request names, and builds no series of a higher order;
-    # the divisor verifier reads its members from power sums, so it makes no
-    # family request and reads no generating function, and family_request
-    # refuses it
+    # each verifier but the divisor's makes exactly one family store request
+    # and builds no series of a higher order.  The request covers what
+    # family_request names: it is that request for a corollary or limit
+    # verifier, and for a theorem verifier the build rounded to an order
+    # that is a multiple of 32 (within the order limit), an even lowest
+    # member and every member nonzero at that order.  The divisor verifier
+    # reads its members from power sums, so it makes no family request and
+    # reads no generating function, and family_request refuses it
     requested, families = [], []
 
     def recording_store(tag, fn):
@@ -242,9 +248,16 @@ def test_family_order_is_the_highest_order_each_verifier_builds(monkeypatch):
                         with pytest.raises(ValueError, match="no family store request"):
                             family_request(target, k, j, N)
                     else:
-                        request = family_request(target, k, j, N)
-                        assert families == [request], (target, k, j, N)
-                        assert max(requested) == request[2], (target, k, j, N)
+                        request = tag, K, order, lowest = family_request(target, k, j, N)
+                        step = 1 if tag == "A" else 2
+                        if target.startswith("thm"):
+                            order = min(-(-order // 32) * 32, MAX_ORDER)
+                            lowest -= lowest % 2
+                            K = _top_member(step, order, order)
+                        assert families == [(tag, K, order, lowest)], (target, k, j, N)
+                        assert order >= request[2] and lowest <= request[3]
+                        assert _top_member(step, K, order) >= request[1]
+                        assert max(requested) == order, (target, k, j, N)
                     checked += 1
     assert checked > 1000
 
@@ -400,10 +413,12 @@ def test_divisor_identity_hand_values():
 DOCTORED_DIVISOR = [
     (1, 17, lambda a1, a2, n: Mismatch(n, a1[n] + 1, a1[n])),
     (2, 23, lambda a1, a2, n: Mismatch(n, 8 * (a2[n] + 1), 8 * a2[n])),
+    # the first exponent the formulas cover, the valuation of member 1
+    (1, 1, lambda a1, a2, n: Mismatch(n, a1[n] + 1, a1[n])),
 ]
 
 
-@pytest.mark.parametrize("m,n,want", DOCTORED_DIVISOR, ids=["A_1", "A_2"])
+@pytest.mark.parametrize("m,n,want", DOCTORED_DIVISOR, ids=["A_1", "A_2", "A_1-at-1"])
 def test_divisor_reports_a_doctored_member_of_its_rows(m, n, want, monkeypatch):
     # the row builder returns member m one too high at q^n; the report must
     # name n with both sides of the formula that member feeds
@@ -443,6 +458,18 @@ def test_divisor_identities_pass_at_the_order_limit(monkeypatch):
 
 
 # -- report plumbing ----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "verify,args", [(verify_theorem_A, (1, 20)), (verify_divisor_identities, (30,))],
+    ids=["thm-a", "divisor"],
+)
+def test_elapsed_ms_is_the_span_between_two_clock_readings(verify, args, monkeypatch):
+    # a clock whose readings lie far from 0, so that only their difference
+    # gives a span of 250 ms
+    clock = types.SimpleNamespace(perf_counter=itertools.cycle((1e6, 1e6 + 0.25)).__next__)
+    monkeypatch.setattr(identities, "time", clock)
+    assert verify(*args).elapsed_ms == 250.0
 
 
 def test_passed_follows_first_mismatch():

@@ -6,11 +6,14 @@ summed over the builds.
 The stores decide from keys alone, so each sequence is replayed against the
 real `compute_A_family` and `compute_C_family` with their `_build` replaced
 by one that records (K, order, lowest) and returns a family of zero members
-of the right shape.  Nothing is folded.  Every figure but the request count
+of the right shape.  Nothing is folded.  A verifier call is replayed through
+`identities._serve`, the function the verifiers ask their store from, so a
+theorem request reaches the store rounded as it does in a verifier.  Every figure but the request count
 is an upper bound: a change that raises one fails here, and a change that
 lowers one updates the ledger and says why in CHANGES.md.
 """
 
+import functools
 import importlib.util
 import sys
 from pathlib import Path
@@ -26,7 +29,7 @@ from macmahon.families import (
     compute_A_family,
     compute_C_family,
 )
-from macmahon.identities import family_request
+from macmahon.identities import _serve
 from macmahon.series import TruncatedSeries
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -44,50 +47,62 @@ def _load_workloads():
 workloads = _load_workloads()
 
 
-def _requests(ops):
-    # the family store request of each verifier call; the divisor verifier
-    # makes none
+def _calls(ops):
+    # the store request of each verifier call, as the verifier makes it; the
+    # divisor verifier makes none
     return [
-        family_request(op["target"], op.get("k"), op.get("j"), op.get("N"))
+        functools.partial(_serve, op["target"], op.get("k"), op.get("j"), op.get("N"))
         for op in ops
         if op["target"] != "divisor"
     ]
 
 
 def _corollary(tag, k, j):
-    return lambda: [_requests([{"target": tag, "k": k, "j": j}])]
+    return lambda: [_calls([{"target": tag, "k": k, "j": j}])]
+
+
+def _theorem(tag, k, N):
+    return lambda: [_calls([{"target": tag, "k": k, "N": N}])]
 
 
 def _sweep(tag, N):
     # a cold theorem sweep over k = 0..12
-    return lambda: [_requests([{"target": tag, "k": k, "N": N} for k in range(13)])]
+    return lambda: [_calls([{"target": tag, "k": k, "N": N} for k in range(13)])]
 
 
-def _identity_sweep():
+def _identity_sweep(seed):
     # one long-lived process: the warm-up, then every pass, in one pair of stores
-    run = workloads.identity_sweep(1, 15)
-    return [_requests(run.warmup + run.shards[0])]
+    run = workloads.identity_sweep(seed, 15)
+    return lambda: [_calls(run.warmup + run.shards[0])]
 
 
-def _deep_window():
+def _deep_window(seed):
     # one fresh process, and so a fresh pair of stores, per shard, each
     # after the warm-up
-    run = workloads.deep_window(1, 15)
-    return [_requests(run.warmup + shard) for shard in run.shards]
+    run = workloads.deep_window(seed, 15)
+    return lambda: [_calls(run.warmup + shard) for shard in run.shards]
 
 
-# sequence -> (its requests, one list per fresh pair of stores; requests,
+# sequence -> (its store calls, one list per fresh pair of stores; requests,
 # builds, hits, walked volume in bits, widest slot in bits)
 LEDGER = {
-    "thm-a k=0..12 N=120": (_sweep("thm-a", 120), 13, 13, 0, 828_061_496, 64),
-    "thm-c k=0..12 N=150": (_sweep("thm-c", 150), 13, 13, 0, 388_862_080, 64),
+    "thm-a k=0..12 N=120": (_sweep("thm-a", 120), 13, 4, 9, 211_610_512, 72),
+    "thm-c k=0..12 N=150": (_sweep("thm-c", 150), 13, 6, 7, 175_956_512, 64),
+    "thm-a(30,200)": (_theorem("thm-a", 30, 200), 1, 1, 0, 132_060_368, 88),
+    "thm-a(60,300)": (_theorem("thm-a", 60, 300), 1, 1, 0, 397_346_208, 112),
     "cor-a(20,2)": (_corollary("cor-a", 20, 2), 1, 1, 0, 5_593_952, 56),
     "cor-c(20,2)": (_corollary("cor-c", 20, 2), 1, 1, 0, 10_880_912, 56),
     "cor-a(100,2)": (_corollary("cor-a", 100, 2), 1, 1, 0, 326_943_680, 112),
     "cor-c(100,2)": (_corollary("cor-c", 100, 2), 1, 1, 0, 650_875_120, 112),
-    "A K=12 N=500": (lambda: [[("A", 12, 500, 0)]], 1, 1, 0, 1_645_105_280, 104),
-    "identity-sweep seed 1": (_identity_sweep, 1792, 77, 1715, 3_731_765_776, 80),
-    "deep-window seed 1": (_deep_window, 138, 114, 24, 1_876_505_464, 80),
+    "A K=12 N=500": (
+        lambda: [[functools.partial(compute_A_family, 12, 500)]], 1, 1, 0, 1_645_105_280, 104
+    ),
+    "identity-sweep seed 1": (_identity_sweep(1), 1792, 48, 1744, 3_216_066_240, 80),
+    "identity-sweep seed 2": (_identity_sweep(2), 1792, 29, 1763, 1_995_987_752, 80),
+    "identity-sweep seed 3": (_identity_sweep(3), 1792, 45, 1747, 2_733_923_720, 80),
+    "deep-window seed 1": (_deep_window(1), 138, 114, 24, 1_713_985_504, 80),
+    "deep-window seed 2": (_deep_window(2), 138, 115, 23, 1_715_335_712, 80),
+    "deep-window seed 3": (_deep_window(3), 138, 113, 25, 1_686_028_656, 80),
 }
 
 
@@ -107,11 +122,11 @@ def _replay(monkeypatch, runs):
     for tag, store in STORES.items():
         monkeypatch.setattr(store, "_build", recorder(tag))
     hits = 0
-    for requests in runs:
+    for calls in runs:
         for store in STORES.values():
             store.cache_clear()
-        for tag, K, order, lowest in requests:
-            STORES[tag](K, order, lowest=lowest)
+        for call in calls:
+            call()
         hits += sum(store.cache_info().hits for store in STORES.values())
     return built, hits
 
