@@ -77,8 +77,15 @@ import functools
 import math
 
 from .partitions import _lowval, _theta_row, overpartition_series, p3_series
-from .series import TruncatedSeries, _CoveringStore, _Record, _setfield, geometric_square
-from .series import _check_param
+from .series import (
+    _KEPT_VALUES,
+    TruncatedSeries,
+    _CoveringStore,
+    _check_param,
+    _Record,
+    _setfield,
+    geometric_square,
+)
 
 try:
     from gmpy2 import mpz as _bigint
@@ -381,7 +388,7 @@ def _cut_family(fam: MacmahonFamily, key: tuple) -> MacmahonFamily:
 def _family_store(build, step: int) -> _CoveringStore:
     # update_wrapper copies the build's names; the store answers to its own
     check = functools.partial(_request_key, step)
-    store = _CoveringStore(build, check, _covers_request, _cut_family)
+    store = _CoveringStore(build, check, _covers_request, _cut_family, _KEPT_VALUES)
     store.__name__ = store.__qualname__ = build.__name__.removesuffix("_uncached")
     return store
 

@@ -37,6 +37,21 @@ is refused with ValueError before anything is built, the theorem's exact
 order before its rounded one, and family_request refuses a limit order
 below its window's floor with OrderBelowFloor.
 
+A theorem verifier asks the store of theorem sums before any family store.
+For one (identity, k) the sum is the same series, p3 or overp, whatever the
+window, so a sum built once answers every shorter window with its prefix.
+The store keys a sum by (identity, k, window), where the window is the
+rounded build's order lowered by lowval(k); a miss sums every member of
+that build over that whole window.  It keeps 32 sums, one per k <= 15 for
+both families, and a new sum drops the shorter one of its (identity, k).
+The verifier compares through N only and takes terms_used from the exact
+family_request.  theorem_rhs and the corollary and limit verifiers sum
+afresh.  theorem_rhs does so that a longer sum cut short and a shorter sum
+are built apart when they are compared; a kept sum would compare a prefix
+with itself.  A corollary or limit sum reads j + 1 members or one, which
+costs little next to a theorem sum, which reads every member that reaches
+its window.
+
 The divisor verifier makes no store request.  It reads members 1 and 2 of A
 from the power sums of the product's factors, by Newton's identity, and
 refuses an order below 1 or above the order limit itself.
@@ -65,7 +80,7 @@ from .partitions import _divisor_sums, _lowval, overpartition_series, p3_series
 # sigma serves no verifier; it stays bound here because perfbench/tracer.py
 # wraps macmahon.identities.sigma
 from .partitions import sigma
-from .series import TruncatedSeries, _check_param, _Record, _setfield
+from .series import TruncatedSeries, _check_param, _CoveringStore, _Record, _setfield
 
 
 class Mismatch(_Record):
@@ -139,7 +154,8 @@ def _compare(lhs: Sequence[int], rhs: Sequence[int], top: int) -> Mismatch | Non
 # for k).  The sums run over m >= k, so both binomial arguments stay in range.
 # The stores and the generating functions are read by their global names
 # below, which Python looks up at call time, so a store or series replaced on
-# this module is what the verifiers read.
+# this module is what the verifiers read.  A theorem sum kept before a family
+# store is replaced stays what they read until _theorem_sum is cleared.
 _FAMILIES = {
     "A": (1, lambda m, k: math.comb(2 * m + 1, m + k + 1)),
     "C": (2, lambda m, k: math.comb(2 * m, m + k)),
@@ -183,6 +199,13 @@ def family_request(
 _ORDER_GRID = 32
 
 
+def _rounded_order(order: int) -> int:
+    # a theorem order rounded up to the grid and kept within the order limit;
+    # the exact order is refused first, so the error names it
+    _check_order(order)
+    return min(-(-order // _ORDER_GRID) * _ORDER_GRID, families.MAX_ORDER)
+
+
 def _serve(
     identity: str, k: int | None, j: int | None, N: int | None
 ) -> tuple[tuple[str, int, int, int], MacmahonFamily]:
@@ -192,9 +215,7 @@ def _serve(
     request = tag, K, order, lowest = family_request(identity, k, j, N)
     store = compute_A_family if tag == "A" else compute_C_family
     if identity.startswith("thm"):
-        # the exact order is refused first, so the error names it
-        _check_order(order)
-        order = min(-(-order // _ORDER_GRID) * _ORDER_GRID, families.MAX_ORDER)
+        order = _rounded_order(order)
         lowest -= lowest % 2
         K = _top_member(_FAMILIES[tag][0], order, order)
     return request, store(K, order, lowest=lowest)
@@ -225,6 +246,34 @@ def _lowered_sum(request: tuple[str, int, int, int], fam: MacmahonFamily) -> lis
     return out
 
 
+def _sum_key(identity: str, k: int, N: int) -> tuple[str, int, int]:
+    # a theorem sum is kept under the window of the rounded build it is read
+    # out of: that build's order lowered by lowval(k)
+    shift = _lowval(k, _FAMILIES[identity[-1].upper()][0])
+    return identity, k, _rounded_order(N + shift) - shift
+
+
+def _sum_covers(kept: tuple[str, int, int], key: tuple[str, int, int]) -> bool:
+    # a kept sum answers its own identity and k through any window it reaches
+    return kept[2] >= key[2] and kept[1] == key[1] and kept[0] == key[0]
+
+
+def _theorem_sum_uncached(identity: str, k: int, N: int) -> tuple[int, ...]:
+    """The member sum of theorem `identity` for k on the whole window of the
+    rounded build that covers window N: every member that reaches it."""
+    request, fam = _serve(identity, k, None, N)
+    whole = request[0], fam.degree_cap, fam.truncation_order, k
+    return tuple(_lowered_sum(whole, fam))
+
+
+# the sum of one (identity, k) is one series, p3 or overp, for every window,
+# so a kept sum answers every shorter window with its prefix; 32 sums hold
+# both families' k = 0..15
+_theorem_sum = _CoveringStore(
+    _theorem_sum_uncached, _sum_key, _sum_covers, lambda value, key: value, 32
+)
+
+
 def theorem_rhs(tag: str, k: int, order: int) -> tuple[TruncatedSeries, int]:
     """The member sum of the main identity for family `tag` ("A" or "C") and
     k on the window 0..order, and the number of members that reach it."""
@@ -244,9 +293,14 @@ def _verify(identity: str, k: int, j: int | None, order: int | None) -> Verifica
     _check_param("j", j)
     _check_param("order", order)
     t0 = time.perf_counter()
-    request, fam = _serve(identity, k, j, order)
-    rhs = _lowered_sum(request, fam)
-    window = len(rhs) - 1
+    if identity.startswith("thm"):
+        # the kept sum may reach past the window; only 0..order is compared
+        rhs = _theorem_sum(identity, k, order)
+        request, window = family_request(identity, k, j, order), order
+    else:
+        request, fam = _serve(identity, k, j, order)
+        rhs = _lowered_sum(request, fam)
+        window = len(rhs) - 1
     gf = p3_series if request[0] == "A" else overpartition_series
     mm = _compare(gf(window).coeffs, rhs, window)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0

@@ -23,7 +23,7 @@ import functools
 import math
 import operator
 
-from .series import TruncatedSeries, _check_param, _CoveringStore, _Record, _setfield
+from .series import _KEPT_VALUES, TruncatedSeries, _check_param, _CoveringStore, _Record, _setfield
 
 
 def _lowval(k: int, step: int) -> int:
@@ -78,7 +78,11 @@ def _series_key(order: int) -> int:
 # a kept series serves every order up to its own with a prefix; a miss is
 # longer than every kept series and drops them, so only the longest is kept
 _series_store = functools.partial(
-    _CoveringStore, check=_series_key, covers=operator.ge, cut=TruncatedSeries.truncate
+    _CoveringStore,
+    check=_series_key,
+    covers=operator.ge,
+    cut=TruncatedSeries.truncate,
+    maxsize=_KEPT_VALUES,
 )
 
 

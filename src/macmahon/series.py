@@ -15,11 +15,12 @@ also the base of the package's other records (the family, the verification
 report and its mismatch, and the brute-force result).
 
 `_CoveringStore` caches `p3_series`, `overpartition_series`,
-`compute_A_family` and `compute_C_family`, whose requests overlap: a request
-is cut out of any kept value that covers it, and a miss builds exactly the
-request.  partitions.py and families.py each supply one store kind.  `_check_param` is
-the package's one check that a count argument (an order, a member index, a
-cap) is a non-negative int and not a bool.
+`compute_A_family`, `compute_C_family` and the verifiers' theorem sums,
+whose requests overlap: a request is cut out of any kept value that covers
+it, and a miss builds what the request's key names.  partitions.py, families.py and
+identities.py each supply one store kind.  `_check_param` is the package's
+one check that a count argument (an order, a member index, a cap) is a
+non-negative int and not a bool.
 """
 
 from __future__ import annotations
@@ -223,21 +224,22 @@ def geometric_square(s: int, order: int) -> TruncatedSeries:
 
 CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
 
-# the most values one store keeps; the least recently used goes first
+# the most values a family or series store keeps; the least recently used
+# goes first
 _KEPT_VALUES = 12
 
 
 class _CoveringStore:
     """The values `build` returned, each kept under its key and cut to serve
     any request whose key it covers; the most recently used goes first.  A
-    miss builds exactly the request and drops the kept values the new one
-    covers.  A store kind supplies `check(*args)`, which refuses bad
+    miss builds what the request's key names and drops the kept values the
+    new one covers.  A store kind supplies `check(*args)`, which refuses bad
     arguments before any lookup and returns the key, `covers(kept_key,
     key)` and `cut(value, key)`, which returns the value itself for its own
-    key.  The bookkeeping is under a lock, so one store is safe to share
-    across threads."""
+    key.  It keeps at most `maxsize` values.  The bookkeeping is under a
+    lock, so one store is safe to share across threads."""
 
-    def __init__(self, build, check, covers, cut) -> None:
+    def __init__(self, build, check, covers, cut, maxsize) -> None:
         # the build's __dict__ is empty, and leaving this one unread keeps the
         # attributes inline, which keeps the hit path's reads fast
         functools.update_wrapper(self, build, updated=())
@@ -245,6 +247,7 @@ class _CoveringStore:
         self._check = check
         self._covers = covers
         self._cut = cut
+        self._maxsize = maxsize
         self._kept: list[tuple] = []  # (key, value), most recently used first
         self._hits = self._misses = 0
         self._lock = threading.Lock()
@@ -271,13 +274,13 @@ class _CoveringStore:
             # another thread may have kept a cover of this build meanwhile
             if not any(covers(kept_key, key) for kept_key, _ in self._kept):
                 kept = [entry for entry in self._kept if not covers(key, entry[0])]
-                self._kept = [(key, value)] + kept[: _KEPT_VALUES - 1]
+                self._kept = [(key, value)] + kept[: self._maxsize - 1]
         return value
 
     def cache_info(self) -> CacheInfo:
         """Hits, misses (builds), the bound and the number of values kept."""
         with self._lock:
-            return CacheInfo(self._hits, self._misses, _KEPT_VALUES, len(self._kept))
+            return CacheInfo(self._hits, self._misses, self._maxsize, len(self._kept))
 
     def cache_clear(self) -> None:
         with self._lock:

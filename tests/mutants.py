@@ -17,8 +17,9 @@ Each mutant has a kind.  A "fold", "theta" or "bound" mutant changes a
 route the verifiers' identities were derived from, or the bounds its slots
 are sized by; a "power-sum" mutant changes the rows the divisor verifier
 reads members 1 and 2 from; a "verifier" mutant changes a verifier; a
-"store" mutant changes what a verifier asks its family store for, and a
-"limit" one the package's order limit.
+"store" mutant changes what a verifier asks its family store for or what
+its store of theorem sums keeps, and a "limit" one the package's order
+limit.
 
 The north star's rule that a verifier must never be the only check on a
 route derived from the paper's identities is checked here too, and so is
@@ -78,6 +79,8 @@ PARTITIONS = "tests/test_partitions.py::"
 
 FAMILY_ORDER = IDENTITIES + "test_family_order_is_the_highest_order_each_verifier_builds"
 LEDGER = "tests/test_store_ledger.py::test_family_stores_do_no_more_work_than_the_ledger"
+SUM_LEDGER = "tests/test_store_ledger.py::test_theorem_sum_store_does_no_more_work_than_the_ledger"
+KEPT_SUMS = IDENTITIES + "test_theorem_sums_are_kept_per_identity_and_k"
 
 MUTANTS = [
     Mutant(
@@ -296,17 +299,48 @@ MUTANTS = [
         "theorem-exact-order-not-refused-first",
         "store",
         "identities.py",
-        "        _check_order(order)\n        order = min(",
-        "        order = min(",
+        "    _check_order(order)\n    return min(",
+        "    return min(",
         ("tests/test_cli.py::test_order_limit_applies_to_the_order_each_call_builds",),
+    ),
+    Mutant(
+        # every undoctored sum of one family is the same series, so only a
+        # doctored member or the store's counts show it
+        "theorem-sum-covers-another-k",
+        "store",
+        "identities.py",
+        "kept[1] == key[1] and ",
+        "",
+        (
+            KEPT_SUMS,
+            IDENTITIES + "test_a_kept_theorem_sum_reports_a_doctored_member_as_a_cold_call_does",
+        ),
+    ),
+    Mutant(
+        # every report stays the same; only the work the sum store does shows it
+        "theorem-sum-misses-its-own-window",
+        "store",
+        "identities.py",
+        "kept[2] >= key[2]",
+        "kept[2] > key[2]",
+        (SUM_LEDGER + "[identity-sweep seed 1]", KEPT_SUMS),
+    ),
+    Mutant(
+        # every report stays the same; only the work the sum store does shows it
+        "theorem-sum-key-not-rounded",
+        "store",
+        "identities.py",
+        "return identity, k, _rounded_order(N + shift) - shift",
+        "return identity, k, N + 0 * _rounded_order(N + shift)",
+        (SUM_LEDGER + "[identity-sweep seed 1]", KEPT_SUMS),
     ),
     Mutant(
         # every report stays the same; only the work the stores do shows it
         "corollary-and-limit-requests-rounded-too",
         "store",
         "identities.py",
-        '    if identity.startswith("thm"):\n        # the exact order',
-        "    if True:\n        # the exact order",
+        '    if identity.startswith("thm"):\n        order = _rounded_order(order)',
+        "    if True:\n        order = _rounded_order(order)",
         (LEDGER + "[deep-window seed 1]", LEDGER + "[cor-a(100,2)]"),
     ),
     Mutant(

@@ -842,6 +842,8 @@ def test_a_verifier_sweep_builds_fewer_families_by_rounding_theorem_requests(mon
         return request, stores[tag](K, order, lowest=lowest)
 
     monkeypatch.setattr(identities, "_serve", exact)
+    # each theorem sum is built afresh from its exact request, not kept
+    monkeypatch.setattr(identities, "_theorem_sum", identities._theorem_sum_uncached)
     exact_reports = _sweep(random.Random(26))
     assert [r.to_json_dict() | {"elapsed_ms": 0} for r in exact_reports] == [
         r.to_json_dict() | {"elapsed_ms": 0} for r in reports

@@ -5,6 +5,7 @@ sharpness of the corollary windows."""
 import itertools
 import json
 import math
+import random
 import types
 
 import pytest
@@ -178,6 +179,8 @@ def test_a_member_nonzero_below_its_floor_is_reported(target, verify, args, m, e
         return MacmahonFamily(fam.family, tuple(rows), order, K, lowest)
 
     monkeypatch.setattr(identities, name, doctored)
+    # the clean call kept its theorem sum; the doctored one must build again
+    identities._theorem_sum.cache_clear()
     report = verify(*args)
     k = args[0]
     if target.endswith("a"):
@@ -237,6 +240,8 @@ def test_family_order_is_the_highest_order_each_verifier_builds(monkeypatch):
                 for N in (1, 3, 7, 20, 45):
                     requested.clear()
                     families.clear()
+                    # a kept theorem sum would answer without a request
+                    identities._theorem_sum.cache_clear()
                     try:
                         assert verify(k, j, N).passed
                     except ValueError as exc:
@@ -260,6 +265,104 @@ def test_family_order_is_the_highest_order_each_verifier_builds(monkeypatch):
                         assert max(requested) == order, (target, k, j, N)
                     checked += 1
     assert checked > 1000
+
+
+# -- kept theorem sums -------------------------------------------------------------------
+
+THEOREMS = {"thm-a": verify_theorem_A, "thm-c": verify_theorem_C}
+
+
+def _clear_stores():
+    for store in (
+        compute_A_family, compute_C_family, p3_series, overpartition_series, identities._theorem_sum
+    ):
+        store.cache_clear()
+
+
+def _fields(report):
+    return report.to_json_dict() | {"elapsed_ms": None}
+
+
+def test_theorem_sums_are_kept_per_identity_and_k():
+    # one sum per (identity, k), keyed by the window of the rounded build:
+    # a window that rounds alike hits, another k or family misses, a longer
+    # window drops the sum it covers, and the store keeps at most 32
+    store = identities._theorem_sum
+    verify_theorem_A(0, 100)
+    verify_theorem_A(0, 110)  # both round to order 128
+    verify_theorem_A(0, 90)
+    assert store.cache_info() == (2, 1, 32, 1)
+    verify_theorem_A(1, 50)
+    verify_theorem_C(0, 50)
+    assert store.cache_info() == (2, 3, 32, 3)
+    verify_theorem_A(0, 200)
+    assert store.cache_info() == (2, 4, 32, 3)
+    for k in range(40):
+        verify_theorem_C(k, 0)
+    assert store.cache_info().currsize == 32
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_kept_theorem_sum_reports_what_a_cold_call_does(seed):
+    # random theorem calls over both families, k = 0..40 (more sums than the
+    # store keeps) and N = 0..400, with repeats and shorter windows of
+    # earlier calls; each report equals that of the same call made with
+    # every store empty
+    rng = random.Random(seed)
+    calls = []
+    for _ in range(70):
+        if calls and rng.random() < 0.4:
+            identity, k, N = rng.choice(calls)
+            calls.append((identity, k, rng.randint(max(0, N - 40), N)))
+        else:
+            calls.append((rng.choice(list(THEOREMS)), rng.randint(0, 40), rng.randint(0, 400)))
+    warm = [_fields(THEOREMS[identity](k, N)) for identity, k, N in calls]
+    info = identities._theorem_sum.cache_info()
+    assert info.hits >= 10 and info.misses > info.maxsize, info
+    cold = {}
+    for call in set(calls):
+        _clear_stores()
+        identity, k, N = call
+        cold[call] = _fields(THEOREMS[identity](k, N))
+    assert warm == [cold[call] for call in calls]
+
+
+# (target, member doctored, the exponent just below its floor, calls: two
+# misses at two k, then two hits inside their windows)
+DOCTORED_SUMS = [
+    ("thm-a", 3, 5, [(1, 60), (2, 40), (1, 25), (2, 20)]),
+    ("thm-c", 2, 3, [(1, 50), (0, 45), (1, 20), (0, 10)]),
+]
+
+
+@pytest.mark.parametrize("target,m,e,calls", DOCTORED_SUMS, ids=[d[0] for d in DOCTORED_SUMS])
+def test_a_kept_theorem_sum_reports_a_doctored_member_as_a_cold_call_does(
+    target, m, e, calls, monkeypatch
+):
+    # the member is doctored before the first call, so a kept sum carries
+    # it; a hit must then report the mismatch a cold call reports
+    name = f"compute_{target[-1].upper()}_family"
+    real = getattr(identities, name)
+
+    def doctored(K, order, lowest=0):
+        fam = real(K, order, lowest)
+        coeffs = list(fam.member(m).coeffs)
+        coeffs[e] += 1
+        rows = list(fam.members)
+        rows[m - lowest] = as_series(coeffs, order)
+        return MacmahonFamily(fam.family, tuple(rows), order, K, lowest)
+
+    monkeypatch.setattr(identities, name, doctored)
+    verify = THEOREMS[target]
+    warm = [_fields(verify(k, N)) for k, N in calls]
+    assert identities._theorem_sum.cache_info()[:2] == (2, 2)
+    cold = []
+    for k, N in calls:
+        _clear_stores()
+        cold.append(_fields(verify(k, N)))
+    assert warm == cold
+    assert all(report["first_mismatch"] is not None for report in cold)
+    assert len({report["first_mismatch"]["exponent"] for report in cold[2:]}) == 2
 
 
 # -- corollaries ------------------------------------------------------------------------

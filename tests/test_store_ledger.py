@@ -11,6 +11,13 @@ of the right shape.  Nothing is folded.  A verifier call is replayed through
 theorem request reaches the store rounded as it does in a verifier.  Every figure but the request count
 is an upper bound: a change that raises one fails here, and a change that
 lowers one updates the ledger and says why in CHANGES.md.
+
+The theorem verifiers ask the store of theorem sums, `identities._theorem_sum`,
+first, and reach the family stores only on its misses.  Its ledger replays
+their calls against it with `_build` replaced by one that returns an empty
+sum, and pins its misses as an upper bound and its hits as a lower one.
+The family-store ledger replays every theorem call through `_serve`, as if
+each missed the sum store.
 """
 
 import functools
@@ -29,7 +36,7 @@ from macmahon.families import (
     compute_A_family,
     compute_C_family,
 )
-from macmahon.identities import _serve
+from macmahon.identities import _serve, _theorem_sum
 from macmahon.series import TruncatedSeries
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -158,3 +165,40 @@ def test_family_stores_do_no_more_work_than_the_ledger(name, monkeypatch):
     assert len(built) <= builds and seen_hits >= hits, (len(built), seen_hits)
     assert seen_volume <= volume, seen_volume
     assert seen_widest <= widest, seen_widest
+
+
+def _theorem_calls(ops):
+    # the sum store request of each theorem verifier call
+    return [(op["target"], op["k"], op["N"]) for op in ops if op["target"].startswith("thm")]
+
+
+def _sum_sweep(tag, N):
+    return lambda: [(tag, k, N) for k in range(13)]
+
+
+def _sum_identity_sweep(seed):
+    run = workloads.identity_sweep(seed, 15)
+    return lambda: _theorem_calls(run.warmup + run.shards[0])
+
+
+# sequence -> (its theorem calls, in one fresh sum store; requests, misses, hits)
+SUM_LEDGER = {
+    "thm-a k=0..12 N=120": (_sum_sweep("thm-a", 120), 13, 13, 0),
+    "thm-c k=0..12 N=150": (_sum_sweep("thm-c", 150), 13, 13, 0),
+    "identity-sweep seed 1": (_sum_identity_sweep(1), 864, 100, 764),
+    "identity-sweep seed 2": (_sum_identity_sweep(2), 864, 58, 806),
+    "identity-sweep seed 3": (_sum_identity_sweep(3), 864, 88, 776),
+}
+
+
+@pytest.mark.parametrize("name", SUM_LEDGER)
+def test_theorem_sum_store_does_no_more_work_than_the_ledger(name, monkeypatch):
+    sequence, requests, misses, hits = SUM_LEDGER[name]
+    calls = sequence()
+    monkeypatch.setattr(_theorem_sum, "_build", lambda identity, k, N: ())
+    for call in calls:
+        _theorem_sum(*call)
+    info = _theorem_sum.cache_info()
+    assert len(calls) == requests
+    assert info.hits + info.misses == requests
+    assert info.misses <= misses and info.hits >= hits, info
