@@ -25,32 +25,37 @@ and a window:
   the order built would pass N.
 
 family_request(identity, k, j, N) names what a verifier reads, (tag, K,
-order, lowest): members lowest..K through the order, from which it derives
-its window and terms_used.  A corollary or limit verifier asks its store
-for exactly that.  A theorem verifier asks for a rounded build that covers
-it: the order rounded up to a multiple of 32 and kept within the order
-limit, the lowest member rounded down to an even one, and every member that
-can be nonzero at that order.  Theorem orders change only a little from one
-k to the next, so a sweep over k builds a few families and reads the rest
-out of them.  An order above the package's order limit (families.MAX_ORDER)
-is refused with ValueError before anything is built, the theorem's exact
-order before its rounded one, and family_request refuses a limit order
-below its window's floor with OrderBelowFloor.
+order, lowest): members k..K through the order, where each identity sets
+the order and K is the top member that can be nonzero at it.  The verifier
+derives its window and terms_used from it.  A corollary or limit verifier
+asks its family store for exactly that; a theorem verifier asks for a
+rounded build that covers it: the order rounded up to a multiple of 32 and
+kept within the order limit, the lowest member rounded down to an even one,
+and every member that can be nonzero at that order.  Theorem orders change
+only a little from one k to the next, so a sweep over k builds a few
+families and reads the rest out of them.  An order above the package's
+order limit (families.MAX_ORDER) is refused with ValueError on every call,
+before anything is built or read, the exact order before a rounded one, and
+family_request refuses a limit order below its window's floor with
+OrderBelowFloor.
 
-A theorem verifier asks the store of theorem sums before any family store.
-For one (identity, k) the sum is the same series, p3 or overp, whatever the
-window, so a sum built once answers every shorter window with its prefix.
-The store keys a sum by (identity, k, window), where the window is the
-rounded build's order lowered by lowval(k); a miss sums every member of
-that build over that whole window.  It keeps 32 sums, one per k <= 15 for
-both families, and a new sum drops the shorter one of its (identity, k).
-The verifier compares through N only and takes terms_used from the exact
-family_request.  theorem_rhs and the corollary and limit verifiers sum
-afresh.  theorem_rhs does so that a longer sum cut short and a shorter sum
-are built apart when they are compared; a kept sum would compare a prefix
-with itself.  A corollary or limit sum reads j + 1 members or one, which
-costs little next to a theorem sum, which reads every member that reaches
-its window.
+Every family verifier reads its member sum from one store.  For one family
+and k the sum is one series, p3 or overp, and each window cuts it short, so
+a kept sum answers every shorter window of its family and k with its
+prefix, whichever verifier asks.  The store keys a sum by (tag, k, window),
+the window being the order of the build the call asks its family store for
+lowered by lowval(k); a miss sums every member of that build over that
+whole window.  It keeps 32 sums, and a new sum drops the shorter ones of its
+family and k.  theorem_rhs cuts a fresh sum short and keeps none, so a
+longer sum cut short and a shorter one are built apart when compared.
+
+Member m is zero below its floor, lowval(m) - lowval(k), and the sum reads
+it from there; one that is not is read in full, so the comparison reports
+where.  A kept sum holds every member its build reaches, which can be more
+than a later call's own build holds.  On correct families no report depends
+on which call built the sum; on a faulty one a hit, say a corollary or limit
+call answered by a theorem sum, can report a member above the call's own,
+nonzero below its floor inside its window, that a cold call never reads.
 
 The divisor verifier makes no store request.  It reads members 1 and 2 of A
 from the power sums of the product's factors, by Newton's identity, and
@@ -154,8 +159,8 @@ def _compare(lhs: Sequence[int], rhs: Sequence[int], top: int) -> Mismatch | Non
 # for k).  The sums run over m >= k, so both binomial arguments stay in range.
 # The stores and the generating functions are read by their global names
 # below, which Python looks up at call time, so a store or series replaced on
-# this module is what the verifiers read.  A theorem sum kept before a family
-# store is replaced stays what they read until _theorem_sum is cleared.
+# this module is what the verifiers read.  A sum kept before a family store
+# is replaced stays what they read until _member_sum is cleared.
 _FAMILIES = {
     "A": (1, lambda m, k: math.comb(2 * m + 1, m + k + 1)),
     "C": (2, lambda m, k: math.comb(2 * m, m + k)),
@@ -185,13 +190,15 @@ def family_request(
     shift = _lowval(k, step)
     if identity.startswith("thm"):
         order = N + shift
-        # lowval(m) >= m, so no member above `order` reaches it: that is the cap
-        return tag, _top_member(step, order, order), order, k
-    if identity.startswith("cor"):
-        return tag, k + j, _lowval(k + j + 1, step) - 1, k
-    if N < shift:
+    elif identity.startswith("cor"):
+        order = _lowval(k + j + 1, step) - 1
+    elif N < shift:
         raise OrderBelowFloor(k, shift)
-    return tag, k, min(_lowval(k + 1, step) - 1, N), k
+    else:
+        order = min(_lowval(k + 1, step) - 1, N)
+    # lowval(m) >= m, so no member above `order` reaches it: that is the cap,
+    # k + j for a corollary and k for a limit
+    return tag, _top_member(step, order, order), order, k
 
 
 # a theorem verifier's store request is rounded to a multiple of this order
@@ -199,40 +206,36 @@ def family_request(
 _ORDER_GRID = 32
 
 
-def _rounded_order(order: int) -> int:
-    # a theorem order rounded up to the grid and kept within the order limit;
-    # the exact order is refused first, so the error names it
+def _store_request(identity: str, request: tuple[str, int, int, int]) -> tuple[str, int, int, int]:
+    """The build the verifier of `identity` asks its family store for: its
+    family_request, or for a theorem a rounded build that covers it.  The
+    exact order is refused first, so an error names it."""
+    tag, K, order, lowest = request
     _check_order(order)
-    return min(-(-order // _ORDER_GRID) * _ORDER_GRID, families.MAX_ORDER)
-
-
-def _serve(
-    identity: str, k: int | None, j: int | None, N: int | None
-) -> tuple[tuple[str, int, int, int], MacmahonFamily]:
-    """The family_request of the verifier of `identity` and the family its
-    store serves it from: the request itself, or for a theorem verifier a
-    rounded build that covers it."""
-    request = tag, K, order, lowest = family_request(identity, k, j, N)
-    store = compute_A_family if tag == "A" else compute_C_family
     if identity.startswith("thm"):
-        order = _rounded_order(order)
+        order = min(-(-order // _ORDER_GRID) * _ORDER_GRID, families.MAX_ORDER)
         lowest -= lowest % 2
         K = _top_member(_FAMILIES[tag][0], order, order)
-    return request, store(K, order, lowest=lowest)
+    return tag, K, order, lowest
 
 
-def _lowered_sum(request: tuple[str, int, int, int], fam: MacmahonFamily) -> list[int]:
+def _serve(identity: str, request: tuple[str, int, int, int]) -> MacmahonFamily:
+    """The family the store of `identity`'s family serves its build from."""
+    tag, K, order, lowest = _store_request(identity, request)
+    store = compute_A_family if tag == "A" else compute_C_family
+    return store(K, order, lowest=lowest)
+
+
+def _lowered_sum(fam: MacmahonFamily, k: int) -> list[int]:
     """Coefficients 0..window of the sum of w(m, k) times member m lowered by
-    q^lowval(k), over the members m = k..K of `request` (tag, K, order, k),
-    read out of `fam`, a family that covers it; the window ends at the
-    request's order lowered the same."""
-    tag, K, order, k = request
-    step, weight = _FAMILIES[tag]
+    q^lowval(k), over every member m >= k of `fam`; the window ends at the
+    family's order lowered the same."""
+    step, weight = _FAMILIES[fam.family]
     shift = _lowval(k, step)
-    window = order - shift
+    window = fam.truncation_order - shift
     out = [0] * (window + 1)
     floor = 0  # lowval(m) - lowval(k): member m is zero below it
-    for m in range(k, K + 1):
+    for m in range(k, fam.degree_cap + 1):
         w = weight(m, k)
         cs = fam.member(m).coeffs
         # a member that is not zero below its floor is read in full, so the
@@ -246,31 +249,29 @@ def _lowered_sum(request: tuple[str, int, int, int], fam: MacmahonFamily) -> lis
     return out
 
 
-def _sum_key(identity: str, k: int, N: int) -> tuple[str, int, int]:
-    # a theorem sum is kept under the window of the rounded build it is read
-    # out of: that build's order lowered by lowval(k)
-    shift = _lowval(k, _FAMILIES[identity[-1].upper()][0])
-    return identity, k, _rounded_order(N + shift) - shift
+def _sum_key(identity: str, request: tuple[str, int, int, int]) -> tuple[str, int, int]:
+    # a sum is kept under its family, k and the window of the build it is
+    # read out of; the order is refused here, so a hit refuses it too
+    k = request[3]
+    tag, _, order, _ = _store_request(identity, request)
+    return tag, k, order - _lowval(k, _FAMILIES[tag][0])
 
 
 def _sum_covers(kept: tuple[str, int, int], key: tuple[str, int, int]) -> bool:
-    # a kept sum answers its own identity and k through any window it reaches
+    # a kept sum answers its own family and k through any window it reaches
     return kept[2] >= key[2] and kept[1] == key[1] and kept[0] == key[0]
 
 
-def _theorem_sum_uncached(identity: str, k: int, N: int) -> tuple[int, ...]:
-    """The member sum of theorem `identity` for k on the whole window of the
-    rounded build that covers window N: every member that reaches it."""
-    request, fam = _serve(identity, k, None, N)
-    whole = request[0], fam.degree_cap, fam.truncation_order, k
-    return tuple(_lowered_sum(whole, fam))
+def _member_sum_uncached(identity: str, request: tuple[str, int, int, int]) -> tuple[int, ...]:
+    """The member sum of `identity`'s family_request over the whole build it
+    asks its family store for: every member from k up, on the build's window."""
+    return tuple(_lowered_sum(_serve(identity, request), request[3]))
 
 
-# the sum of one (identity, k) is one series, p3 or overp, for every window,
-# so a kept sum answers every shorter window with its prefix; 32 sums hold
-# both families' k = 0..15
-_theorem_sum = _CoveringStore(
-    _theorem_sum_uncached, _sum_key, _sum_covers, lambda value, key: value, 32
+# one sum per family and k answers every shorter window with its prefix;
+# 32 sums hold both families' k = 0..15
+_member_sum = _CoveringStore(
+    _member_sum_uncached, _sum_key, _sum_covers, lambda value, key: value, 32
 )
 
 
@@ -279,8 +280,11 @@ def theorem_rhs(tag: str, k: int, order: int) -> tuple[TruncatedSeries, int]:
     k on the window 0..order, and the number of members that reach it."""
     _check_param("k", k)
     _check_param("order", order)
-    request, fam = _serve(f"thm-{tag.lower()}", k, None, order)
-    return TruncatedSeries(tuple(_lowered_sum(request, fam)), order), request[1] - k + 1
+    identity = f"thm-{tag.lower()}"
+    request = family_request(identity, k, None, order)
+    # a fresh sum, never kept, so two calls compare sums built apart
+    rhs = _member_sum_uncached(identity, request)[: order + 1]
+    return TruncatedSeries(rhs, order), request[1] - k + 1
 
 
 def corollary_weights(tag: str, k: int, j: int) -> list[int]:
@@ -293,19 +297,15 @@ def _verify(identity: str, k: int, j: int | None, order: int | None) -> Verifica
     _check_param("j", j)
     _check_param("order", order)
     t0 = time.perf_counter()
-    if identity.startswith("thm"):
-        # the kept sum may reach past the window; only 0..order is compared
-        rhs = _theorem_sum(identity, k, order)
-        request, window = family_request(identity, k, j, order), order
-    else:
-        request, fam = _serve(identity, k, j, order)
-        rhs = _lowered_sum(request, fam)
-        window = len(rhs) - 1
-    gf = p3_series if request[0] == "A" else overpartition_series
+    request = tag, K, top, _ = family_request(identity, k, j, order)
+    window = top - _lowval(k, _FAMILIES[tag][0])
+    # the kept sum may reach past the window; only 0..window is compared
+    rhs = _member_sum(identity, request)
+    gf = p3_series if tag == "A" else overpartition_series
     mm = _compare(gf(window).coeffs, rhs, window)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     order = window if order is None else order
-    return VerificationReport(identity, k, j, order, mm, request[1] - k + 1, elapsed_ms)
+    return VerificationReport(identity, k, j, order, mm, K - k + 1, elapsed_ms)
 
 
 # -- main theorems ------------------------------------------------------------

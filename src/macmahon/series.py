@@ -15,7 +15,7 @@ also the base of the package's other records (the family, the verification
 report and its mismatch, and the brute-force result).
 
 `_CoveringStore` caches `p3_series`, `overpartition_series`,
-`compute_A_family`, `compute_C_family` and the verifiers' theorem sums,
+`compute_A_family`, `compute_C_family` and the verifiers' member sums,
 whose requests overlap: a request is cut out of any kept value that covers
 it, and a miss builds what the request's key names.  partitions.py, families.py and
 identities.py each supply one store kind.  `_check_param` is the package's

@@ -1,4 +1,4 @@
-"""Every test starts from empty family, generating-function and theorem-sum
+"""Every test starts from empty family, generating-function and member-sum
 stores, so no outcome depends on which tests ran before it.  The generating
 functions through the order limit are inverted once per session and handed
 out as fixtures; the series are immutable, so sharing them changes no
@@ -7,10 +7,10 @@ outcome."""
 import pytest
 
 from macmahon.families import MAX_ORDER, compute_A_family, compute_C_family
-from macmahon.identities import _theorem_sum
+from macmahon.identities import _member_sum
 from macmahon.partitions import overpartition_series, p3_series
 
-STORES = (compute_A_family, compute_C_family, p3_series, overpartition_series, _theorem_sum)
+STORES = (compute_A_family, compute_C_family, p3_series, overpartition_series, _member_sum)
 
 
 @pytest.fixture(autouse=True)

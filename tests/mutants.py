@@ -18,7 +18,7 @@ route the verifiers' identities were derived from, or the bounds its slots
 are sized by; a "power-sum" mutant changes the rows the divisor verifier
 reads members 1 and 2 from; a "verifier" mutant changes a verifier; a
 "store" mutant changes what a verifier asks its family store for or what
-its store of theorem sums keeps, and a "limit" one the package's order
+its store of member sums keeps, and a "limit" one the package's order
 limit.
 
 The north star's rule that a verifier must never be the only check on a
@@ -79,8 +79,9 @@ PARTITIONS = "tests/test_partitions.py::"
 
 FAMILY_ORDER = IDENTITIES + "test_family_order_is_the_highest_order_each_verifier_builds"
 LEDGER = "tests/test_store_ledger.py::test_family_stores_do_no_more_work_than_the_ledger"
-SUM_LEDGER = "tests/test_store_ledger.py::test_theorem_sum_store_does_no_more_work_than_the_ledger"
-KEPT_SUMS = IDENTITIES + "test_theorem_sums_are_kept_per_identity_and_k"
+SUM_LEDGER = "tests/test_store_ledger.py::test_member_sum_store_does_no_more_work_than_the_ledger"
+KEPT_SUMS = IDENTITIES + "test_member_sums_are_kept_per_family_and_k"
+ORDER_LIMIT = "tests/test_cli.py::test_order_limit_applies_to_the_order_each_call_builds"
 
 MUTANTS = [
     Mutant(
@@ -208,8 +209,8 @@ MUTANTS = [
         "corollary-order-one-too-high",
         "verifier",
         "identities.py",
-        "return tag, k + j, _lowval(k + j + 1, step) - 1, k",
-        "return tag, k + j, _lowval(k + j + 1, step), k",
+        "order = _lowval(k + j + 1, step) - 1\n",
+        "order = _lowval(k + j + 1, step)\n",
         (
             FAMILY_ORDER,
             IDENTITIES + "test_corollary_A_smallest_window",
@@ -296,12 +297,23 @@ MUTANTS = [
         (FAMILY_ORDER, IDENTITIES + "test_theorem_A_passes"),
     ),
     Mutant(
+        # the rounded order is kept within the limit, so it is never refused
         "theorem-exact-order-not-refused-first",
         "store",
         "identities.py",
-        "    _check_order(order)\n    return min(",
-        "    return min(",
-        ("tests/test_cli.py::test_order_limit_applies_to_the_order_each_call_builds",),
+        "    _check_order(order)\n    if identity",
+        '    identity.startswith("thm") or _check_order(order)\n    if identity',
+        (ORDER_LIMIT,),
+    ),
+    Mutant(
+        # a call that a kept sum answers is then never refused: the order is
+        # checked only where a miss asks its family store
+        "sum-key-skips-the-order-limit",
+        "store",
+        "identities.py",
+        "tag, _, order, _ = _store_request(identity, request)",
+        "tag, _, order, _ = request",
+        (ORDER_LIMIT + "[verify --target cor-a --k 4 --j 2]",),
     ),
     Mutant(
         # every undoctored sum of one family is the same series, so only a
@@ -313,7 +325,7 @@ MUTANTS = [
         "",
         (
             KEPT_SUMS,
-            IDENTITIES + "test_a_kept_theorem_sum_reports_a_doctored_member_as_a_cold_call_does",
+            IDENTITIES + "test_a_kept_sum_reports_a_doctored_member_as_a_cold_call_does",
         ),
     ),
     Mutant(
@@ -330,8 +342,8 @@ MUTANTS = [
         "theorem-sum-key-not-rounded",
         "store",
         "identities.py",
-        "return identity, k, _rounded_order(N + shift) - shift",
-        "return identity, k, N + 0 * _rounded_order(N + shift)",
+        "return tag, k, order - _lowval(k, _FAMILIES[tag][0])",
+        "return tag, k, request[2] - _lowval(k, _FAMILIES[tag][0])",
         (SUM_LEDGER + "[identity-sweep seed 1]", KEPT_SUMS),
     ),
     Mutant(
@@ -339,9 +351,18 @@ MUTANTS = [
         "corollary-and-limit-requests-rounded-too",
         "store",
         "identities.py",
-        '    if identity.startswith("thm"):\n        order = _rounded_order(order)',
-        "    if True:\n        order = _rounded_order(order)",
+        '    if identity.startswith("thm"):\n        order = min(',
+        "    if True:\n        order = min(",
         (LEDGER + "[deep-window seed 1]", LEDGER + "[cor-a(100,2)]"),
+    ),
+    Mutant(
+        # a sum of the A family would answer a C call of the same k
+        "sum-covers-ignores-the-family",
+        "store",
+        "identities.py",
+        " and kept[0] == key[0]",
+        "",
+        (KEPT_SUMS, IDENTITIES + "test_a_kept_sum_reports_what_a_cold_call_does"),
     ),
     Mutant(
         "order-limit-one-too-high",

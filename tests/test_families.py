@@ -837,13 +837,13 @@ def test_a_verifier_sweep_builds_fewer_families_by_rounding_theorem_requests(mon
     for store in (compute_A_family, compute_C_family, p3_series, overpartition_series):
         store.cache_clear()
 
-    def exact(identity, k, j, N):
-        request = tag, K, order, lowest = family_request(identity, k, j, N)
-        return request, stores[tag](K, order, lowest=lowest)
+    def exact(identity, request):
+        tag, K, order, lowest = request
+        return stores[tag](K, order, lowest=lowest)
 
     monkeypatch.setattr(identities, "_serve", exact)
-    # each theorem sum is built afresh from its exact request, not kept
-    monkeypatch.setattr(identities, "_theorem_sum", identities._theorem_sum_uncached)
+    # each member sum is built afresh from its exact request, not kept
+    monkeypatch.setattr(identities, "_member_sum", identities._member_sum_uncached)
     exact_reports = _sweep(random.Random(26))
     assert [r.to_json_dict() | {"elapsed_ms": 0} for r in exact_reports] == [
         r.to_json_dict() | {"elapsed_ms": 0} for r in reports

@@ -43,6 +43,17 @@ from macmahon.partitions import (
 from oracles import as_series
 
 
+# family verifier target -> its verifier, called with (k, j, N)
+FAMILY_VERIFIERS = {
+    "thm-a": lambda k, j, N: verify_theorem_A(k, N),
+    "thm-c": lambda k, j, N: verify_theorem_C(k, N),
+    "cor-a": lambda k, j, N: verify_corollary_A(k, j),
+    "cor-c": lambda k, j, N: verify_corollary_C(k, j),
+    "limit-a": lambda k, j, N: verify_limit_A(k, N),
+    "limit-c": lambda k, j, N: verify_limit_C(k, N),
+}
+
+
 # -- main theorems -----------------------------------------------------------------
 
 
@@ -179,8 +190,8 @@ def test_a_member_nonzero_below_its_floor_is_reported(target, verify, args, m, e
         return MacmahonFamily(fam.family, tuple(rows), order, K, lowest)
 
     monkeypatch.setattr(identities, name, doctored)
-    # the clean call kept its theorem sum; the doctored one must build again
-    identities._theorem_sum.cache_clear()
+    # the clean call kept its member sum; the doctored one must build again
+    identities._member_sum.cache_clear()
     report = verify(*args)
     k = args[0]
     if target.endswith("a"):
@@ -224,15 +235,7 @@ def test_family_order_is_the_highest_order_each_verifier_builds(monkeypatch):
         monkeypatch.setattr(identities, name, recording_store(tag, getattr(identities, name)))
     for name in ("p3_series", "overpartition_series"):
         monkeypatch.setattr(identities, name, recording_series(getattr(identities, name)))
-    verifiers = {
-        "thm-a": lambda k, j, N: verify_theorem_A(k, N),
-        "thm-c": lambda k, j, N: verify_theorem_C(k, N),
-        "cor-a": lambda k, j, N: verify_corollary_A(k, j),
-        "cor-c": lambda k, j, N: verify_corollary_C(k, j),
-        "limit-a": lambda k, j, N: verify_limit_A(k, N),
-        "limit-c": lambda k, j, N: verify_limit_C(k, N),
-        "divisor": lambda k, j, N: verify_divisor_identities(N),
-    }
+    verifiers = FAMILY_VERIFIERS | {"divisor": lambda k, j, N: verify_divisor_identities(N)}
     checked = 0
     for target, verify in verifiers.items():
         for k in range(9):
@@ -240,8 +243,8 @@ def test_family_order_is_the_highest_order_each_verifier_builds(monkeypatch):
                 for N in (1, 3, 7, 20, 45):
                     requested.clear()
                     families.clear()
-                    # a kept theorem sum would answer without a request
-                    identities._theorem_sum.cache_clear()
+                    # a kept member sum would answer without a request
+                    identities._member_sum.cache_clear()
                     try:
                         assert verify(k, j, N).passed
                     except ValueError as exc:
@@ -267,14 +270,11 @@ def test_family_order_is_the_highest_order_each_verifier_builds(monkeypatch):
     assert checked > 1000
 
 
-# -- kept theorem sums -------------------------------------------------------------------
-
-THEOREMS = {"thm-a": verify_theorem_A, "thm-c": verify_theorem_C}
-
+# -- kept member sums --------------------------------------------------------------------
 
 def _clear_stores():
     for store in (
-        compute_A_family, compute_C_family, p3_series, overpartition_series, identities._theorem_sum
+        compute_A_family, compute_C_family, p3_series, overpartition_series, identities._member_sum
     ):
         store.cache_clear()
 
@@ -283,69 +283,80 @@ def _fields(report):
     return report.to_json_dict() | {"elapsed_ms": None}
 
 
-def test_theorem_sums_are_kept_per_identity_and_k():
-    # one sum per (identity, k), keyed by the window of the rounded build:
-    # a window that rounds alike hits, another k or family misses, a longer
-    # window drops the sum it covers, and the store keeps at most 32
-    store = identities._theorem_sum
+def test_member_sums_are_kept_per_family_and_k():
+    # one sum per (family, k), keyed by the window of the build its call asks
+    # for: a theorem window that rounds alike hits, and so do a corollary and
+    # a limit window inside a kept one; another k or family misses, a longer
+    # window drops the sums it covers, and the store keeps at most 32
+    store = identities._member_sum
     verify_theorem_A(0, 100)
     verify_theorem_A(0, 110)  # both round to order 128
     verify_theorem_A(0, 90)
-    assert store.cache_info() == (2, 1, 32, 1)
-    verify_theorem_A(1, 50)
-    verify_theorem_C(0, 50)
-    assert store.cache_info() == (2, 3, 32, 3)
+    verify_corollary_A(0, 4)  # the window 0..14
+    verify_limit_A(0, 3)  # the window 0..0
+    assert store.cache_info() == (4, 1, 32, 1)
+    verify_corollary_C(0, 2)  # the A sum of k = 0 does not answer C
+    verify_limit_C(0, 5)  # inside the corollary's window 0..8
+    verify_corollary_A(1, 0)
+    assert store.cache_info() == (5, 3, 32, 3)
+    verify_theorem_C(0, 50)  # reaches past the kept C sum, which it drops
     verify_theorem_A(0, 200)
-    assert store.cache_info() == (2, 4, 32, 3)
+    assert store.cache_info() == (5, 5, 32, 3)
     for k in range(40):
         verify_theorem_C(k, 0)
     assert store.cache_info().currsize == 32
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_a_kept_theorem_sum_reports_what_a_cold_call_does(seed):
-    # random theorem calls over both families, k = 0..40 (more sums than the
-    # store keeps) and N = 0..400, with repeats and shorter windows of
-    # earlier calls; each report equals that of the same call made with
-    # every store empty
-    rng = random.Random(seed)
+def _random_calls(rng, n):
+    # (target, k, j, N) for every family verifier, k = 0..40 (more sums than
+    # the store keeps), theorem windows N = 0..400; half the calls read an
+    # earlier call's family and k through any of its verifiers, a theorem
+    # on a window at most 40 shorter than the earlier call's N
     calls = []
-    for _ in range(70):
-        if calls and rng.random() < 0.4:
-            identity, k, N = rng.choice(calls)
-            calls.append((identity, k, rng.randint(max(0, N - 40), N)))
+    for _ in range(n):
+        if calls and rng.random() < 0.5:
+            target, k, _, N = rng.choice(calls)
+            target = rng.choice([t for t in FAMILY_VERIFIERS if t[-1] == target[-1]])
+            N = rng.randint(max(0, N - 40), N) if N is not None else rng.randint(0, 400)
         else:
-            calls.append((rng.choice(list(THEOREMS)), rng.randint(0, 40), rng.randint(0, 400)))
-    warm = [_fields(THEOREMS[identity](k, N)) for identity, k, N in calls]
-    info = identities._theorem_sum.cache_info()
-    assert info.hits >= 10 and info.misses > info.maxsize, info
+            target = rng.choice(list(FAMILY_VERIFIERS))
+            k, N = rng.randint(0, 40), rng.randint(0, 400)
+        j = rng.randint(0, 4) if target.startswith("cor") else None
+        if target.startswith("limit"):
+            # from the valuation of member k up to past its window's end
+            step = 1 if target.endswith("a") else 2
+            floor = k + step * k * (k - 1) // 2
+            N = floor + N % (2 * step * k + 4)
+        calls.append((target, k, j, None if target.startswith("cor") else N))
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_kept_sum_reports_what_a_cold_call_does(seed):
+    # random calls of every family verifier; each report equals that of the
+    # same call made with every store empty
+    calls = _random_calls(random.Random(seed), 80)
+    warm = [_fields(FAMILY_VERIFIERS[target](k, j, N)) for target, k, j, N in calls]
+    info = identities._member_sum.cache_info()
+    assert info.hits >= 20 and info.misses > info.maxsize, info
     cold = {}
     for call in set(calls):
         _clear_stores()
-        identity, k, N = call
-        cold[call] = _fields(THEOREMS[identity](k, N))
+        target, k, j, N = call
+        cold[call] = _fields(FAMILY_VERIFIERS[target](k, j, N))
     assert warm == [cold[call] for call in calls]
 
 
-# (target, member doctored, the exponent just below its floor, calls: two
-# misses at two k, then two hits inside their windows)
-DOCTORED_SUMS = [
-    ("thm-a", 3, 5, [(1, 60), (2, 40), (1, 25), (2, 20)]),
-    ("thm-c", 2, 3, [(1, 50), (0, 45), (1, 20), (0, 10)]),
-]
-
-
-@pytest.mark.parametrize("target,m,e,calls", DOCTORED_SUMS, ids=[d[0] for d in DOCTORED_SUMS])
-def test_a_kept_theorem_sum_reports_a_doctored_member_as_a_cold_call_does(
-    target, m, e, calls, monkeypatch
-):
-    # the member is doctored before the first call, so a kept sum carries
-    # it; a hit must then report the mismatch a cold call reports
-    name = f"compute_{target[-1].upper()}_family"
+def _doctor(monkeypatch, tag, m, e):
+    # every build of family tag that holds member m holds it with one added
+    # to its coefficient at exponent e
+    name = f"compute_{tag}_family"
     real = getattr(identities, name)
 
     def doctored(K, order, lowest=0):
         fam = real(K, order, lowest)
+        if not lowest <= m <= K:
+            return fam
         coeffs = list(fam.member(m).coeffs)
         coeffs[e] += 1
         rows = list(fam.members)
@@ -353,16 +364,83 @@ def test_a_kept_theorem_sum_reports_a_doctored_member_as_a_cold_call_does(
         return MacmahonFamily(fam.family, tuple(rows), order, K, lowest)
 
     monkeypatch.setattr(identities, name, doctored)
-    verify = THEOREMS[target]
-    warm = [_fields(verify(k, N)) for k, N in calls]
-    assert identities._theorem_sum.cache_info()[:2] == (2, 2)
+
+
+# (case, member doctored, the exponent it is doctored at, calls (target, k,
+# j, N), then the sum store's hits and misses after them).  The theorem
+# cases make two misses at two k, then two hits inside their windows, and the
+# member is doctored just below its floor.  The corollary and limit cases
+# are answered by the kept theorem sum of their k, and read the member
+DOCTORED_SUMS = [
+    (
+        "thm-a", 3, 5,
+        [("thm-a", 1, None, 60), ("thm-a", 2, None, 40), ("thm-a", 1, None, 25),
+         ("thm-a", 2, None, 20)],
+        (2, 2),
+    ),
+    (
+        "thm-c", 2, 3,
+        [("thm-c", 1, None, 50), ("thm-c", 0, None, 45), ("thm-c", 1, None, 20),
+         ("thm-c", 0, None, 10)],
+        (2, 2),
+    ),
+    (
+        "cor-a", 3, 5,
+        [("thm-a", 1, None, 60), ("cor-a", 1, 2, None), ("cor-a", 1, 3, None)],
+        (2, 1),
+    ),
+    ("limit-c", 1, 3, [("thm-c", 1, None, 50), ("limit-c", 1, None, 9)], (1, 1)),
+]
+
+
+@pytest.mark.parametrize("case,m,e,calls,counts", DOCTORED_SUMS, ids=[d[0] for d in DOCTORED_SUMS])
+def test_a_kept_sum_reports_a_doctored_member_as_a_cold_call_does(
+    case, m, e, calls, counts, monkeypatch
+):
+    # the member is doctored before the first call, so a kept sum carries
+    # it; a hit must then report the mismatch a cold call reports
+    _doctor(monkeypatch, case[-1].upper(), m, e)
+    warm = [_fields(FAMILY_VERIFIERS[target](k, j, N)) for target, k, j, N in calls]
+    assert identities._member_sum.cache_info()[:2] == counts
     cold = []
-    for k, N in calls:
+    for target, k, j, N in calls:
         _clear_stores()
-        cold.append(_fields(verify(k, N)))
+        cold.append(_fields(FAMILY_VERIFIERS[target](k, j, N)))
     assert warm == cold
     assert all(report["first_mismatch"] is not None for report in cold)
-    assert len({report["first_mismatch"]["exponent"] for report in cold[2:]}) == 2
+    if case.startswith("thm"):
+        assert len({report["first_mismatch"]["exponent"] for report in cold[2:]}) == 2
+
+
+# (target, k, j, N, member above those the call reads, the exponent just
+# below its floor)
+FAULTY_ABOVE = [
+    ("cor-a", 1, 2, None, 4, 9),
+    ("limit-a", 1, None, 5, 2, 2),
+]
+
+
+@pytest.mark.parametrize("target,k,j,N,m,e", FAULTY_ABOVE, ids=[d[0] for d in FAULTY_ABOVE])
+def test_a_hit_reports_a_faulty_member_that_a_cold_call_never_reads(
+    target, k, j, N, m, e, monkeypatch
+):
+    # a kept theorem sum holds members above the ones a corollary or limit
+    # call reads; on a family whose member there is nonzero below its floor
+    # inside the call's window, a hit reports that member and a cold call,
+    # which never reads it, passes
+    _doctor(monkeypatch, "A", m, e)
+    verify = FAMILY_VERIFIERS[target]
+    cold = verify(k, j, N)
+    assert cold.passed
+    _clear_stores()
+    assert not verify_theorem_A(k, 60).passed
+    warm = verify(k, j, N)
+    assert identities._member_sum.cache_info()[:2] == (1, 1)
+    n, weight = e - k * (k + 1) // 2, math.comb(2 * m + 1, m + k + 1)
+    want = p3_series(n).coeffs[n]
+    assert warm.first_mismatch == Mismatch(n, lhs=want, rhs=want + weight)
+    fields = ("identity", "k", "j", "order", "terms_used")
+    assert [getattr(warm, f) for f in fields] == [getattr(cold, f) for f in fields]
 
 
 # -- corollaries ------------------------------------------------------------------------

@@ -7,17 +7,18 @@ The stores decide from keys alone, so each sequence is replayed against the
 real `compute_A_family` and `compute_C_family` with their `_build` replaced
 by one that records (K, order, lowest) and returns a family of zero members
 of the right shape.  Nothing is folded.  A verifier call is replayed through
-`identities._serve`, the function the verifiers ask their store from, so a
-theorem request reaches the store rounded as it does in a verifier.  Every figure but the request count
-is an upper bound: a change that raises one fails here, and a change that
-lowers one updates the ledger and says why in CHANGES.md.
+`identities._serve` with its `family_request`, as a sum-store miss asks its
+family store, so a theorem request reaches the store rounded as it does in
+a verifier.  Every figure but the request count is an upper bound: a
+change that raises one fails here, and a change that lowers one updates the
+ledger and says why in CHANGES.md.
 
-The theorem verifiers ask the store of theorem sums, `identities._theorem_sum`,
-first, and reach the family stores only on its misses.  Its ledger replays
+Every family verifier asks the store of member sums, `identities._member_sum`,
+first, and reaches the family stores only on its misses.  Its ledger replays
 their calls against it with `_build` replaced by one that returns an empty
 sum, and pins its misses as an upper bound and its hits as a lower one.
-The family-store ledger replays every theorem call through `_serve`, as if
-each missed the sum store.
+The family-store ledger replays every call through `_serve`, as if each
+missed the sum store.
 """
 
 import functools
@@ -36,7 +37,7 @@ from macmahon.families import (
     compute_A_family,
     compute_C_family,
 )
-from macmahon.identities import _serve, _theorem_sum
+from macmahon.identities import _member_sum, _serve, family_request
 from macmahon.series import TruncatedSeries
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -54,11 +55,15 @@ def _load_workloads():
 workloads = _load_workloads()
 
 
+def _request(op):
+    return family_request(op["target"], op.get("k"), op.get("j"), op.get("N"))
+
+
 def _calls(ops):
     # the store request of each verifier call, as the verifier makes it; the
     # divisor verifier makes none
     return [
-        functools.partial(_serve, op["target"], op.get("k"), op.get("j"), op.get("N"))
+        functools.partial(_serve, op["target"], _request(op))
         for op in ops
         if op["target"] != "divisor"
     ]
@@ -167,38 +172,51 @@ def test_family_stores_do_no_more_work_than_the_ledger(name, monkeypatch):
     assert seen_widest <= widest, seen_widest
 
 
-def _theorem_calls(ops):
-    # the sum store request of each theorem verifier call
-    return [(op["target"], op["k"], op["N"]) for op in ops if op["target"].startswith("thm")]
+def _sum_calls(ops):
+    # the sum store request of each family verifier call
+    return [(op["target"], _request(op)) for op in ops if op["target"] != "divisor"]
 
 
 def _sum_sweep(tag, N):
-    return lambda: [(tag, k, N) for k in range(13)]
+    return lambda: [_sum_calls([{"target": tag, "k": k, "N": N} for k in range(13)])]
 
 
 def _sum_identity_sweep(seed):
     run = workloads.identity_sweep(seed, 15)
-    return lambda: _theorem_calls(run.warmup + run.shards[0])
+    return lambda: [_sum_calls(run.warmup + run.shards[0])]
 
 
-# sequence -> (its theorem calls, in one fresh sum store; requests, misses, hits)
+def _sum_deep_window(seed):
+    run = workloads.deep_window(seed, 15)
+    return lambda: [_sum_calls(run.warmup + shard) for shard in run.shards]
+
+
+# sequence -> (its family verifier calls, one list per fresh sum store;
+# requests, misses, hits)
 SUM_LEDGER = {
     "thm-a k=0..12 N=120": (_sum_sweep("thm-a", 120), 13, 13, 0),
     "thm-c k=0..12 N=150": (_sum_sweep("thm-c", 150), 13, 13, 0),
-    "identity-sweep seed 1": (_sum_identity_sweep(1), 864, 100, 764),
-    "identity-sweep seed 2": (_sum_identity_sweep(2), 864, 58, 806),
-    "identity-sweep seed 3": (_sum_identity_sweep(3), 864, 88, 776),
+    "identity-sweep seed 1": (_sum_identity_sweep(1), 1792, 108, 1684),
+    "identity-sweep seed 2": (_sum_identity_sweep(2), 1792, 69, 1723),
+    "identity-sweep seed 3": (_sum_identity_sweep(3), 1792, 98, 1694),
+    "deep-window seed 1": (_sum_deep_window(1), 138, 119, 19),
+    "deep-window seed 2": (_sum_deep_window(2), 138, 120, 18),
+    "deep-window seed 3": (_sum_deep_window(3), 138, 118, 20),
 }
 
 
 @pytest.mark.parametrize("name", SUM_LEDGER)
-def test_theorem_sum_store_does_no_more_work_than_the_ledger(name, monkeypatch):
+def test_member_sum_store_does_no_more_work_than_the_ledger(name, monkeypatch):
     sequence, requests, misses, hits = SUM_LEDGER[name]
-    calls = sequence()
-    monkeypatch.setattr(_theorem_sum, "_build", lambda identity, k, N: ())
-    for call in calls:
-        _theorem_sum(*call)
-    info = _theorem_sum.cache_info()
-    assert len(calls) == requests
-    assert info.hits + info.misses == requests
-    assert info.misses <= misses and info.hits >= hits, info
+    runs = sequence()
+    monkeypatch.setattr(_member_sum, "_build", lambda identity, request: ())
+    seen_hits = seen_misses = 0
+    for calls in runs:
+        _member_sum.cache_clear()
+        for call in calls:
+            _member_sum(*call)
+        info = _member_sum.cache_info()
+        seen_hits, seen_misses = seen_hits + info.hits, seen_misses + info.misses
+    assert sum(map(len, runs)) == requests
+    assert seen_hits + seen_misses == requests
+    assert seen_misses <= misses and seen_hits >= hits, (seen_misses, seen_hits)
