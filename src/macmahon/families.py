@@ -78,7 +78,6 @@ import math
 
 from .partitions import _lowval, _theta_row, overpartition_series, p3_series
 from .series import (
-    _KEPT_VALUES,
     TruncatedSeries,
     _CoveringStore,
     _check_param,
@@ -317,14 +316,14 @@ def _packed_square(row: list[int]) -> tuple[int, ...]:
 
 def _request_key(step: int, K: int, order: int, lowest: int = 0) -> tuple:
     # refuses a bad request, an order above the limit included, and keys a
-    # good one by (order, lowest, top member, K) for the family stores
+    # good one by (order, lowest, top member, K) in a family store's one slot
     _check_param("family cap", K)
     _check_param("truncation order", order)
     _check_order(order)
     _check_param("lowest member", lowest)
     if lowest > K:
         raise ValueError("lowest member must lie in 0..K")
-    return order, lowest, _top_member(step, K, order), K
+    return None, (order, lowest, _top_member(step, K, order), K)
 
 
 def _top_member(step: int, K: int, order: int) -> int:
@@ -338,7 +337,7 @@ def _top_member(step: int, K: int, order: int) -> int:
 
 
 def _compute_family(tag: str, step: int, K: int, order: int, lowest: int) -> MacmahonFamily:
-    k_eff = _request_key(step, K, order, lowest)[2]
+    _, (_, _, k_eff, _) = _request_key(step, K, order, lowest)
     built = []
     if lowest <= k_eff:
         bound = _fold_bound_bits(step, order, lowest, k_eff)
@@ -386,9 +385,9 @@ def _cut_family(fam: MacmahonFamily, key: tuple) -> MacmahonFamily:
 
 
 def _family_store(build, step: int) -> _CoveringStore:
-    # update_wrapper copies the build's names; the store answers to its own
+    # one slot of 12 families; the store answers to its own name, not the build's
     check = functools.partial(_request_key, step)
-    store = _CoveringStore(build, check, _covers_request, _cut_family, _KEPT_VALUES)
+    store = _CoveringStore(build, check, _covers_request, _cut_family, 12)
     store.__name__ = store.__qualname__ = build.__name__.removesuffix("_uncached")
     return store
 

@@ -39,23 +39,24 @@ before anything is built or read, the exact order before a rounded one, and
 family_request refuses a limit order below its window's floor with
 OrderBelowFloor.
 
-Every family verifier reads its member sum from one store.  For one family
-and k the sum is one series, p3 or overp, and each window cuts it short, so
-a kept sum answers every shorter window of its family and k with its
-prefix, whichever verifier asks.  The store keys a sum by (tag, k, window),
-the window being the order of the build the call asks its family store for
-lowered by lowval(k); a miss sums every member of that build over that
-whole window.  It keeps 32 sums, and a new sum drops the shorter ones of its
-family and k.  theorem_rhs cuts a fresh sum short and keeps none, so a
+Every family verifier reads its check from one store, which keeps one per
+family and k.  A check compares p3 or overp with the member sum of the whole
+build its call asks its family store for, on that build's window, and keeps
+only the first mismatch, or None.  For one family and k the sum is one
+series, and each window cuts it short, so a kept check answers every call of
+its family and k whose window it reaches, whichever verifier asks: the call
+drops a mismatch past its own window, as comparing the two prefixes would.
+A longer window replaces the kept check, and a hit reads no series and
+compares nothing.  theorem_rhs cuts a fresh sum short and keeps none, so a
 longer sum cut short and a shorter one are built apart when compared.
 
 Member m is zero below its floor, lowval(m) - lowval(k), and the sum reads
 it from there; one that is not is read in full, so the comparison reports
-where.  A kept sum holds every member its build reaches, which can be more
-than a later call's own build holds.  On correct families no report depends
-on which call built the sum; on a faulty one a hit, say a corollary or limit
-call answered by a theorem sum, can report a member above the call's own,
-nonzero below its floor inside its window, that a cold call never reads.
+where.  A kept check covers every member its build reaches, which can be
+more than a later call's own build holds.  On correct families no report
+depends on which call made the check; on a faulty one a hit, say a corollary
+or limit call answered by a theorem's check, can report a member above its
+own, nonzero below its floor in its window, that a cold call never reads.
 
 The divisor verifier makes no store request.  It reads members 1 and 2 of A
 from the power sums of the product's factors, by Newton's identity, and
@@ -68,6 +69,7 @@ function side upward; no series here ever carries a negative exponent.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from collections.abc import Sequence
 
@@ -159,8 +161,8 @@ def _compare(lhs: Sequence[int], rhs: Sequence[int], top: int) -> Mismatch | Non
 # for k).  The sums run over m >= k, so both binomial arguments stay in range.
 # The stores and the generating functions are read by their global names
 # below, which Python looks up at call time, so a store or series replaced on
-# this module is what the verifiers read.  A sum kept before a family store
-# is replaced stays what they read until _member_sum is cleared.
+# this module is what the verifiers read.  A check kept before a family
+# store is replaced stays what they read until _first_mismatch is cleared.
 _FAMILIES = {
     "A": (1, lambda m, k: math.comb(2 * m + 1, m + k + 1)),
     "C": (2, lambda m, k: math.comb(2 * m, m + k)),
@@ -201,27 +203,28 @@ def family_request(
     return tag, _top_member(step, order, order), order, k
 
 
-# a theorem verifier's store request is rounded to a multiple of this order
-# and down to an even lowest member
+# a theorem's build order is rounded up to a multiple of this, lowest to even
 _ORDER_GRID = 32
 
 
-def _store_request(identity: str, request: tuple[str, int, int, int]) -> tuple[str, int, int, int]:
-    """The build the verifier of `identity` asks its family store for: its
-    family_request, or for a theorem a rounded build that covers it.  The
+def _build_order(identity: str, order: int) -> int:
+    """The order `identity`'s family store builds for its family_request's
+    order, for a theorem rounded up to the grid within the order limit.  The
     exact order is refused first, so an error names it."""
-    tag, K, order, lowest = request
     _check_order(order)
     if identity.startswith("thm"):
         order = min(-(-order // _ORDER_GRID) * _ORDER_GRID, families.MAX_ORDER)
-        lowest -= lowest % 2
-        K = _top_member(_FAMILIES[tag][0], order, order)
-    return tag, K, order, lowest
+    return order
 
 
 def _serve(identity: str, request: tuple[str, int, int, int]) -> MacmahonFamily:
-    """The family the store of `identity`'s family serves its build from."""
-    tag, K, order, lowest = _store_request(identity, request)
+    """The family `identity`'s store serves its build from: every member
+    nonzero at the build's order from k up, for a theorem from k - k % 2."""
+    tag, _, order, lowest = request
+    order = _build_order(identity, order)
+    if identity.startswith("thm"):
+        lowest -= lowest % 2
+    K = _top_member(_FAMILIES[tag][0], order, order)
     store = compute_A_family if tag == "A" else compute_C_family
     return store(K, order, lowest=lowest)
 
@@ -249,29 +252,26 @@ def _lowered_sum(fam: MacmahonFamily, k: int) -> list[int]:
     return out
 
 
-def _sum_key(identity: str, request: tuple[str, int, int, int]) -> tuple[str, int, int]:
-    # a sum is kept under its family, k and the window of the build it is
-    # read out of; the order is refused here, so a hit refuses it too
-    k = request[3]
-    tag, _, order, _ = _store_request(identity, request)
-    return tag, k, order - _lowval(k, _FAMILIES[tag][0])
+def _check_key(identity: str, request: tuple[str, int, int, int]) -> tuple[tuple[str, int], int]:
+    # kept in the slot of its family and k under its build's window; the
+    # order is refused here, so a hit refuses it too
+    tag, _, order, k = request
+    return (tag, k), _build_order(identity, order) - _lowval(k, _FAMILIES[tag][0])
 
 
-def _sum_covers(kept: tuple[str, int, int], key: tuple[str, int, int]) -> bool:
-    # a kept sum answers its own family and k through any window it reaches
-    return kept[2] >= key[2] and kept[1] == key[1] and kept[0] == key[0]
+def _first_mismatch_uncached(identity: str, request: tuple[str, int, int, int]) -> Mismatch | None:
+    """The first mismatch of p3 or overp with the sum of every member from k
+    up of the build `identity`'s family_request asks for, on its window."""
+    fam = _serve(identity, request)
+    rhs = _lowered_sum(fam, request[3])
+    window = len(rhs) - 1
+    gf = p3_series if fam.family == "A" else overpartition_series
+    return _compare(gf(window).coeffs, rhs, window)
 
 
-def _member_sum_uncached(identity: str, request: tuple[str, int, int, int]) -> tuple[int, ...]:
-    """The member sum of `identity`'s family_request over the whole build it
-    asks its family store for: every member from k up, on the build's window."""
-    return tuple(_lowered_sum(_serve(identity, request), request[3]))
-
-
-# one sum per family and k answers every shorter window with its prefix;
-# 32 sums hold both families' k = 0..15
-_member_sum = _CoveringStore(
-    _member_sum_uncached, _sum_key, _sum_covers, lambda value, key: value, 32
+# one check per family and k answers every window it reaches
+_first_mismatch = _CoveringStore(
+    _first_mismatch_uncached, _check_key, operator.ge, lambda value, key: value, 1
 )
 
 
@@ -283,8 +283,8 @@ def theorem_rhs(tag: str, k: int, order: int) -> tuple[TruncatedSeries, int]:
     identity = f"thm-{tag.lower()}"
     request = family_request(identity, k, None, order)
     # a fresh sum, never kept, so two calls compare sums built apart
-    rhs = _member_sum_uncached(identity, request)[: order + 1]
-    return TruncatedSeries(rhs, order), request[1] - k + 1
+    rhs = _lowered_sum(_serve(identity, request), k)[: order + 1]
+    return TruncatedSeries(tuple(rhs), order), request[1] - k + 1
 
 
 def corollary_weights(tag: str, k: int, j: int) -> list[int]:
@@ -299,10 +299,10 @@ def _verify(identity: str, k: int, j: int | None, order: int | None) -> Verifica
     t0 = time.perf_counter()
     request = tag, K, top, _ = family_request(identity, k, j, order)
     window = top - _lowval(k, _FAMILIES[tag][0])
-    # the kept sum may reach past the window; only 0..window is compared
-    rhs = _member_sum(identity, request)
-    gf = p3_series if tag == "A" else overpartition_series
-    mm = _compare(gf(window).coeffs, rhs, window)
+    mm = _first_mismatch(identity, request)
+    # the check may reach past the window; a mismatch there is not this call's
+    if mm is not None and mm.exponent > window:
+        mm = None
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     order = window if order is None else order
     return VerificationReport(identity, k, j, order, mm, K - k + 1, elapsed_ms)

@@ -23,7 +23,7 @@ import functools
 import math
 import operator
 
-from .series import _KEPT_VALUES, TruncatedSeries, _check_param, _CoveringStore, _Record, _setfield
+from .series import TruncatedSeries, _check_param, _CoveringStore, _Record, _setfield
 
 
 def _lowval(k: int, step: int) -> int:
@@ -69,20 +69,20 @@ def theta_square(order: int) -> TruncatedSeries:
     return _dense_row_zero(2, order)
 
 
-def _series_key(order: int) -> int:
-    # the key of a generating-function request is its order
+def _series_key(order: int) -> tuple[None, int]:
+    # a generating-function store has one slot, and a request's key is its order
     _check_param("truncation order", order)
-    return order
+    return None, order
 
 
 # a kept series serves every order up to its own with a prefix; a miss is
-# longer than every kept series and drops them, so only the longest is kept
+# longer than the kept series and drops it, so only the longest is kept
 _series_store = functools.partial(
     _CoveringStore,
     check=_series_key,
     covers=operator.ge,
     cut=TruncatedSeries.truncate,
-    maxsize=_KEPT_VALUES,
+    maxsize=1,
 )
 
 

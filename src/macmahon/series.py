@@ -15,10 +15,11 @@ also the base of the package's other records (the family, the verification
 report and its mismatch, and the brute-force result).
 
 `_CoveringStore` caches `p3_series`, `overpartition_series`,
-`compute_A_family`, `compute_C_family` and the verifiers' member sums,
-whose requests overlap: a request is cut out of any kept value that covers
-it, and a miss builds what the request's key names.  partitions.py, families.py and
-identities.py each supply one store kind.  `_check_param` is the package's
+`compute_A_family`, `compute_C_family` and the verifiers' checks, whose
+requests overlap: a request is cut out of any kept value of its slot that
+covers it, and a miss builds what its key names.  The store of checks keeps
+a slot per family and k, the others one slot.  partitions.py, families.py
+and identities.py each supply one store kind.  `_check_param` is the package's
 one check that a count argument (an order, a member index, a cap) is a
 non-negative int and not a bool.
 """
@@ -224,20 +225,18 @@ def geometric_square(s: int, order: int) -> TruncatedSeries:
 
 CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
 
-# the most values a family or series store keeps; the least recently used
-# goes first
-_KEPT_VALUES = 12
-
 
 class _CoveringStore:
-    """The values `build` returned, each kept under its key and cut to serve
-    any request whose key it covers; the most recently used goes first.  A
-    miss builds what the request's key names and drops the kept values the
-    new one covers.  A store kind supplies `check(*args)`, which refuses bad
-    arguments before any lookup and returns the key, `covers(kept_key,
+    """The values `build` returned, each kept under its key in its slot and
+    cut to serve any request of that slot whose key it covers; within a slot
+    the most recently used goes first.  A miss builds what the request's key
+    names and drops the kept values of its slot that the new one covers.  A
+    store kind supplies `check(*args)`, which refuses bad arguments before
+    any lookup and returns the request's slot and key, `covers(kept_key,
     key)` and `cut(value, key)`, which returns the value itself for its own
-    key.  It keeps at most `maxsize` values.  The bookkeeping is under a
-    lock, so one store is safe to share across threads."""
+    key.  Each slot keeps at most `maxsize` values, the least recently used
+    going first.  The bookkeeping is under a lock, so one store is safe to
+    share across threads."""
 
     def __init__(self, build, check, covers, cut, maxsize) -> None:
         # the build's __dict__ is empty, and leaving this one unread keeps the
@@ -248,17 +247,17 @@ class _CoveringStore:
         self._covers = covers
         self._cut = cut
         self._maxsize = maxsize
-        self._kept: list[tuple] = []  # (key, value), most recently used first
+        self._kept: dict = {}  # slot -> [(key, value)], most recently used first
         self._hits = self._misses = 0
         self._lock = threading.Lock()
 
     def __call__(self, *args, **kwargs):
-        key = self._check(*args, **kwargs)
+        slot, key = self._check(*args, **kwargs)
         covers = self._covers
         # acquire and release cost half what `with` does on this path
         self._lock.acquire()
         try:
-            kept = self._kept
+            kept = self._kept.get(slot, ())
             for entry in kept:
                 if covers(entry[0], key):
                     self._hits += 1
@@ -271,18 +270,20 @@ class _CoveringStore:
             self._lock.release()
         value = self._build(*args, **kwargs)
         with self._lock:
+            kept = self._kept.get(slot, [])
             # another thread may have kept a cover of this build meanwhile
-            if not any(covers(kept_key, key) for kept_key, _ in self._kept):
-                kept = [entry for entry in self._kept if not covers(key, entry[0])]
-                self._kept = [(key, value)] + kept[: self._maxsize - 1]
+            if not any(covers(kept_key, key) for kept_key, _ in kept):
+                kept = [entry for entry in kept if not covers(key, entry[0])]
+                self._kept[slot] = [(key, value)] + kept[: self._maxsize - 1]
         return value
 
     def cache_info(self) -> CacheInfo:
-        """Hits, misses (builds), the bound and the number of values kept."""
+        """Hits, misses (builds), the bound per slot and the values kept in all."""
         with self._lock:
-            return CacheInfo(self._hits, self._misses, self._maxsize, len(self._kept))
+            currsize = sum(map(len, self._kept.values()))
+            return CacheInfo(self._hits, self._misses, self._maxsize, currsize)
 
     def cache_clear(self) -> None:
         with self._lock:
-            self._kept = []
+            self._kept = {}
             self._hits = self._misses = 0

@@ -18,8 +18,7 @@ route the verifiers' identities were derived from, or the bounds its slots
 are sized by; a "power-sum" mutant changes the rows the divisor verifier
 reads members 1 and 2 from; a "verifier" mutant changes a verifier; a
 "store" mutant changes what a verifier asks its family store for or what
-its store of member sums keeps, and a "limit" one the package's order
-limit.
+its store of checks keeps, and a "limit" one the package's order limit.
 
 The north star's rule that a verifier must never be the only check on a
 route derived from the paper's identities is checked here too, and so is
@@ -79,8 +78,8 @@ PARTITIONS = "tests/test_partitions.py::"
 
 FAMILY_ORDER = IDENTITIES + "test_family_order_is_the_highest_order_each_verifier_builds"
 LEDGER = "tests/test_store_ledger.py::test_family_stores_do_no_more_work_than_the_ledger"
-SUM_LEDGER = "tests/test_store_ledger.py::test_member_sum_store_does_no_more_work_than_the_ledger"
-KEPT_SUMS = IDENTITIES + "test_member_sums_are_kept_per_family_and_k"
+CHECK_LEDGER = "tests/test_store_ledger.py::test_check_store_does_no_more_work_than_the_ledger"
+KEPT_CHECKS = IDENTITIES + "test_checks_are_kept_per_family_and_k"
 ORDER_LIMIT = "tests/test_cli.py::test_order_limit_applies_to_the_order_each_call_builds"
 
 MUTANTS = [
@@ -220,8 +219,8 @@ MUTANTS = [
         "lhs-and-rhs-swapped",
         "verifier",
         "identities.py",
-        "mm = _compare(gf(window).coeffs, rhs, window)",
-        "mm = _compare(rhs, gf(window).coeffs, window)",
+        "return _compare(gf(window).coeffs, rhs, window)",
+        "return _compare(rhs, gf(window).coeffs, window)",
         (IDENTITIES + "test_failing_comparison_is_reported_not_raised",),
     ),
     Mutant(
@@ -306,45 +305,45 @@ MUTANTS = [
         (ORDER_LIMIT,),
     ),
     Mutant(
-        # a call that a kept sum answers is then never refused: the order is
-        # checked only where a miss asks its family store
-        "sum-key-skips-the-order-limit",
+        # a call that a kept check answers is then never refused: the order
+        # is checked only where a miss asks its family store
+        "check-key-skips-the-order-limit",
         "store",
         "identities.py",
-        "tag, _, order, _ = _store_request(identity, request)",
-        "tag, _, order, _ = request",
+        "return (tag, k), _build_order(identity, order) - ",
+        "return (tag, k), order - ",
         (ORDER_LIMIT + "[verify --target cor-a --k 4 --j 2]",),
     ),
     Mutant(
-        # every undoctored sum of one family is the same series, so only a
-        # doctored member or the store's counts show it
-        "theorem-sum-covers-another-k",
+        # every undoctored check of one family passes, so only a doctored
+        # member or the store's counts show it
+        "check-slot-covers-another-k",
         "store",
         "identities.py",
-        "kept[1] == key[1] and ",
-        "",
+        "return (tag, k), _build_order(",
+        "return tag, _build_order(",
         (
-            KEPT_SUMS,
-            IDENTITIES + "test_a_kept_sum_reports_a_doctored_member_as_a_cold_call_does",
+            KEPT_CHECKS,
+            IDENTITIES + "test_a_kept_check_reports_a_doctored_member_as_a_cold_call_does",
         ),
     ),
     Mutant(
-        # every report stays the same; only the work the sum store does shows it
-        "theorem-sum-misses-its-own-window",
+        # every report stays the same; only the work the check store does shows it
+        "check-misses-its-own-window",
         "store",
         "identities.py",
-        "kept[2] >= key[2]",
-        "kept[2] > key[2]",
-        (SUM_LEDGER + "[identity-sweep seed 1]", KEPT_SUMS),
+        "_check_key, operator.ge,",
+        "_check_key, operator.gt,",
+        (CHECK_LEDGER + "[identity-sweep seed 1]", KEPT_CHECKS),
     ),
     Mutant(
-        # every report stays the same; only the work the sum store does shows it
-        "theorem-sum-key-not-rounded",
+        # every report stays the same; only the work the check store does shows it
+        "theorem-check-key-not-rounded",
         "store",
         "identities.py",
-        "return tag, k, order - _lowval(k, _FAMILIES[tag][0])",
-        "return tag, k, request[2] - _lowval(k, _FAMILIES[tag][0])",
-        (SUM_LEDGER + "[identity-sweep seed 1]", KEPT_SUMS),
+        "_build_order(identity, order) - _lowval",
+        '_build_order("cor", order) - _lowval',
+        (CHECK_LEDGER + "[identity-sweep seed 1]", KEPT_CHECKS),
     ),
     Mutant(
         # every report stays the same; only the work the stores do shows it
@@ -356,13 +355,23 @@ MUTANTS = [
         (LEDGER + "[deep-window seed 1]", LEDGER + "[cor-a(100,2)]"),
     ),
     Mutant(
-        # a sum of the A family would answer a C call of the same k
-        "sum-covers-ignores-the-family",
+        # a check of the A family would answer a C call of the same k
+        "check-slot-ignores-the-family",
         "store",
         "identities.py",
-        " and kept[0] == key[0]",
+        "return (tag, k), _build_order(",
+        "return k, _build_order(",
+        (KEPT_CHECKS, IDENTITIES + "test_a_hit_reads_no_series_and_compares_nothing"),
+    ),
+    Mutant(
+        # a check that reaches past the call's window reports a mismatch the
+        # call never compares
+        "kept-mismatch-not-cut-to-the-window",
+        "store",
+        "identities.py",
+        "    if mm is not None and mm.exponent > window:\n        mm = None\n",
         "",
-        (KEPT_SUMS, IDENTITIES + "test_a_kept_sum_reports_what_a_cold_call_does"),
+        (IDENTITIES + "test_a_kept_mismatch_past_the_window_is_not_reported",),
     ),
     Mutant(
         "order-limit-one-too-high",

@@ -842,8 +842,8 @@ def test_a_verifier_sweep_builds_fewer_families_by_rounding_theorem_requests(mon
         return stores[tag](K, order, lowest=lowest)
 
     monkeypatch.setattr(identities, "_serve", exact)
-    # each member sum is built afresh from its exact request, not kept
-    monkeypatch.setattr(identities, "_member_sum", identities._member_sum_uncached)
+    # each check is made afresh from its exact request, not kept
+    monkeypatch.setattr(identities, "_first_mismatch", identities._first_mismatch_uncached)
     exact_reports = _sweep(random.Random(26))
     assert [r.to_json_dict() | {"elapsed_ms": 0} for r in exact_reports] == [
         r.to_json_dict() | {"elapsed_ms": 0} for r in reports

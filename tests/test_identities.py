@@ -190,8 +190,8 @@ def test_a_member_nonzero_below_its_floor_is_reported(target, verify, args, m, e
         return MacmahonFamily(fam.family, tuple(rows), order, K, lowest)
 
     monkeypatch.setattr(identities, name, doctored)
-    # the clean call kept its member sum; the doctored one must build again
-    identities._member_sum.cache_clear()
+    # the clean call kept its check; the doctored one must build again
+    identities._first_mismatch.cache_clear()
     report = verify(*args)
     k = args[0]
     if target.endswith("a"):
@@ -243,8 +243,8 @@ def test_family_order_is_the_highest_order_each_verifier_builds(monkeypatch):
                 for N in (1, 3, 7, 20, 45):
                     requested.clear()
                     families.clear()
-                    # a kept member sum would answer without a request
-                    identities._member_sum.cache_clear()
+                    # a kept check would answer without a request
+                    identities._first_mismatch.cache_clear()
                     try:
                         assert verify(k, j, N).passed
                     except ValueError as exc:
@@ -270,11 +270,12 @@ def test_family_order_is_the_highest_order_each_verifier_builds(monkeypatch):
     assert checked > 1000
 
 
-# -- kept member sums --------------------------------------------------------------------
+# -- kept checks ------------------------------------------------------------------------
 
 def _clear_stores():
     for store in (
-        compute_A_family, compute_C_family, p3_series, overpartition_series, identities._member_sum
+        compute_A_family, compute_C_family, p3_series, overpartition_series,
+        identities._first_mismatch,
     ):
         store.cache_clear()
 
@@ -283,32 +284,84 @@ def _fields(report):
     return report.to_json_dict() | {"elapsed_ms": None}
 
 
-def test_member_sums_are_kept_per_family_and_k():
-    # one sum per (family, k), keyed by the window of the build its call asks
-    # for: a theorem window that rounds alike hits, and so do a corollary and
-    # a limit window inside a kept one; another k or family misses, a longer
-    # window drops the sums it covers, and the store keeps at most 32
-    store = identities._member_sum
+def test_checks_are_kept_per_family_and_k():
+    # one check per (family, k), keyed by the window of the build its call
+    # asks for: a theorem window that rounds alike hits, and so do a
+    # corollary and a limit window inside a kept one; another k or family
+    # misses, a longer window replaces the kept check, and no family or k
+    # drops another's
+    store = identities._first_mismatch
     verify_theorem_A(0, 100)
     verify_theorem_A(0, 110)  # both round to order 128
     verify_theorem_A(0, 90)
     verify_corollary_A(0, 4)  # the window 0..14
     verify_limit_A(0, 3)  # the window 0..0
-    assert store.cache_info() == (4, 1, 32, 1)
-    verify_corollary_C(0, 2)  # the A sum of k = 0 does not answer C
+    assert store.cache_info() == (4, 1, 1, 1)
+    verify_corollary_C(0, 2)  # the A check of k = 0 does not answer C
     verify_limit_C(0, 5)  # inside the corollary's window 0..8
     verify_corollary_A(1, 0)
-    assert store.cache_info() == (5, 3, 32, 3)
-    verify_theorem_C(0, 50)  # reaches past the kept C sum, which it drops
+    assert store.cache_info() == (5, 3, 1, 3)
+    verify_theorem_C(0, 50)  # reaches past the kept C check, which it replaces
     verify_theorem_A(0, 200)
-    assert store.cache_info() == (5, 5, 32, 3)
+    assert store.cache_info() == (5, 5, 1, 3)
+    # 40 values of k keep 40 checks of C: 39 new ones beside k = 0's
     for k in range(40):
         verify_theorem_C(k, 0)
-    assert store.cache_info().currsize == 32
+    assert store.cache_info() == (6, 44, 1, 42)
+    for k in range(40):
+        verify_theorem_C(k, 0)
+    assert store.cache_info() == (46, 44, 1, 42)
+
+
+def test_a_hit_reads_no_series_and_compares_nothing(monkeypatch):
+    # once a call of a family and k has missed, a shorter call of any of its
+    # verifiers is answered by the kept check alone: no generating-function
+    # call, no compare and no family store request.  The kept C check of
+    # k = 3 reaches further than the A call of k = 3 but does not answer it
+    calls = []
+
+    def counted(name):
+        real = getattr(identities, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("p3_series", "overpartition_series", "_compare", "compute_A_family",
+                 "compute_C_family"):
+        monkeypatch.setattr(identities, name, counted(name))
+    for tag, theorem, corollary, limit in (
+        ("C", verify_theorem_C, verify_corollary_C, verify_limit_C),
+        ("A", verify_theorem_A, verify_corollary_A, verify_limit_A),
+    ):
+        assert theorem(3, 120).passed
+        assert calls, tag
+        calls.clear()
+        k_floor = 6 if tag == "A" else 9  # the valuation of member 3
+        for report in (theorem(3, 120), theorem(3, 40), theorem(3, 0), corollary(3, 4),
+                       limit(3, k_floor), limit(3, 200)):
+            assert report.passed
+        assert calls == [], tag
+
+
+def test_a_kept_mismatch_past_the_window_is_not_reported(monkeypatch):
+    # thm-a for k = 1 at N = 60 builds order 64, the window 0..63 rounded up
+    # from 0..60; member 1 doctored at q^63, 62 in the window, fails the
+    # build's check but lies past the call's own window, so the call passes.
+    # A later call whose window reaches it is answered by the kept check.
+    _doctor(monkeypatch, "A", 1, 63)
+    assert verify_theorem_A(1, 60).passed
+    assert identities._first_mismatch.cache_info()[:2] == (0, 1)
+    report = verify_theorem_A(1, 62)
+    assert identities._first_mismatch.cache_info()[:2] == (1, 1)
+    want = p3_series(62).coeffs[62]
+    assert report.first_mismatch == Mismatch(62, lhs=want, rhs=want + 1)
 
 
 def _random_calls(rng, n):
-    # (target, k, j, N) for every family verifier, k = 0..40 (more sums than
+    # (target, k, j, N) for every family verifier, k = 0..40 (more checks than
     # the store keeps), theorem windows N = 0..400; half the calls read an
     # earlier call's family and k through any of its verifiers, a theorem
     # on a window at most 40 shorter than the earlier call's N
@@ -332,13 +385,14 @@ def _random_calls(rng, n):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_a_kept_sum_reports_what_a_cold_call_does(seed):
+def test_a_kept_check_reports_what_a_cold_call_does(seed):
     # random calls of every family verifier; each report equals that of the
     # same call made with every store empty
     calls = _random_calls(random.Random(seed), 80)
     warm = [_fields(FAMILY_VERIFIERS[target](k, j, N)) for target, k, j, N in calls]
-    info = identities._member_sum.cache_info()
-    assert info.hits >= 20 and info.misses > info.maxsize, info
+    info = identities._first_mismatch.cache_info()
+    # some calls replaced the kept check of their family and k
+    assert info.hits >= 20 and info.misses > info.currsize, info
     cold = {}
     for call in set(calls):
         _clear_stores()
@@ -367,11 +421,11 @@ def _doctor(monkeypatch, tag, m, e):
 
 
 # (case, member doctored, the exponent it is doctored at, calls (target, k,
-# j, N), then the sum store's hits and misses after them).  The theorem
+# j, N), then the check store's hits and misses after them).  The theorem
 # cases make two misses at two k, then two hits inside their windows, and the
 # member is doctored just below its floor.  The corollary and limit cases
-# are answered by the kept theorem sum of their k, and read the member
-DOCTORED_SUMS = [
+# are answered by the kept theorem check of their k, and read the member
+DOCTORED_CHECKS = [
     (
         "thm-a", 3, 5,
         [("thm-a", 1, None, 60), ("thm-a", 2, None, 40), ("thm-a", 1, None, 25),
@@ -393,15 +447,17 @@ DOCTORED_SUMS = [
 ]
 
 
-@pytest.mark.parametrize("case,m,e,calls,counts", DOCTORED_SUMS, ids=[d[0] for d in DOCTORED_SUMS])
-def test_a_kept_sum_reports_a_doctored_member_as_a_cold_call_does(
+@pytest.mark.parametrize(
+    "case,m,e,calls,counts", DOCTORED_CHECKS, ids=[d[0] for d in DOCTORED_CHECKS]
+)
+def test_a_kept_check_reports_a_doctored_member_as_a_cold_call_does(
     case, m, e, calls, counts, monkeypatch
 ):
-    # the member is doctored before the first call, so a kept sum carries
+    # the member is doctored before the first call, so a kept check finds
     # it; a hit must then report the mismatch a cold call reports
     _doctor(monkeypatch, case[-1].upper(), m, e)
     warm = [_fields(FAMILY_VERIFIERS[target](k, j, N)) for target, k, j, N in calls]
-    assert identities._member_sum.cache_info()[:2] == counts
+    assert identities._first_mismatch.cache_info()[:2] == counts
     cold = []
     for target, k, j, N in calls:
         _clear_stores()
@@ -424,8 +480,8 @@ FAULTY_ABOVE = [
 def test_a_hit_reports_a_faulty_member_that_a_cold_call_never_reads(
     target, k, j, N, m, e, monkeypatch
 ):
-    # a kept theorem sum holds members above the ones a corollary or limit
-    # call reads; on a family whose member there is nonzero below its floor
+    # a kept theorem check covers members above the ones a corollary or
+    # limit call reads; on a family whose member there is nonzero below its floor
     # inside the call's window, a hit reports that member and a cold call,
     # which never reads it, passes
     _doctor(monkeypatch, "A", m, e)
@@ -435,7 +491,7 @@ def test_a_hit_reports_a_faulty_member_that_a_cold_call_never_reads(
     _clear_stores()
     assert not verify_theorem_A(k, 60).passed
     warm = verify(k, j, N)
-    assert identities._member_sum.cache_info()[:2] == (1, 1)
+    assert identities._first_mismatch.cache_info()[:2] == (1, 1)
     n, weight = e - k * (k + 1) // 2, math.comb(2 * m + 1, m + k + 1)
     want = p3_series(n).coeffs[n]
     assert warm.first_mismatch == Mismatch(n, lhs=want, rhs=want + weight)

@@ -104,13 +104,13 @@ def test_generating_functions_serve_prefixes_of_the_longest(cached, theta):
     for order in (10, 50, 0, 90, 30, 90):
         assert cached(order) == theta(order).invert(), order
     # two builds; the second covers the first, which is dropped
-    assert cached.cache_info() == (5, 2, 12, 1)
+    assert cached.cache_info() == (5, 2, 1, 1)
     # refused ahead of the lookup, so neither counts
     with pytest.raises(TypeError):
         cached(True)
     with pytest.raises(ValueError):
         cached(-1)
-    assert cached.cache_info() == (5, 2, 12, 1)
+    assert cached.cache_info() == (5, 2, 1, 1)
 
 
 # -- divisor sums -------------------------------------------------------------------

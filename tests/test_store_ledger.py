@@ -7,18 +7,18 @@ The stores decide from keys alone, so each sequence is replayed against the
 real `compute_A_family` and `compute_C_family` with their `_build` replaced
 by one that records (K, order, lowest) and returns a family of zero members
 of the right shape.  Nothing is folded.  A verifier call is replayed through
-`identities._serve` with its `family_request`, as a sum-store miss asks its
-family store, so a theorem request reaches the store rounded as it does in
+`identities._serve` with its `family_request`, as a miss of the store of
+checks asks its family store, so a theorem request reaches the store rounded as it does in
 a verifier.  Every figure but the request count is an upper bound: a
 change that raises one fails here, and a change that lowers one updates the
 ledger and says why in CHANGES.md.
 
-Every family verifier asks the store of member sums, `identities._member_sum`,
+Every family verifier asks the store of checks, `identities._first_mismatch`,
 first, and reaches the family stores only on its misses.  Its ledger replays
-their calls against it with `_build` replaced by one that returns an empty
-sum, and pins its misses as an upper bound and its hits as a lower one.
+their calls against it with `_build` replaced by one that returns no
+mismatch, and pins its misses as an upper bound and its hits as a lower one.
 The family-store ledger replays every call through `_serve`, as if each
-missed the sum store.
+missed the store of checks.
 """
 
 import functools
@@ -37,7 +37,7 @@ from macmahon.families import (
     compute_A_family,
     compute_C_family,
 )
-from macmahon.identities import _member_sum, _serve, family_request
+from macmahon.identities import _first_mismatch, _serve, family_request
 from macmahon.series import TruncatedSeries
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -172,50 +172,50 @@ def test_family_stores_do_no_more_work_than_the_ledger(name, monkeypatch):
     assert seen_widest <= widest, seen_widest
 
 
-def _sum_calls(ops):
-    # the sum store request of each family verifier call
+def _check_calls(ops):
+    # the request each family verifier call makes of the store of checks
     return [(op["target"], _request(op)) for op in ops if op["target"] != "divisor"]
 
 
-def _sum_sweep(tag, N):
-    return lambda: [_sum_calls([{"target": tag, "k": k, "N": N} for k in range(13)])]
+def _check_sweep(tag, N):
+    return lambda: [_check_calls([{"target": tag, "k": k, "N": N} for k in range(13)])]
 
 
-def _sum_identity_sweep(seed):
+def _check_identity_sweep(seed):
     run = workloads.identity_sweep(seed, 15)
-    return lambda: [_sum_calls(run.warmup + run.shards[0])]
+    return lambda: [_check_calls(run.warmup + run.shards[0])]
 
 
-def _sum_deep_window(seed):
+def _check_deep_window(seed):
     run = workloads.deep_window(seed, 15)
-    return lambda: [_sum_calls(run.warmup + shard) for shard in run.shards]
+    return lambda: [_check_calls(run.warmup + shard) for shard in run.shards]
 
 
-# sequence -> (its family verifier calls, one list per fresh sum store;
-# requests, misses, hits)
-SUM_LEDGER = {
-    "thm-a k=0..12 N=120": (_sum_sweep("thm-a", 120), 13, 13, 0),
-    "thm-c k=0..12 N=150": (_sum_sweep("thm-c", 150), 13, 13, 0),
-    "identity-sweep seed 1": (_sum_identity_sweep(1), 1792, 108, 1684),
-    "identity-sweep seed 2": (_sum_identity_sweep(2), 1792, 69, 1723),
-    "identity-sweep seed 3": (_sum_identity_sweep(3), 1792, 98, 1694),
-    "deep-window seed 1": (_sum_deep_window(1), 138, 119, 19),
-    "deep-window seed 2": (_sum_deep_window(2), 138, 120, 18),
-    "deep-window seed 3": (_sum_deep_window(3), 138, 118, 20),
+# sequence -> (its family verifier calls, one list per fresh store of
+# checks; requests, misses, hits)
+CHECK_LEDGER = {
+    "thm-a k=0..12 N=120": (_check_sweep("thm-a", 120), 13, 13, 0),
+    "thm-c k=0..12 N=150": (_check_sweep("thm-c", 150), 13, 13, 0),
+    "identity-sweep seed 1": (_check_identity_sweep(1), 1792, 108, 1684),
+    "identity-sweep seed 2": (_check_identity_sweep(2), 1792, 69, 1723),
+    "identity-sweep seed 3": (_check_identity_sweep(3), 1792, 98, 1694),
+    "deep-window seed 1": (_check_deep_window(1), 138, 119, 19),
+    "deep-window seed 2": (_check_deep_window(2), 138, 120, 18),
+    "deep-window seed 3": (_check_deep_window(3), 138, 118, 20),
 }
 
 
-@pytest.mark.parametrize("name", SUM_LEDGER)
-def test_member_sum_store_does_no_more_work_than_the_ledger(name, monkeypatch):
-    sequence, requests, misses, hits = SUM_LEDGER[name]
+@pytest.mark.parametrize("name", CHECK_LEDGER)
+def test_check_store_does_no_more_work_than_the_ledger(name, monkeypatch):
+    sequence, requests, misses, hits = CHECK_LEDGER[name]
     runs = sequence()
-    monkeypatch.setattr(_member_sum, "_build", lambda identity, request: ())
+    monkeypatch.setattr(_first_mismatch, "_build", lambda identity, request: None)
     seen_hits = seen_misses = 0
     for calls in runs:
-        _member_sum.cache_clear()
+        _first_mismatch.cache_clear()
         for call in calls:
-            _member_sum(*call)
-        info = _member_sum.cache_info()
+            _first_mismatch(*call)
+        info = _first_mismatch.cache_info()
         seen_hits, seen_misses = seen_hits + info.hits, seen_misses + info.misses
     assert sum(map(len, runs)) == requests
     assert seen_hits + seen_misses == requests
