@@ -3,9 +3,10 @@ and benchmarks.
 
 Exit status: 0 success (and verification passed), 1 verification mismatch,
 2 usage error, an --output path that cannot be written included.  A call
-that would build past the package's order limit (families.MAX_ORDER) exits 2
-before anything is built: compute, table and every bench size are checked
-up front, and a verifier, or the family store it asks, refuses its order.
+that would build past the package's order limit (partitions.MAX_ORDER)
+exits 2 before anything is built: compute, table and every bench size are
+checked up front, and a verifier, or the family store it asks, refuses its
+order.
 Coefficients are always emitted as decimal strings; they outgrow anything a
 JSON number can hold exactly almost immediately.
 """
@@ -22,7 +23,6 @@ from collections.abc import Container, Iterable
 # bound here, next to the generating functions and verifiers, because
 # perfbench/tracer.py wraps each layer at its name in this module
 from .families import (
-    _check_order,
     compute_A_family,
     compute_A_family_uncached,
     compute_C_family,
@@ -41,6 +41,7 @@ from .identities import (
     verify_theorem_C,
 )
 from .partitions import (
+    _check_order,
     jacobi_cube,
     overpartition_series,
     p3_series,

@@ -49,9 +49,9 @@ form, so checking them on its output would prove little: every verifier
 that reads a family, the two family stores, the `_uncached` functions and
 the bench run the fold.
 
-MAX_ORDER is the package's one order limit: both stores, the `_uncached`
-functions and `members` refuse an order above it with ValueError before they
-read a series or fold anything.
+The package's one order limit, partitions.MAX_ORDER, holds here too: both
+stores, the `_uncached` functions and `members` refuse an order above it
+with ValueError before they read a series or fold anything.
 
 The theta route's slots hold the dense series itself, so they are sized by
 the series they hold.  The fold's slots are sized by `_fold_bound_bits`,
@@ -76,7 +76,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .partitions import _lowval, _theta_row, overpartition_series, p3_series
+from .partitions import _check_order, _lowval, _theta_row, overpartition_series, p3_series
 from .series import (
     TruncatedSeries,
     _CoveringStore,
@@ -128,29 +128,13 @@ class MacmahonFamily(_Record):
         return self.members[k - self.lowest]
 
 
-# The highest truncation order any build reaches, above the order 10608 of
-# the deep k=100 corollary window.  It bounds the size of every coefficient
-# vector and packed integer, not time: a fold grows about 8x per doubling of
-# its order.
-MAX_ORDER = 20_000
-
-
-def _check_order(order: int) -> int:
-    # the package's one check of the order limit; returns the order
-    if order > MAX_ORDER:
-        raise ValueError(
-            f"this call builds truncation order {order}, above the order limit {MAX_ORDER}"
-        )
-    return order
-
-
 def _total_bound_bits(step: int, order: int) -> int:
     # The bit length of the family total's running maximum through the
     # order, T = (q^6;q^6)/((q;q)(q^2;q^2)(q^3;q^3)) for A and
     # (q^4;q^4)(q^6;q^6)^2/((q;q)(q^3;q^3)(q^12;q^12)) for C.  Both grow like
     # n^-alpha exp(pi*sqrt(c*n)), alpha from the eta quotient's weight; beta
     # is fitted on the exact total, so the closed form stays within one bit
-    # of it at every order up to MAX_ORDER.
+    # of it at every order up to the order limit.
     if order == 0:
         return 1
     c, alpha, beta = (10 / 9, 1.25, -3.3) if step == 1 else (5 / 9, 0.75, -2.6)
@@ -174,7 +158,7 @@ def _fold_bound_bits(step: int, order: int, lowest: int, top: int) -> int:
     #   the quotient in _total_bound_bits once 1+q^(3s) = (1-q^(6s))/(1-q^(3s))
     #   (for C, s odd, the same steps over odd s).  No series is read.  Its
     #   closed form is checked against the exact total at every order up to
-    #   MAX_ORDER, above which no build goes.
+    #   the order limit, above which no build goes.
     # - The prefix sum.  A_k(lowval(k)+d) <= sum_{j<=d} [q^j] P_k, P_k =
     #   prod_{i<=k} (1-q^i)^-3.  Write the parts as s_i = i + t_i with t
     #   non-decreasing, and read the weight prod m_i as marking one copy of
@@ -420,8 +404,8 @@ def members(family: str, ks, order: int) -> tuple[TruncatedSeries, ...]:
     slot of member k against `_fold_bound_bits`, the bound of a fold of
     members k..k, so a slot too narrow for its coefficient raises
     ArithmeticError.  A member whose valuation floor lies above the order is
-    the zero series.  An order above MAX_ORDER raises ValueError before the
-    dense series is read.
+    the zero series.  An order above the order limit raises ValueError
+    before the dense series is read.
 
     These formulas are the binomial inverse of the identities the verifiers
     check, so the verifiers never use this route; they read the fold.

@@ -27,36 +27,34 @@ and a window:
 family_request(identity, k, j, N) names what a verifier reads, (tag, K,
 order, lowest): members k..K through the order, where each identity sets
 the order and K is the top member that can be nonzero at it.  The verifier
-derives its window and terms_used from it.  A corollary or limit verifier
-asks its family store for exactly that; a theorem verifier asks for a
-rounded build that covers it: the order rounded up to a multiple of 32 and
-kept within the order limit, the lowest member rounded down to an even one,
-and every member that can be nonzero at that order.  Theorem orders change
-only a little from one k to the next, so a sweep over k builds a few
-families and reads the rest out of them.  An order above the package's
-order limit (families.MAX_ORDER) is refused with ValueError on every call,
-before anything is built or read, the exact order before a rounded one, and
-family_request refuses a limit order below its window's floor with
-OrderBelowFloor.
+derives its window and terms_used from it; a limit order below the window's
+floor raises OrderBelowFloor.
 
-Every family verifier reads its check from one store, which keeps one per
-family and k.  A check compares p3 or overp with the member sum of the whole
-build its call asks its family store for, on that build's window, and keeps
-only the first mismatch, or None.  For one family and k the sum is one
-series, and each window cuts it short, so a kept check answers every call of
-its family and k whose window it reaches, whichever verifier asks: the call
-drops a mismatch past its own window, as comparing the two prefixes would.
-A longer window replaces the kept check, and a hit reads no series and
-compares nothing.  theorem_rhs cuts a fresh sum short and keeps none, so a
-longer sum cut short and a shorter one are built apart when compared.
+_build_request names the build whose check answers the call, (tag, k,
+order, lowest).  It refuses an order above the order limit
+(partitions.MAX_ORDER) with ValueError on every call, before anything is
+read.  A corollary or limit call's build is its request.  A theorem call's
+has the order rounded up to a multiple of 32 within the limit and the
+lowest member rounded down to even, so a sweep over k, whose orders change
+little, builds a few families and reads the rest out of them.
+
+The store of checks keeps one check per family and k, in the slot (tag, k)
+under the build's order.  A miss asks the family store for every member of
+the build that can be nonzero at its order, compares p3 or overp with the
+member sum from k up on the build's window, that order lowered by lowval(k),
+and keeps the first mismatch, or None.  For one family and k the sum is one
+series, so a kept check answers every call of its family and k whose window
+it reaches, whichever verifier asks; the call drops a mismatch past its own
+window, as comparing the two prefixes would.  A longer window replaces the
+kept check, and a hit reads no series and compares nothing.
 
 Member m is zero below its floor, lowval(m) - lowval(k), and the sum reads
 it from there; one that is not is read in full, so the comparison reports
-where.  A kept check covers every member its build reaches, which can be
-more than a later call's own build holds.  On correct families no report
-depends on which call made the check; on a faulty one a hit, say a corollary
-or limit call answered by a theorem's check, can report a member above its
-own, nonzero below its floor in its window, that a cold call never reads.
+where.  Such a member can lie above a later call's own build, so a check
+that read one is returned but not kept.  A kept check then answers a call
+as a cold call would, since each member above the call's own is zero below
+its floor, which lies past the call's window: on any family, correct or
+faulty, no report depends on which calls came before it.
 
 The divisor verifier makes no store request.  It reads members 1 and 2 of A
 from the power sums of the product's factors, by Newton's identity, and
@@ -73,21 +71,20 @@ import operator
 import time
 from collections.abc import Sequence
 
-from . import families
+from . import partitions
 from .families import (
     MacmahonFamily,
-    _check_order,
     _packed_square,
     _top_member,
     compute_A_family,
     compute_C_family,
 )
-from .partitions import _divisor_sums, _lowval, overpartition_series, p3_series
+from .partitions import _check_order, _divisor_sums, _lowval, overpartition_series, p3_series
 
 # sigma serves no verifier; it stays bound here because perfbench/tracer.py
 # wraps macmahon.identities.sigma
 from .partitions import sigma
-from .series import TruncatedSeries, _check_param, _CoveringStore, _Record, _setfield
+from .series import _check_param, _CoveringStore, _Record, _setfield
 
 
 class Mismatch(_Record):
@@ -207,89 +204,81 @@ def family_request(
 _ORDER_GRID = 32
 
 
-def _build_order(identity: str, order: int) -> int:
-    """The order `identity`'s family store builds for its family_request's
-    order, for a theorem rounded up to the grid within the order limit.  The
-    exact order is refused first, so an error names it."""
+def _build_request(identity: str, request: tuple) -> tuple[str, int, int, int]:
+    """The build whose check answers `identity`'s family_request, (tag, k,
+    order, lowest): for a theorem the order rounded up to the grid within
+    the order limit and the lowest member rounded down to even.  The exact
+    order is refused first, so an error names it, and a call that a kept
+    check answers is refused too."""
+    tag, _, order, k = request
+    lowest = k
     _check_order(order)
     if identity.startswith("thm"):
-        order = min(-(-order // _ORDER_GRID) * _ORDER_GRID, families.MAX_ORDER)
-    return order
-
-
-def _serve(identity: str, request: tuple[str, int, int, int]) -> MacmahonFamily:
-    """The family `identity`'s store serves its build from: every member
-    nonzero at the build's order from k up, for a theorem from k - k % 2."""
-    tag, _, order, lowest = request
-    order = _build_order(identity, order)
-    if identity.startswith("thm"):
+        order = min(-(-order // _ORDER_GRID) * _ORDER_GRID, partitions.MAX_ORDER)
         lowest -= lowest % 2
-    K = _top_member(_FAMILIES[tag][0], order, order)
-    store = compute_A_family if tag == "A" else compute_C_family
-    return store(K, order, lowest=lowest)
+    return tag, k, order, lowest
 
 
-def _lowered_sum(fam: MacmahonFamily, k: int) -> list[int]:
+def _lowered_sum(fam: MacmahonFamily, k: int) -> tuple[list[int], bool]:
     """Coefficients 0..window of the sum of w(m, k) times member m lowered by
     q^lowval(k), over every member m >= k of `fam`; the window ends at the
-    family's order lowered the same."""
+    family's order lowered the same; and False if some member was read in
+    full, being nonzero below its floor."""
     step, weight = _FAMILIES[fam.family]
     shift = _lowval(k, step)
     window = fam.truncation_order - shift
     out = [0] * (window + 1)
+    clean = True
     floor = 0  # lowval(m) - lowval(k): member m is zero below it
     for m in range(k, fam.degree_cap + 1):
         w = weight(m, k)
         cs = fam.member(m).coeffs
+        start = floor
         # a member that is not zero below its floor is read in full, so the
         # comparison reports where it is not
-        start = 0 if floor and any(cs[shift : shift + floor]) else floor
+        if floor and any(cs[shift : shift + floor]):
+            start, clean = 0, False
         for n in range(start, window + 1):
             c = cs[n + shift]
             if c:
                 out[n] += w * c
         floor += 1 + step * m
-    return out
+    return out, clean
 
 
-def _check_key(identity: str, request: tuple[str, int, int, int]) -> tuple[tuple[str, int], int]:
-    # kept in the slot of its family and k under its build's window; the
-    # order is refused here, so a hit refuses it too
-    tag, _, order, k = request
-    return (tag, k), _build_order(identity, order) - _lowval(k, _FAMILIES[tag][0])
+class _Unkept(Exception):
+    """Raised by a miss of the store of checks with a check it must return
+    but not keep; a store keeps nothing its build raises."""
 
 
-def _first_mismatch_uncached(identity: str, request: tuple[str, int, int, int]) -> Mismatch | None:
+def _check_key(build: tuple[str, int, int, int]) -> tuple[tuple[str, int], int]:
+    # kept in the slot of its family and k under its build's order, which
+    # within a slot orders builds as their windows do
+    tag, k, order, _ = build
+    return (tag, k), order
+
+
+def _first_mismatch_uncached(build: tuple[str, int, int, int]) -> Mismatch | None:
     """The first mismatch of p3 or overp with the sum of every member from k
-    up of the build `identity`'s family_request asks for, on its window."""
-    fam = _serve(identity, request)
-    rhs = _lowered_sum(fam, request[3])
+    up of the build, on its window: members lowest..K through the order, K
+    the top member that can be nonzero there."""
+    tag, k, order, lowest = build
+    store = compute_A_family if tag == "A" else compute_C_family
+    K = _top_member(_FAMILIES[tag][0], order, order)
+    rhs, clean = _lowered_sum(store(K, order, lowest=lowest), k)
     window = len(rhs) - 1
-    gf = p3_series if fam.family == "A" else overpartition_series
-    return _compare(gf(window).coeffs, rhs, window)
+    gf = p3_series if tag == "A" else overpartition_series
+    mm = _compare(gf(window).coeffs, rhs, window)
+    if not clean:
+        # a member read in full may lie above a later call's own build
+        raise _Unkept(mm)
+    return mm
 
 
 # one check per family and k answers every window it reaches
 _first_mismatch = _CoveringStore(
     _first_mismatch_uncached, _check_key, operator.ge, lambda value, key: value, 1
 )
-
-
-def theorem_rhs(tag: str, k: int, order: int) -> tuple[TruncatedSeries, int]:
-    """The member sum of the main identity for family `tag` ("A" or "C") and
-    k on the window 0..order, and the number of members that reach it."""
-    _check_param("k", k)
-    _check_param("order", order)
-    identity = f"thm-{tag.lower()}"
-    request = family_request(identity, k, None, order)
-    # a fresh sum, never kept, so two calls compare sums built apart
-    rhs = _lowered_sum(_serve(identity, request), k)[: order + 1]
-    return TruncatedSeries(tuple(rhs), order), request[1] - k + 1
-
-
-def corollary_weights(tag: str, k: int, j: int) -> list[int]:
-    weight = _FAMILIES[tag][1]
-    return [weight(m, k) for m in range(k, k + j + 1)]
 
 
 def _verify(identity: str, k: int, j: int | None, order: int | None) -> VerificationReport:
@@ -299,7 +288,10 @@ def _verify(identity: str, k: int, j: int | None, order: int | None) -> Verifica
     t0 = time.perf_counter()
     request = tag, K, top, _ = family_request(identity, k, j, order)
     window = top - _lowval(k, _FAMILIES[tag][0])
-    mm = _first_mismatch(identity, request)
+    try:
+        mm = _first_mismatch(_build_request(identity, request))
+    except _Unkept as unkept:
+        mm = unkept.args[0]
     # the check may reach past the window; a mismatch there is not this call's
     if mm is not None and mm.exponent > window:
         mm = None

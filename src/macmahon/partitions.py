@@ -9,8 +9,12 @@ dense form.  The two generating functions the identity verifiers target are
 produced by inverting them (O(sqrt N) nonzero terms), which keeps the
 inversion recurrence cheap.  Each is a covering store (series.py) keeping
 the longest series it has inverted, whose prefixes answer shorter orders
-exactly.  The test suite checks both theta expansions against their
-infinite-product forms, built from plain coefficient lists (tests/oracles.py).
+exactly.  MAX_ORDER is the package's one order limit: these two stores,
+the family stores and builds and `members` (families.py), and every
+verifier refuse an order above it with ValueError before they invert, fold
+or read anything.  The test suite checks both theta expansions against
+their infinite-product forms, built from plain coefficient lists
+(tests/oracles.py).
 
 The brute-force counters at the bottom enumerate partitions directly
 (decreasing part size, then a multiplicity loop per size) and are the ground
@@ -69,10 +73,27 @@ def theta_square(order: int) -> TruncatedSeries:
     return _dense_row_zero(2, order)
 
 
+# The highest truncation order any series or family build reaches, above
+# the order 10608 of the deep k=100 corollary window.  It bounds the size of
+# every coefficient vector and packed integer, not time: a fold grows about
+# 8x per doubling of its order.
+MAX_ORDER = 20_000
+
+
+def _check_order(order: int) -> int:
+    # the package's one check of the order limit; returns the order
+    if order > MAX_ORDER:
+        raise ValueError(
+            f"this call builds truncation order {order}, above the order limit {MAX_ORDER}"
+        )
+    return order
+
+
 def _series_key(order: int) -> tuple[None, int]:
-    # a generating-function store has one slot, and a request's key is its order
+    # a generating-function store has one slot, and a request's key is its
+    # order; an order above the limit is refused before anything is inverted
     _check_param("truncation order", order)
-    return None, order
+    return None, _check_order(order)
 
 
 # a kept series serves every order up to its own with a prefix; a miss is

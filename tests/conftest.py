@@ -6,9 +6,9 @@ outcome."""
 
 import pytest
 
-from macmahon.families import MAX_ORDER, compute_A_family, compute_C_family
+from macmahon.families import compute_A_family, compute_C_family
 from macmahon.identities import _first_mismatch
-from macmahon.partitions import overpartition_series, p3_series
+from macmahon.partitions import MAX_ORDER, overpartition_series, p3_series
 
 STORES = (compute_A_family, compute_C_family, p3_series, overpartition_series, _first_mismatch)
 

@@ -11,7 +11,9 @@ For each mutant the runner copies src/ to a temporary directory, applies
 the change there and runs the mutant's killers with `pytest -x` against the
 copy; the working tree is never touched.  It exits 1 if a mutant survives
 or an old text does not occur exactly once, and 0 otherwise.  Tier-1 does
-not collect this file (it is not named test_*).
+not collect this file (it is not named test_*), but
+tests/test_mutant_catalogue.py checks the catalogue and every old text
+there without running a mutant.
 
 Each mutant has a kind.  A "fold", "theta" or "bound" mutant changes a
 route the verifiers' identities were derived from, or the bounds its slots
@@ -77,9 +79,9 @@ IDENTITIES = "tests/test_identities.py::"
 PARTITIONS = "tests/test_partitions.py::"
 
 FAMILY_ORDER = IDENTITIES + "test_family_order_is_the_highest_order_each_verifier_builds"
-LEDGER = "tests/test_store_ledger.py::test_family_stores_do_no_more_work_than_the_ledger"
-CHECK_LEDGER = "tests/test_store_ledger.py::test_check_store_does_no_more_work_than_the_ledger"
+LEDGER = "tests/test_store_ledger.py::test_stores_do_no_more_work_than_the_ledger"
 KEPT_CHECKS = IDENTITIES + "test_checks_are_kept_per_family_and_k"
+DOCTORED_SWEEP = IDENTITIES + "test_a_warm_report_equals_a_cold_one_on_doctored_families"
 ORDER_LIMIT = "tests/test_cli.py::test_order_limit_applies_to_the_order_each_call_builds"
 
 MUTANTS = [
@@ -219,8 +221,8 @@ MUTANTS = [
         "lhs-and-rhs-swapped",
         "verifier",
         "identities.py",
-        "return _compare(gf(window).coeffs, rhs, window)",
-        "return _compare(rhs, gf(window).coeffs, window)",
+        "_compare(gf(window).coeffs, rhs, window)",
+        "_compare(rhs, gf(window).coeffs, window)",
         (IDENTITIES + "test_failing_comparison_is_reported_not_raised",),
     ),
     Mutant(
@@ -229,7 +231,7 @@ MUTANTS = [
         "identities.py",
         "store(K, order, lowest=lowest)",
         "store(K, order + 1, lowest=lowest)",
-        (FAMILY_ORDER, IDENTITIES + "test_limit_A_examples"),
+        (FAMILY_ORDER, LEDGER + "[cor-a(20,2)]"),
     ),
     Mutant(
         "divisor-never-reports-member-2",
@@ -285,7 +287,7 @@ MUTANTS = [
         "identities.py",
         "-(-order // _ORDER_GRID) * _ORDER_GRID",
         "order // _ORDER_GRID * _ORDER_GRID",
-        (FAMILY_ORDER, IDENTITIES + "test_theorem_A_passes"),
+        (FAMILY_ORDER, LEDGER + "[identity-sweep seed 1]", DOCTORED_SWEEP),
     ),
     Mutant(
         "theorem-lowest-rounded-up",
@@ -293,7 +295,7 @@ MUTANTS = [
         "identities.py",
         "lowest -= lowest % 2",
         "lowest += lowest % 2",
-        (FAMILY_ORDER, IDENTITIES + "test_theorem_A_passes"),
+        (FAMILY_ORDER, IDENTITIES + "test_theorem_A_passes", LEDGER + "[thm-a k=0..12 N=120]"),
     ),
     Mutant(
         # the rounded order is kept within the limit, so it is never refused
@@ -310,8 +312,8 @@ MUTANTS = [
         "check-key-skips-the-order-limit",
         "store",
         "identities.py",
-        "return (tag, k), _build_order(identity, order) - ",
-        "return (tag, k), order - ",
+        "    _check_order(order)\n    if identity",
+        "    if identity",
         (ORDER_LIMIT + "[verify --target cor-a --k 4 --j 2]",),
     ),
     Mutant(
@@ -320,12 +322,9 @@ MUTANTS = [
         "check-slot-covers-another-k",
         "store",
         "identities.py",
-        "return (tag, k), _build_order(",
-        "return tag, _build_order(",
-        (
-            KEPT_CHECKS,
-            IDENTITIES + "test_a_kept_check_reports_a_doctored_member_as_a_cold_call_does",
-        ),
+        "return (tag, k), order\n",
+        "return tag, order\n",
+        (KEPT_CHECKS, LEDGER + "[thm-a k=0..12 N=120]", DOCTORED_SWEEP),
     ),
     Mutant(
         # every report stays the same; only the work the check store does shows it
@@ -334,16 +333,7 @@ MUTANTS = [
         "identities.py",
         "_check_key, operator.ge,",
         "_check_key, operator.gt,",
-        (CHECK_LEDGER + "[identity-sweep seed 1]", KEPT_CHECKS),
-    ),
-    Mutant(
-        # every report stays the same; only the work the check store does shows it
-        "theorem-check-key-not-rounded",
-        "store",
-        "identities.py",
-        "_build_order(identity, order) - _lowval",
-        '_build_order("cor", order) - _lowval',
-        (CHECK_LEDGER + "[identity-sweep seed 1]", KEPT_CHECKS),
+        (LEDGER + "[identity-sweep seed 1]", KEPT_CHECKS),
     ),
     Mutant(
         # every report stays the same; only the work the stores do shows it
@@ -359,9 +349,13 @@ MUTANTS = [
         "check-slot-ignores-the-family",
         "store",
         "identities.py",
-        "return (tag, k), _build_order(",
-        "return k, _build_order(",
-        (KEPT_CHECKS, IDENTITIES + "test_a_hit_reads_no_series_and_compares_nothing"),
+        "return (tag, k), order\n",
+        "return k, order\n",
+        (
+            KEPT_CHECKS,
+            IDENTITIES + "test_a_hit_reads_no_series_and_compares_nothing",
+            LEDGER + "[identity-sweep seed 1]",
+        ),
     ),
     Mutant(
         # a check that reaches past the call's window reports a mismatch the
@@ -374,12 +368,29 @@ MUTANTS = [
         (IDENTITIES + "test_a_kept_mismatch_past_the_window_is_not_reported",),
     ),
     Mutant(
+        # a check whose sum read a member in full answers later calls, which
+        # then report a member their own build may not hold
+        "faulty-check-kept",
+        "store",
+        "identities.py",
+        "    if not clean:\n",
+        "    if False:\n",
+        (
+            DOCTORED_SWEEP,
+            IDENTITIES + "test_a_check_that_reads_a_member_in_full_is_not_kept",
+            "tests/test_report_corpus.py::test_warm_reports_match_the_corpus",
+        ),
+    ),
+    Mutant(
         "order-limit-one-too-high",
         "limit",
-        "families.py",
+        "partitions.py",
         "order > MAX_ORDER",
         "order > MAX_ORDER + 1",
-        (FAMILIES + "test_builds_past_the_order_limit_raise_before_anything_is_built",),
+        (
+            FAMILIES + "test_builds_past_the_order_limit_raise_before_anything_is_built",
+            PARTITIONS + "test_series_stores_refuse_an_order_past_the_limit",
+        ),
     ),
 ]
 

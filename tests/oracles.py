@@ -6,9 +6,13 @@ bounded-part recurrence, generating functions from explicit convolution,
 the differential recursion's products from one Kronecker multiplication on
 plain ints, overpartitions and multiplicity products from unpruned multiset
 enumeration.
-The one exception is `as_series`, a tool rather than an oracle: it wraps a
+The exceptions are tools rather than oracles.  `as_series` wraps a
 coefficient list in the library's series type for tests that hand one to the
-library.  `reference_fold` is a reference rather than an oracle: the
+library, and `doctored` wraps a family build so that it serves one member
+with one coefficient off.  `member_sum` and `identity_weights` read the sum
+and the weights of the identities through the library's own
+`identities._lowered_sum` and `identities._FAMILIES`, for tests that
+compare them with something else.  `reference_fold` is a reference rather than an oracle: the
 library's packed fold with the plainest loop bounds and its own slot layout,
 kept to check the library's tighter bounds, and `p2_bound_bits` gives it a
 slot width wider than any the library takes.
@@ -18,12 +22,55 @@ from __future__ import annotations
 
 from math import comb, log, pi, sqrt
 
+from macmahon.families import (
+    MacmahonFamily,
+    _top_member,
+    compute_A_family_uncached,
+    compute_C_family_uncached,
+)
+from macmahon.identities import _FAMILIES, _lowered_sum
+from macmahon.partitions import _lowval
 from macmahon.series import TruncatedSeries
 
 
 def as_series(coeffs: list[int], order: int) -> TruncatedSeries:
     """`coeffs` zero-padded to q^order as a TruncatedSeries."""
     return TruncatedSeries(tuple(coeffs) + (0,) * (order + 1 - len(coeffs)), order)
+
+
+def doctored(build, m: int, e: int):
+    """The family build `build(K, order, lowest=0)` with one added to member
+    m's coefficient at exponent e in every family that holds it that far."""
+
+    def serve(K, order, lowest=0):
+        fam = build(K, order, lowest=lowest)
+        if not lowest <= m <= K or e > order:
+            return fam
+        coeffs = list(fam.member(m).coeffs)
+        coeffs[e] += 1
+        rows = list(fam.members)
+        rows[m - lowest] = TruncatedSeries(tuple(coeffs), order)
+        return MacmahonFamily(fam.family, tuple(rows), order, K, lowest)
+
+    return serve
+
+
+def member_sum(tag: str, k: int, order: int) -> TruncatedSeries:
+    """The member sum of the identity for family `tag` ("A" or "C") and k on
+    the window 0..order: `_lowered_sum` over a fresh build of every member
+    from k up that reaches the window, so two calls sum builds made apart."""
+    step = _FAMILIES[tag][0]
+    top = order + _lowval(k, step)
+    build = compute_A_family_uncached if tag == "A" else compute_C_family_uncached
+    rhs, _ = _lowered_sum(build(_top_member(step, top, top), top, lowest=k), k)
+    return TruncatedSeries(tuple(rhs), order)
+
+
+def identity_weights(tag: str, k: int, j: int) -> list[int]:
+    """The weights w(m, k) of members k..k+j in the identity for family
+    `tag` and k."""
+    weight = _FAMILIES[tag][1]
+    return [weight(m, k) for m in range(k, k + j + 1)]
 
 
 def partition_counts(top: int) -> list[int]:

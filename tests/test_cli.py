@@ -12,6 +12,7 @@ import pytest
 import macmahon.cli as cli
 import macmahon.families as families
 import macmahon.identities as identities
+import macmahon.partitions as partitions
 from macmahon.cli import main
 from macmahon.families import compute_A_family_uncached, compute_C_family_uncached
 from macmahon.identities import Mismatch, VerificationReport
@@ -307,7 +308,7 @@ def test_cli_binds_every_layer_by_name():
 
 def test_order_limit_sits_above_every_documented_order():
     # the deep k=100 corollary windows build orders 5355 and 10608
-    assert families.MAX_ORDER > 10608
+    assert partitions.MAX_ORDER > 10608
 
 
 # (a command line without its --N, the valuation its family's order adds to N)
@@ -330,7 +331,7 @@ def test_order_past_the_limit_exits_two(argv, shift, monkeypatch, capsys):
     # before anything is built: compute and table check the order up front,
     # and the family store a verifier asks refuses it
     built = _refuse_to_build(monkeypatch, family_stores=False)
-    limit = families.MAX_ORDER
+    limit = partitions.MAX_ORDER
     assert main(argv + ["--N", str(limit + 1 - shift)]) == 2
     err = f"error: this call builds truncation order {limit + 1}, above the order limit {limit}\n"
     assert capsys.readouterr() == ("", err)
@@ -356,9 +357,9 @@ BUILT_ORDERS = [
 
 @pytest.mark.parametrize("argv,order", BUILT_ORDERS, ids=[" ".join(a) for a, _ in BUILT_ORDERS])
 def test_order_limit_applies_to_the_order_each_call_builds(argv, order, monkeypatch, capsys):
-    monkeypatch.setattr(families, "MAX_ORDER", order)
+    monkeypatch.setattr(partitions, "MAX_ORDER", order)
     assert main(argv) == 0
-    monkeypatch.setattr(families, "MAX_ORDER", order - 1)
+    monkeypatch.setattr(partitions, "MAX_ORDER", order - 1)
     assert main(argv) == 2
     assert f"truncation order {order}, above the order limit {order - 1}" in capsys.readouterr().err
 
@@ -369,7 +370,7 @@ def test_order_limit_applies_to_the_order_each_call_builds(argv, order, monkeypa
 def test_cell_limit_sits_above_every_documented_grid():
     # the cap-12 family at the order limit; README, the acceptance bench and
     # perfbench stay at K = 12, N <= 500
-    assert cli.MAX_CELLS >= 13 * (families.MAX_ORDER + 1)
+    assert cli.MAX_CELLS >= 13 * (partitions.MAX_ORDER + 1)
 
 
 # (argv, the most cells (K+1)*(N+1) one table or bench row of the call builds)

@@ -15,7 +15,6 @@ import pytest
 
 import oracles
 from macmahon.families import (
-    MAX_ORDER,
     MacmahonFamily,
     _fold_bound_bits,
     _fold_packed,
@@ -34,8 +33,10 @@ from macmahon.families import (
 )
 import macmahon.families as families
 import macmahon.identities as identities
+import macmahon.partitions as partitions
 from macmahon.identities import family_request
 from macmahon.partitions import (
+    MAX_ORDER,
     jacobi_cube,
     mk_bruteforce,
     mk_odd_bruteforce,
@@ -838,10 +839,10 @@ def test_a_verifier_sweep_builds_fewer_families_by_rounding_theorem_requests(mon
         store.cache_clear()
 
     def exact(identity, request):
-        tag, K, order, lowest = request
-        return stores[tag](K, order, lowest=lowest)
+        tag, _, order, k = request
+        return tag, k, order, k
 
-    monkeypatch.setattr(identities, "_serve", exact)
+    monkeypatch.setattr(identities, "_build_request", exact)
     # each check is made afresh from its exact request, not kept
     monkeypatch.setattr(identities, "_first_mismatch", identities._first_mismatch_uncached)
     exact_reports = _sweep(random.Random(26))
@@ -1137,7 +1138,7 @@ def test_builds_past_the_order_limit_raise_before_anything_is_built(monkeypatch)
         lambda K, order: members("C", range(K + 1), order),
     ]
     for limit in (MAX_ORDER, 30):
-        monkeypatch.setattr(families, "MAX_ORDER", limit)
+        monkeypatch.setattr(partitions, "MAX_ORDER", limit)
         info = [store.cache_info() for store in stores]
         text = f"this call builds truncation order {limit + 1}, above the order limit {limit}"
         with monkeypatch.context() as mp:

@@ -12,8 +12,6 @@ import pytest
 
 import macmahon.identities as identities
 from macmahon.families import (
-    MAX_ORDER,
-    MacmahonFamily,
     _top_member,
     compute_A_family,
     compute_A_family_uncached,
@@ -23,9 +21,7 @@ from macmahon.identities import (
     Mismatch,
     OrderBelowFloor,
     VerificationReport,
-    corollary_weights,
     family_request,
-    theorem_rhs,
     verify_corollary_A,
     verify_corollary_C,
     verify_divisor_identities,
@@ -35,12 +31,15 @@ from macmahon.identities import (
     verify_theorem_C,
 )
 from macmahon.partitions import (
+    MAX_ORDER,
+    _lowval,
     mk_bruteforce,
     mk_odd_bruteforce,
     overpartition_series,
     p3_series,
 )
-from oracles import as_series
+import oracles
+from oracles import as_series, identity_weights, member_sum
 
 
 # family verifier target -> its verifier, called with (k, j, N)
@@ -89,7 +88,7 @@ def test_theorem_A_perturbed_weight_fails_at_k_plus_1():
     # exactly k+1, where that member's lowered expansion begins
     k, order = 2, 30
     shift = k * (k + 1) // 2
-    rhs, _ = theorem_rhs("A", k, order)
+    rhs = member_sum("A", k, order)
     fam = compute_A_family(k + 1, order + shift)
     lifted_next = [fam.members[k + 1].coeffs[n + shift] for n in range(order + 1)]
     perturbed = [rhs.coeffs[n] + lifted_next[n] for n in range(order + 1)]
@@ -101,7 +100,7 @@ def test_theorem_A_perturbed_weight_fails_at_k_plus_1():
 def test_theorem_C_dropped_term_fails_at_2k_plus_1():
     k, order = 3, 40
     shift = k * k
-    rhs, _ = theorem_rhs("C", k, order)
+    rhs = member_sum("C", k, order)
     fam = compute_C_family(k + 1, order + shift)
     w = math.comb(2 * (k + 1), (k + 1) + k)
     dropped = [
@@ -114,22 +113,22 @@ def test_theorem_C_dropped_term_fails_at_2k_plus_1():
 
 def test_truncation_soundness_of_theorem_sums():
     for k, small, big in [(0, 20, 35), (3, 25, 60)]:
-        rhs_small, _ = theorem_rhs("A", k, small)
-        rhs_big, _ = theorem_rhs("A", k, big)
+        rhs_small = member_sum("A", k, small)
+        rhs_big = member_sum("A", k, big)
         assert rhs_big.truncate(small) == rhs_small
-        rhs_small, _ = theorem_rhs("C", k, small)
-        rhs_big, _ = theorem_rhs("C", k, big)
+        rhs_small = member_sum("C", k, small)
+        rhs_big = member_sum("C", k, big)
         assert rhs_big.truncate(small) == rhs_small
 
 
 def test_adjacent_theorem_instances_agree():
     # both lowered sums equal the same generating function, so they agree
     # with each other exactly on the shared window
-    a1, _ = theorem_rhs("A", 1, 40)
-    a2, _ = theorem_rhs("A", 2, 40)
+    a1 = member_sum("A", 1, 40)
+    a2 = member_sum("A", 2, 40)
     assert a1 == a2
-    c1, _ = theorem_rhs("C", 1, 40)
-    c2, _ = theorem_rhs("C", 2, 40)
+    c1 = member_sum("C", 1, 40)
+    c2 = member_sum("C", 2, 40)
     assert c1 == c2
 
 
@@ -178,18 +177,10 @@ def test_a_member_nonzero_below_its_floor_is_reported(target, verify, args, m, e
     # of the member added to the right side
     name = "compute_A_family" if target.endswith("a") else "compute_C_family"
     real = getattr(identities, name)
+    member = real(m, e + 1).member(m).coeffs
+    assert member[e] == 0 and member[e + 1] > 0
     clean = verify(*args)
-
-    def doctored(K, order, lowest=0):
-        fam = real(K, order, lowest)
-        coeffs = list(fam.member(m).coeffs)
-        assert coeffs[e] == 0 and coeffs[e + 1] > 0
-        coeffs[e] += 1
-        rows = list(fam.members)
-        rows[m - lowest] = as_series(coeffs, order)
-        return MacmahonFamily(fam.family, tuple(rows), order, K, lowest)
-
-    monkeypatch.setattr(identities, name, doctored)
+    monkeypatch.setattr(identities, name, oracles.doctored(real, m, e))
     # the clean call kept its check; the doctored one must build again
     identities._first_mismatch.cache_clear()
     report = verify(*args)
@@ -285,8 +276,8 @@ def _fields(report):
 
 
 def test_checks_are_kept_per_family_and_k():
-    # one check per (family, k), keyed by the window of the build its call
-    # asks for: a theorem window that rounds alike hits, and so do a
+    # one check per (family, k), keyed by the order of the build its call
+    # names: a theorem window that rounds alike hits, and so do a
     # corollary and a limit window inside a kept one; another k or family
     # misses, a longer window replaces the kept check, and no family or k
     # drops another's
@@ -360,20 +351,20 @@ def test_a_kept_mismatch_past_the_window_is_not_reported(monkeypatch):
     assert report.first_mismatch == Mismatch(62, lhs=want, rhs=want + 1)
 
 
-def _random_calls(rng, n):
-    # (target, k, j, N) for every family verifier, k = 0..40 (more checks than
-    # the store keeps), theorem windows N = 0..400; half the calls read an
-    # earlier call's family and k through any of its verifiers, a theorem
-    # on a window at most 40 shorter than the earlier call's N
+def _random_calls(rng, n, targets=tuple(FAMILY_VERIFIERS), k_top=40, N_top=400):
+    # (target, k, j, N) for the targets, k = 0..k_top, theorem windows N =
+    # 0..N_top; half the calls read an earlier call's family and k through
+    # any of its verifiers, a theorem on a window at most 40 shorter than
+    # the earlier call's N
     calls = []
     for _ in range(n):
         if calls and rng.random() < 0.5:
             target, k, _, N = rng.choice(calls)
-            target = rng.choice([t for t in FAMILY_VERIFIERS if t[-1] == target[-1]])
-            N = rng.randint(max(0, N - 40), N) if N is not None else rng.randint(0, 400)
+            target = rng.choice([t for t in targets if t[-1] == target[-1]])
+            N = rng.randint(max(0, N - 40), N) if N is not None else rng.randint(0, N_top)
         else:
-            target = rng.choice(list(FAMILY_VERIFIERS))
-            k, N = rng.randint(0, 40), rng.randint(0, 400)
+            target = rng.choice(targets)
+            k, N = rng.randint(0, k_top), rng.randint(0, N_top)
         j = rng.randint(0, 4) if target.startswith("cor") else None
         if target.startswith("limit"):
             # from the valuation of member k up to past its window's end
@@ -386,8 +377,9 @@ def _random_calls(rng, n):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_a_kept_check_reports_what_a_cold_call_does(seed):
-    # random calls of every family verifier; each report equals that of the
-    # same call made with every store empty
+    # random calls of every family verifier, k = 0..40 (more checks than the
+    # store keeps); each report equals that of the same call made with every
+    # store empty
     calls = _random_calls(random.Random(seed), 80)
     warm = [_fields(FAMILY_VERIFIERS[target](k, j, N)) for target, k, j, N in calls]
     info = identities._first_mismatch.cache_info()
@@ -402,46 +394,35 @@ def test_a_kept_check_reports_what_a_cold_call_does(seed):
 
 
 def _doctor(monkeypatch, tag, m, e):
-    # every build of family tag that holds member m holds it with one added
-    # to its coefficient at exponent e
+    # every build of family tag that holds member m through exponent e holds
+    # it with one added to its coefficient there
     name = f"compute_{tag}_family"
-    real = getattr(identities, name)
-
-    def doctored(K, order, lowest=0):
-        fam = real(K, order, lowest)
-        if not lowest <= m <= K:
-            return fam
-        coeffs = list(fam.member(m).coeffs)
-        coeffs[e] += 1
-        rows = list(fam.members)
-        rows[m - lowest] = as_series(coeffs, order)
-        return MacmahonFamily(fam.family, tuple(rows), order, K, lowest)
-
-    monkeypatch.setattr(identities, name, doctored)
+    monkeypatch.setattr(identities, name, oracles.doctored(getattr(identities, name), m, e))
 
 
 # (case, member doctored, the exponent it is doctored at, calls (target, k,
-# j, N), then the check store's hits and misses after them).  The theorem
-# cases make two misses at two k, then two hits inside their windows, and the
-# member is doctored just below its floor.  The corollary and limit cases
-# are answered by the kept theorem check of their k, and read the member
+# j, N), then the check store's hits and misses after them).  In the theorem
+# and corollary cases the member is doctored just below its floor, so every
+# call reads it in full, keeps no check and misses.  In the limit case it is
+# doctored above its floor: the theorem call keeps its check, which answers
+# the limit call
 DOCTORED_CHECKS = [
     (
         "thm-a", 3, 5,
         [("thm-a", 1, None, 60), ("thm-a", 2, None, 40), ("thm-a", 1, None, 25),
          ("thm-a", 2, None, 20)],
-        (2, 2),
+        (0, 4),
     ),
     (
         "thm-c", 2, 3,
         [("thm-c", 1, None, 50), ("thm-c", 0, None, 45), ("thm-c", 1, None, 20),
          ("thm-c", 0, None, 10)],
-        (2, 2),
+        (0, 4),
     ),
     (
         "cor-a", 3, 5,
         [("thm-a", 1, None, 60), ("cor-a", 1, 2, None), ("cor-a", 1, 3, None)],
-        (2, 1),
+        (0, 3),
     ),
     ("limit-c", 1, 3, [("thm-c", 1, None, 50), ("limit-c", 1, None, 9)], (1, 1)),
 ]
@@ -453,8 +434,8 @@ DOCTORED_CHECKS = [
 def test_a_kept_check_reports_a_doctored_member_as_a_cold_call_does(
     case, m, e, calls, counts, monkeypatch
 ):
-    # the member is doctored before the first call, so a kept check finds
-    # it; a hit must then report the mismatch a cold call reports
+    # the member is doctored before the first call, so every check sees it;
+    # each report must be the one a cold call gives
     _doctor(monkeypatch, case[-1].upper(), m, e)
     warm = [_fields(FAMILY_VERIFIERS[target](k, j, N)) for target, k, j, N in calls]
     assert identities._first_mismatch.cache_info()[:2] == counts
@@ -477,37 +458,64 @@ FAULTY_ABOVE = [
 
 
 @pytest.mark.parametrize("target,k,j,N,m,e", FAULTY_ABOVE, ids=[d[0] for d in FAULTY_ABOVE])
-def test_a_hit_reports_a_faulty_member_that_a_cold_call_never_reads(
-    target, k, j, N, m, e, monkeypatch
-):
-    # a kept theorem check covers members above the ones a corollary or
-    # limit call reads; on a family whose member there is nonzero below its floor
-    # inside the call's window, a hit reports that member and a cold call,
-    # which never reads it, passes
+def test_a_check_that_reads_a_member_in_full_is_not_kept(target, k, j, N, m, e, monkeypatch):
+    # a theorem check of k reads members above the ones a corollary or limit
+    # call of k reads.  On a family whose member there is nonzero below its
+    # floor, inside the call's window, the theorem reports that member; its
+    # check is not kept, so the later call misses and passes, as it does cold
     _doctor(monkeypatch, "A", m, e)
     verify = FAMILY_VERIFIERS[target]
-    cold = verify(k, j, N)
-    assert cold.passed
+    cold = _fields(verify(k, j, N))
+    assert cold["passed"]
     _clear_stores()
-    assert not verify_theorem_A(k, 60).passed
-    warm = verify(k, j, N)
-    assert identities._first_mismatch.cache_info()[:2] == (1, 1)
     n, weight = e - k * (k + 1) // 2, math.comb(2 * m + 1, m + k + 1)
     want = p3_series(n).coeffs[n]
-    assert warm.first_mismatch == Mismatch(n, lhs=want, rhs=want + weight)
-    fields = ("identity", "k", "j", "order", "terms_used")
-    assert [getattr(warm, f) for f in fields] == [getattr(cold, f) for f in fields]
+    assert verify_theorem_A(k, 60).first_mismatch == Mismatch(n, lhs=want, rhs=want + weight)
+    warm = _fields(verify(k, j, N))
+    assert identities._first_mismatch.cache_info()[:2] == (0, 2)
+    assert warm == cold
+
+
+@pytest.mark.parametrize("seed", [1])
+def test_a_warm_report_equals_a_cold_one_on_doctored_families(seed, monkeypatch):
+    # 60 families, each with one random member m <= 9 one off at one
+    # exponent, half of them just below the member's floor, where only a sum
+    # that reads the member in full sees it.  25 random verifier calls of
+    # each family are made in one process, from empty stores, and each
+    # report must equal that of the same call made with every store empty
+    rng = random.Random(seed)
+    real = {tag: getattr(identities, f"compute_{tag}_family") for tag in "AC"}
+    differ, failed = [], 0
+    for _ in range(60):
+        tag, m = rng.choice("AC"), rng.randint(1, 9)
+        floor = _lowval(m, 1 if tag == "A" else 2)
+        e = floor - 1 if rng.random() < 0.5 else floor + rng.randint(0, 40)
+        doctored = oracles.doctored(real[tag], m, e)
+        monkeypatch.setattr(identities, f"compute_{tag}_family", doctored)
+        targets = [target for target in FAMILY_VERIFIERS if target[-1] == tag.lower()]
+        calls = _random_calls(rng, 25, targets, k_top=m + 1, N_top=120)
+        _clear_stores()
+        warm = [_fields(FAMILY_VERIFIERS[target](k, j, N)) for target, k, j, N in calls]
+        for call, report in zip(calls, warm):
+            _clear_stores()
+            target, k, j, N = call
+            if _fields(FAMILY_VERIFIERS[target](k, j, N)) != report:
+                differ.append((tag, m, e, call))
+            failed += not report["passed"]
+    assert differ == []
+    # the doctored coefficient reaches a good share of the reports
+    assert failed > 300, failed
 
 
 # -- corollaries ------------------------------------------------------------------------
 
 
 def test_corollary_A_weights_at_k100():
-    assert corollary_weights("A", 100, 2) == [1, 203, 20910]
+    assert identity_weights("A", 100, 2) == [1, 203, 20910]
 
 
 def test_corollary_C_weights_at_k100():
-    assert corollary_weights("C", 100, 2) == [1, 202, 20706]
+    assert identity_weights("C", 100, 2) == [1, 202, 20706]
 
 
 @pytest.mark.parametrize("k,j", [(0, 3), (1, 2), (2, 2), (20, 2)])
@@ -545,7 +553,7 @@ def test_corollary_windows_are_sharp_where_the_oracle_confirms():
         fam = compute_A_family(k + j, bound + shift)
         rhs = sum(
             w * fam.members[k + m].coeffs[bound + shift]
-            for m, w in enumerate(corollary_weights("A", k, j))
+            for m, w in enumerate(identity_weights("A", k, j))
         )
         assert p3_series(bound).coeffs[bound] != rhs, (k, j)
 
@@ -555,7 +563,7 @@ def test_corollary_windows_are_sharp_where_the_oracle_confirms():
         famC = compute_C_family(k + j, boundC + k * k)
         rhsC = sum(
             w * famC.members[k + m].coeffs[boundC + k * k]
-            for m, w in enumerate(corollary_weights("C", k, j))
+            for m, w in enumerate(identity_weights("C", k, j))
         )
         assert overpartition_series(boundC).coeffs[boundC] != rhsC, (k, j)
 

@@ -5,9 +5,11 @@ import pytest
 
 import macmahon.families as families
 import macmahon.identities as identities
+import macmahon.partitions as partitions
 import oracles
 from macmahon.families import compute_A_family_uncached
 from macmahon.partitions import (
+    MAX_ORDER,
     _divisor_sums,
     jacobi_cube,
     mk_bruteforce,
@@ -85,6 +87,29 @@ def test_overpartition_series_matches_enumeration():
     s = overpartition_series(20)
     for n in range(21):
         assert s.coeffs[n] == oracles.overpartition_count(n)
+
+
+def test_series_stores_refuse_an_order_past_the_limit(monkeypatch):
+    # both generating-function stores refuse an order past MAX_ORDER with
+    # the CLI's message before they invert anything, and count neither a hit
+    # nor a miss; with the limit patched low, an order at the limit inverts
+    def refuse(order):
+        raise AssertionError(f"inverted order {order} past the order limit")
+
+    for limit in (MAX_ORDER, 30):
+        monkeypatch.setattr(partitions, "MAX_ORDER", limit)
+        text = f"this call builds truncation order {limit + 1}, above the order limit {limit}"
+        for store in (p3_series, overpartition_series):
+            with monkeypatch.context() as mp:
+                mp.setattr(store, "_build", refuse)
+                with pytest.raises(ValueError) as exc:
+                    store(limit + 1)
+            assert str(exc.value) == text
+            assert store.cache_info()[:2] == (0, 0)
+    assert list(p3_series(30).coeffs) == oracles.three_colored_counts(30)
+    assert [overpartition_series(30).coeffs[n] for n in (6, 30)] == [
+        40, oracles.overpartition_count(30)
+    ]
 
 
 def test_generating_functions_invert_their_theta_series():

@@ -1,24 +1,21 @@
-"""The family stores' work on fixed request sequences, pinned in figures
-that do not depend on the machine: requests, builds and hits, the widest
-slot a build packs, and the walked volume, `oracles.fold_window_volume`
-summed over the builds.
+"""The stores' work on fixed call sequences, pinned in figures that do not
+depend on the machine: the misses of the store of checks, the family
+stores' builds and hits, the widest slot a build packs, and the walked
+volume, `oracles.fold_window_volume` summed over the builds.
 
-The stores decide from keys alone, so each sequence is replayed against the
-real `compute_A_family` and `compute_C_family` with their `_build` replaced
-by one that records (K, order, lowest) and returns a family of zero members
-of the right shape.  Nothing is folded.  A verifier call is replayed through
-`identities._serve` with its `family_request`, as a miss of the store of
-checks asks its family store, so a theorem request reaches the store rounded as it does in
-a verifier.  Every figure but the request count is an upper bound: a
-change that raises one fails here, and a change that lowers one updates the
-ledger and says why in CHANGES.md.
+Each sequence is replayed through the production chain.  A family verifier
+call asks the real store of checks, `identities._first_mismatch`, for the
+build that `_build_request` names, and each miss of that store asks the
+real `compute_A_family` or `compute_C_family` for the build.  The family
+stores decide from keys alone, so their `_build` is replaced by one that
+records (K, order, lowest) and returns a family of zero members of the
+right shape: nothing is folded.  A zero family's checks are all kept, as a
+correct family's are, so the store of checks misses exactly as it does on
+real families.  The reports themselves are not read.
 
-Every family verifier asks the store of checks, `identities._first_mismatch`,
-first, and reaches the family stores only on its misses.  Its ledger replays
-their calls against it with `_build` replaced by one that returns no
-mismatch, and pins its misses as an upper bound and its hits as a lower one.
-The family-store ledger replays every call through `_serve`, as if each
-missed the store of checks.
+Every figure but the call count is an upper bound, and the family hits a
+lower one: a change that raises a bound or lowers the hits fails here, and
+a change that improves one updates the ledger and says why in CHANGES.md.
 """
 
 import functools
@@ -37,7 +34,7 @@ from macmahon.families import (
     compute_A_family,
     compute_C_family,
 )
-from macmahon.identities import _first_mismatch, _serve, family_request
+from macmahon.identities import _first_mismatch, _verify
 from macmahon.series import TruncatedSeries
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -55,70 +52,64 @@ def _load_workloads():
 workloads = _load_workloads()
 
 
-def _request(op):
-    return family_request(op["target"], op.get("k"), op.get("j"), op.get("N"))
-
-
 def _calls(ops):
-    # the store request of each verifier call, as the verifier makes it; the
-    # divisor verifier makes none
+    # each family verifier call as a workload makes it, through the path
+    # all six verifiers share; the divisor verifier asks no store
     return [
-        functools.partial(_serve, op["target"], _request(op))
+        functools.partial(_verify, op["target"], op.get("k"), op.get("j"), op.get("N"))
         for op in ops
         if op["target"] != "divisor"
     ]
 
 
-def _corollary(tag, k, j):
-    return lambda: [_calls([{"target": tag, "k": k, "j": j}])]
+def _one(target, **params):
+    return lambda: [_calls([{"target": target, **params}])]
 
 
-def _theorem(tag, k, N):
-    return lambda: [_calls([{"target": tag, "k": k, "N": N}])]
-
-
-def _sweep(tag, N):
+def _sweep(target, N):
     # a cold theorem sweep over k = 0..12
-    return lambda: [_calls([{"target": tag, "k": k, "N": N} for k in range(13)])]
+    return lambda: [_calls([{"target": target, "k": k, "N": N} for k in range(13)])]
 
 
 def _identity_sweep(seed):
-    # one long-lived process: the warm-up, then every pass, in one pair of stores
+    # one long-lived process: the warm-up, then every pass, in one set of stores
     run = workloads.identity_sweep(seed, 15)
     return lambda: [_calls(run.warmup + run.shards[0])]
 
 
 def _deep_window(seed):
-    # one fresh process, and so a fresh pair of stores, per shard, each
-    # after the warm-up
+    # one fresh process, and so fresh stores, per shard, each after the warm-up
     run = workloads.deep_window(seed, 15)
     return lambda: [_calls(run.warmup + shard) for shard in run.shards]
 
 
-# sequence -> (its store calls, one list per fresh pair of stores; requests,
-# builds, hits, walked volume in bits, widest slot in bits)
+# sequence -> (its calls, one list per fresh set of stores; calls, misses of
+# the store of checks, family builds, family hits, walked volume in bits,
+# widest slot in bits)
 LEDGER = {
-    "thm-a k=0..12 N=120": (_sweep("thm-a", 120), 13, 4, 9, 211_610_512, 72),
-    "thm-c k=0..12 N=150": (_sweep("thm-c", 150), 13, 6, 7, 175_956_512, 64),
-    "thm-a(30,200)": (_theorem("thm-a", 30, 200), 1, 1, 0, 132_060_368, 88),
-    "thm-a(60,300)": (_theorem("thm-a", 60, 300), 1, 1, 0, 397_346_208, 112),
-    "cor-a(20,2)": (_corollary("cor-a", 20, 2), 1, 1, 0, 5_593_952, 56),
-    "cor-c(20,2)": (_corollary("cor-c", 20, 2), 1, 1, 0, 10_880_912, 56),
-    "cor-a(100,2)": (_corollary("cor-a", 100, 2), 1, 1, 0, 326_943_680, 112),
-    "cor-c(100,2)": (_corollary("cor-c", 100, 2), 1, 1, 0, 650_875_120, 112),
+    "thm-a k=0..12 N=120": (_sweep("thm-a", 120), 13, 13, 4, 9, 211_610_512, 72),
+    "thm-c k=0..12 N=150": (_sweep("thm-c", 150), 13, 13, 6, 7, 175_956_512, 64),
+    "thm-a(30,200)": (_one("thm-a", k=30, N=200), 1, 1, 1, 0, 132_060_368, 88),
+    "thm-a(60,300)": (_one("thm-a", k=60, N=300), 1, 1, 1, 0, 397_346_208, 112),
+    "cor-a(20,2)": (_one("cor-a", k=20, j=2), 1, 1, 1, 0, 5_593_952, 56),
+    "cor-c(20,2)": (_one("cor-c", k=20, j=2), 1, 1, 1, 0, 10_880_912, 56),
+    "cor-a(100,2)": (_one("cor-a", k=100, j=2), 1, 1, 1, 0, 326_943_680, 112),
+    "cor-c(100,2)": (_one("cor-c", k=100, j=2), 1, 1, 1, 0, 650_875_120, 112),
     "A K=12 N=500": (
-        lambda: [[functools.partial(compute_A_family, 12, 500)]], 1, 1, 0, 1_645_105_280, 104
+        lambda: [[functools.partial(compute_A_family, 12, 500)]], 1, 0, 1, 0, 1_645_105_280, 104
     ),
-    "identity-sweep seed 1": (_identity_sweep(1), 1792, 48, 1744, 3_216_066_240, 80),
-    "identity-sweep seed 2": (_identity_sweep(2), 1792, 29, 1763, 1_995_987_752, 80),
-    "identity-sweep seed 3": (_identity_sweep(3), 1792, 45, 1747, 2_733_923_720, 80),
-    "deep-window seed 1": (_deep_window(1), 138, 114, 24, 1_713_985_504, 80),
-    "deep-window seed 2": (_deep_window(2), 138, 115, 23, 1_715_335_712, 80),
-    "deep-window seed 3": (_deep_window(3), 138, 113, 25, 1_686_028_656, 80),
+    "identity-sweep seed 1": (_identity_sweep(1), 1792, 108, 48, 60, 3_216_066_240, 80),
+    "identity-sweep seed 2": (_identity_sweep(2), 1792, 69, 29, 40, 1_995_987_752, 80),
+    "identity-sweep seed 3": (_identity_sweep(3), 1792, 98, 45, 53, 2_733_923_720, 80),
+    "deep-window seed 1": (_deep_window(1), 138, 119, 114, 5, 1_713_985_504, 80),
+    "deep-window seed 2": (_deep_window(2), 138, 120, 114, 6, 1_714_928_224, 80),
+    "deep-window seed 3": (_deep_window(3), 138, 118, 112, 6, 1_662_760_944, 80),
 }
 
 
 def _replay(monkeypatch, runs):
+    # (the builds recorded, the hits and misses of the store of checks, the
+    # family stores' hits), summed over the runs
     built = []
 
     def recorder(tag):
@@ -133,14 +124,16 @@ def _replay(monkeypatch, runs):
 
     for tag, store in STORES.items():
         monkeypatch.setattr(store, "_build", recorder(tag))
-    hits = 0
+    check_hits = check_misses = family_hits = 0
     for calls in runs:
-        for store in STORES.values():
+        for store in (_first_mismatch, *STORES.values()):
             store.cache_clear()
         for call in calls:
             call()
-        hits += sum(store.cache_info().hits for store in STORES.values())
-    return built, hits
+        info = _first_mismatch.cache_info()
+        check_hits, check_misses = check_hits + info.hits, check_misses + info.misses
+        family_hits += sum(store.cache_info().hits for store in STORES.values())
+    return built, check_hits, check_misses, family_hits
 
 
 def _work(built):
@@ -159,64 +152,18 @@ def _work(built):
 
 
 @pytest.mark.parametrize("name", LEDGER)
-def test_family_stores_do_no_more_work_than_the_ledger(name, monkeypatch):
-    sequence, requests, builds, hits, volume, widest = LEDGER[name]
+def test_stores_do_no_more_work_than_the_ledger(name, monkeypatch):
+    sequence, calls, misses, builds, hits, volume, widest = LEDGER[name]
     runs = sequence()
-    built, seen_hits = _replay(monkeypatch, runs)
+    built, check_hits, check_misses, family_hits = _replay(monkeypatch, runs)
     seen_widest, seen_volume = _work(built)
-    assert sum(map(len, runs)) == requests
-    # every request is a hit or a miss, and every miss builds once
-    assert seen_hits + len(built) == requests
-    assert len(built) <= builds and seen_hits >= hits, (len(built), seen_hits)
+    assert sum(map(len, runs)) == calls
+    # a call that asks no check asks its family store directly; each miss of
+    # the store of checks asks a family store once, and every family request
+    # is a hit or a build
+    direct = calls - check_hits - check_misses
+    assert family_hits + len(built) == check_misses + direct
+    assert check_misses <= misses, check_misses
+    assert len(built) <= builds and family_hits >= hits, (len(built), family_hits)
     assert seen_volume <= volume, seen_volume
     assert seen_widest <= widest, seen_widest
-
-
-def _check_calls(ops):
-    # the request each family verifier call makes of the store of checks
-    return [(op["target"], _request(op)) for op in ops if op["target"] != "divisor"]
-
-
-def _check_sweep(tag, N):
-    return lambda: [_check_calls([{"target": tag, "k": k, "N": N} for k in range(13)])]
-
-
-def _check_identity_sweep(seed):
-    run = workloads.identity_sweep(seed, 15)
-    return lambda: [_check_calls(run.warmup + run.shards[0])]
-
-
-def _check_deep_window(seed):
-    run = workloads.deep_window(seed, 15)
-    return lambda: [_check_calls(run.warmup + shard) for shard in run.shards]
-
-
-# sequence -> (its family verifier calls, one list per fresh store of
-# checks; requests, misses, hits)
-CHECK_LEDGER = {
-    "thm-a k=0..12 N=120": (_check_sweep("thm-a", 120), 13, 13, 0),
-    "thm-c k=0..12 N=150": (_check_sweep("thm-c", 150), 13, 13, 0),
-    "identity-sweep seed 1": (_check_identity_sweep(1), 1792, 108, 1684),
-    "identity-sweep seed 2": (_check_identity_sweep(2), 1792, 69, 1723),
-    "identity-sweep seed 3": (_check_identity_sweep(3), 1792, 98, 1694),
-    "deep-window seed 1": (_check_deep_window(1), 138, 119, 19),
-    "deep-window seed 2": (_check_deep_window(2), 138, 120, 18),
-    "deep-window seed 3": (_check_deep_window(3), 138, 118, 20),
-}
-
-
-@pytest.mark.parametrize("name", CHECK_LEDGER)
-def test_check_store_does_no_more_work_than_the_ledger(name, monkeypatch):
-    sequence, requests, misses, hits = CHECK_LEDGER[name]
-    runs = sequence()
-    monkeypatch.setattr(_first_mismatch, "_build", lambda identity, request: None)
-    seen_hits = seen_misses = 0
-    for calls in runs:
-        _first_mismatch.cache_clear()
-        for call in calls:
-            _first_mismatch(*call)
-        info = _first_mismatch.cache_info()
-        seen_hits, seen_misses = seen_hits + info.hits, seen_misses + info.misses
-    assert sum(map(len, runs)) == requests
-    assert seen_hits + seen_misses == requests
-    assert seen_misses <= misses and seen_hits >= hits, (seen_misses, seen_hits)
