@@ -76,7 +76,8 @@ from __future__ import annotations
 import functools
 import math
 
-from .partitions import _check_order, _lowval, _theta_row, overpartition_series, p3_series
+from .partitions import _check_order, _lowval, _theta_row, _top_member
+from .partitions import overpartition_series, p3_series
 from .series import (
     TruncatedSeries,
     _CoveringStore,
@@ -307,17 +308,7 @@ def _request_key(step: int, K: int, order: int, lowest: int = 0) -> tuple:
     _check_param("lowest member", lowest)
     if lowest > K:
         raise ValueError("lowest member must lie in 0..K")
-    return None, (order, lowest, _top_member(step, K, order), K)
-
-
-def _top_member(step: int, K: int, order: int) -> int:
-    # the highest member <= K whose valuation floor lies within the order;
-    # every member above it is zero there.  A floor within the order forces
-    # (k-1)^2 <= 2*order/step, so the loop starts at most a step or two high.
-    k = min(K, math.isqrt(2 * order // step) + 1)
-    while k > 0 and _lowval(k, step) > order:
-        k -= 1
-    return k
+    return None, (order, lowest, min(K, _top_member(step, order)), K)
 
 
 def _compute_family(tag: str, step: int, K: int, order: int, lowest: int) -> MacmahonFamily:

@@ -72,14 +72,9 @@ import time
 from collections.abc import Sequence
 
 from . import partitions
-from .families import (
-    MacmahonFamily,
-    _packed_square,
-    _top_member,
-    compute_A_family,
-    compute_C_family,
-)
-from .partitions import _check_order, _divisor_sums, _lowval, overpartition_series, p3_series
+from .families import MacmahonFamily, _packed_square, compute_A_family, compute_C_family
+from .partitions import _check_order, _divisor_sums, _lowval, _top_member
+from .partitions import overpartition_series, p3_series
 
 # sigma serves no verifier; it stays bound here because perfbench/tracer.py
 # wraps macmahon.identities.sigma
@@ -195,9 +190,7 @@ def family_request(
         raise OrderBelowFloor(k, shift)
     else:
         order = min(_lowval(k + 1, step) - 1, N)
-    # lowval(m) >= m, so no member above `order` reaches it: that is the cap,
-    # k + j for a corollary and k for a limit
-    return tag, _top_member(step, order, order), order, k
+    return tag, _top_member(step, order), order, k
 
 
 # a theorem's build order is rounded up to a multiple of this, lowest to even
@@ -264,7 +257,7 @@ def _first_mismatch_uncached(build: tuple[str, int, int, int]) -> Mismatch | Non
     the top member that can be nonzero there."""
     tag, k, order, lowest = build
     store = compute_A_family if tag == "A" else compute_C_family
-    K = _top_member(_FAMILIES[tag][0], order, order)
+    K = _top_member(_FAMILIES[tag][0], order)
     rhs, clean = _lowered_sum(store(K, order, lowest=lowest), k)
     window = len(rhs) - 1
     gf = p3_series if tag == "A" else overpartition_series

@@ -1,11 +1,13 @@
 """Theta series, partition generating functions, and enumeration oracles.
 
 `_theta_row(step, k, order)` is the sparse theta factor of member k of A
-(step 1) or C (step 2) in the closed form of Andrews and Rose; the theta
-route in families.py multiplies it into the dense series.  Row 0 is the
-denominator of each generating function, (q;q)^3 for p3 and
-(q^2;q^2)(q;q^2)^2 for overp, and `jacobi_cube`/`theta_square` are its
-dense form.  The two generating functions the identity verifiers target are
+(step 1) or C (step 2) in the closed form of Andrews and Rose, one term per
+member from k up to `_top_member(step, order)`, the top member whose
+valuation floor lies within the order; that member caps every family build
+and verifier request too.  The theta route in families.py multiplies the
+row into the dense series.  Row 0 is the denominator of each generating
+function, (q;q)^3 for p3 and (q^2;q^2)(q;q^2)^2 for overp, and
+`jacobi_cube`/`theta_square` are its dense form.  The two generating functions the identity verifiers target are
 produced by inverting them (O(sqrt N) nonzero terms), which keeps the
 inversion recurrence cheap.  Each is a covering store (series.py) keeping
 the longest series it has inverted, whose prefixes answer shorter orders
@@ -36,6 +38,14 @@ def _lowval(k: int, step: int) -> int:
     return k + step * k * (k - 1) // 2
 
 
+def _top_member(step: int, order: int) -> int:
+    # the largest m with lowval(m) <= order, above which every member is zero
+    # through the order: the root of step*m^2 + (2-step)*m = 2*order, rounded
+    # down exactly, as floor(floor(y)/c) = floor(y/c) for integer c > 0
+    b = 2 - step
+    return (math.isqrt(b * b + 8 * step * order) - b) // (2 * step)
+
+
 def _theta_row(step: int, k: int, order: int) -> list[tuple[int, int]]:
     # (coefficient, exponent) of the sparse theta factor of member k: for A,
     # (-1)^(m+k) (2m+1)/(2k+1) C(m+k, 2k) at q^(m(m+1)/2); for C,
@@ -43,14 +53,12 @@ def _theta_row(step: int, k: int, order: int) -> list[tuple[int, int]]:
     # exponent is the valuation floor of member m, and the divisions are
     # exact.  Row 0 is the denominator of the generating function.
     row = []
-    m = k
-    while _lowval(m, step) <= order:
+    for m in range(k, _top_member(step, order) + 1):
         if step == 1:
             c = (2 * m + 1) * math.comb(m + k, 2 * k) // (2 * k + 1)
         else:
             c = 2 * m * math.comb(m + k, 2 * k) // (m + k) if m else 1
         row.append((-c if (m + k) % 2 else c, _lowval(m, step)))
-        m += 1
     return row
 
 

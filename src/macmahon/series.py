@@ -21,7 +21,7 @@ covers it, and a miss builds what its key names.  The store of checks keeps
 a slot per family and k, the others one slot.  partitions.py, families.py
 and identities.py each supply one store kind.  `_check_param` is the package's
 one check that a count argument (an order, a member index, a cap) is a
-non-negative int and not a bool.
+non-negative int: a bool, a float or any other class is refused.
 """
 
 from __future__ import annotations
@@ -37,13 +37,16 @@ _setfield = object.__setattr__
 
 def _check_param(name: str, value: int | None) -> None:
     # The package's one check of a count argument: an order, a member index,
-    # a cap.  bool is an int subclass; a True k would otherwise pass as 1 and
-    # be reported as true.  None marks a parameter the caller does not take.
-    # One value per call: it runs on every store request and sigma call, and
-    # collecting keyword arguments would double its cost.
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, not bool")
-    if value is not None and value < 0:
+    # a cap.  Only an int passes: a True k would otherwise run as 1 and be
+    # reported as true, and a float N as 3.5.  None marks a parameter the
+    # caller does not take.  One value per call and one class test: it runs
+    # on every store request and sigma call, and collecting keyword
+    # arguments would double its cost.
+    if value.__class__ is not int:
+        if value is None:
+            return
+        raise TypeError(f"{name} must be an int, not {value.__class__.__name__}")
+    if value < 0:
         raise ValueError(f"{name} must be non-negative")
 
 
@@ -91,8 +94,10 @@ class TruncatedSeries(_Record):
     def __init__(self, coeffs: tuple[int, ...], truncation_order: int) -> None:
         # every cut of a kept series or family constructs one, so these two
         # checks stay inline rather than a call of _check_param
-        if truncation_order is True or truncation_order is False:
-            raise TypeError("truncation order must be an int, not bool")
+        if truncation_order.__class__ is not int:
+            raise TypeError(
+                f"truncation order must be an int, not {truncation_order.__class__.__name__}"
+            )
         if truncation_order < 0:
             raise ValueError("truncation order must be non-negative")
         if len(coeffs) != truncation_order + 1:
@@ -229,14 +234,15 @@ CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
 class _CoveringStore:
     """The values `build` returned, each kept under its key in its slot and
     cut to serve any request of that slot whose key it covers; within a slot
-    the most recently used goes first.  A miss builds what the request's key
-    names and drops the kept values of its slot that the new one covers.  A
-    store kind supplies `check(*args)`, which refuses bad arguments before
-    any lookup and returns the request's slot and key, `covers(kept_key,
-    key)` and `cut(value, key)`, which returns the value itself for its own
-    key.  Each slot keeps at most `maxsize` values, the least recently used
-    going first.  The bookkeeping is under a lock, so one store is safe to
-    share across threads."""
+    the newest goes first.  A hit only counts and cuts.  A miss builds what
+    the request's key names, drops the kept values of its slot that the new
+    one covers, and puts the new one first.  A store kind supplies
+    `check(*args)`, which refuses bad arguments before any lookup and
+    returns the request's slot and key, `covers(kept_key, key)` and
+    `cut(value, key)`, which returns the value itself for its own key.  Each
+    slot keeps at most `maxsize` values, the oldest going first.  The
+    bookkeeping is under a lock, so one store is safe to share across
+    threads."""
 
     def __init__(self, build, check, covers, cut, maxsize) -> None:
         # the build's __dict__ is empty, and leaving this one unread keeps the
@@ -247,7 +253,7 @@ class _CoveringStore:
         self._covers = covers
         self._cut = cut
         self._maxsize = maxsize
-        self._kept: dict = {}  # slot -> [(key, value)], most recently used first
+        self._kept: dict = {}  # slot -> [(key, value)], newest first
         self._hits = self._misses = 0
         self._lock = threading.Lock()
 
@@ -258,13 +264,10 @@ class _CoveringStore:
         self._lock.acquire()
         try:
             kept = self._kept.get(slot, ())
-            for entry in kept:
-                if covers(entry[0], key):
+            for kept_key, value in kept:
+                if covers(kept_key, key):
                     self._hits += 1
-                    if entry is not kept[0]:
-                        kept.remove(entry)
-                        kept.insert(0, entry)
-                    return self._cut(entry[1], key)
+                    return self._cut(value, key)
             self._misses += 1
         finally:
             self._lock.release()

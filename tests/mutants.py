@@ -188,12 +188,26 @@ MUTANTS = [
         (FAMILIES + "test_members_equal_bruteforce", FAMILIES + "test_members_equal_the_fold"),
     ),
     Mutant(
+        # drops the term whose floor is exactly the order
         "theta-row-one-term-short",
         "theta",
         "partitions.py",
-        "    while _lowval(m, step) <= order:\n",
-        "    while _lowval(m, step) < order:\n",
+        "range(k, _top_member(step, order) + 1)",
+        "range(k, _top_member(step, order - 1) + 1)",
         (FAMILIES + "test_members_equal_bruteforce", FAMILIES + "test_members_equal_the_fold"),
+    ),
+    Mutant(
+        # one member low at every order that is a valuation floor, in both
+        # families, so the fold, the theta row and every request stop short
+        "top-member-one-low-at-each-floor",
+        "fold",
+        "partitions.py",
+        "math.isqrt(b * b + 8 * step * order)",
+        "math.isqrt(b * b + 8 * step * order - 1)",
+        (
+            PARTITIONS + "test_top_member_equals_the_search_through_the_order_limit",
+            FAMILIES + "test_members_equal_the_fold",
+        ),
     ),
     Mutant(
         "theta-slots-two-bytes-narrower-than-the-series",

@@ -20,14 +20,9 @@ slot width wider than any the library takes.
 
 from __future__ import annotations
 
-from math import comb, log, pi, sqrt
+from math import comb, isqrt, log, pi, sqrt
 
-from macmahon.families import (
-    MacmahonFamily,
-    _top_member,
-    compute_A_family_uncached,
-    compute_C_family_uncached,
-)
+from macmahon.families import MacmahonFamily, compute_A_family_uncached, compute_C_family_uncached
 from macmahon.identities import _FAMILIES, _lowered_sum
 from macmahon.partitions import _lowval
 from macmahon.series import TruncatedSeries
@@ -62,8 +57,18 @@ def member_sum(tag: str, k: int, order: int) -> TruncatedSeries:
     step = _FAMILIES[tag][0]
     top = order + _lowval(k, step)
     build = compute_A_family_uncached if tag == "A" else compute_C_family_uncached
-    rhs, _ = _lowered_sum(build(_top_member(step, top, top), top, lowest=k), k)
+    rhs, _ = _lowered_sum(build(top_member(step, top, top), top, lowest=k), k)
     return TruncatedSeries(tuple(rhs), order)
+
+
+def top_member(step: int, K: int, order: int) -> int:
+    """The highest member <= K whose valuation floor lies within the order,
+    by search: a floor within the order forces (k-1)^2 <= 2*order/step, so
+    the countdown starts at most a step or two high."""
+    k = min(K, isqrt(2 * order // step) + 1)
+    while k > 0 and _lowval(k, step) > order:
+        k -= 1
+    return k
 
 
 def identity_weights(tag: str, k: int, j: int) -> list[int]:

@@ -21,7 +21,6 @@ from macmahon.families import (
     _theta_row,
     _lowval,
     _slot_bits,
-    _top_member,
     _total_bound_bits,
     _unpack_packed_row,
     a_k_directsum,
@@ -37,6 +36,7 @@ import macmahon.partitions as partitions
 from macmahon.identities import family_request
 from macmahon.partitions import (
     MAX_ORDER,
+    _top_member,
     jacobi_cube,
     mk_bruteforce,
     mk_odd_bruteforce,
@@ -218,7 +218,7 @@ def test_fold_visits_every_window_the_reference_loop_does(step, deep):
         corollary = _lowval(K + 1, step) - 1
         orders = set(range(41)) | {_lowval(K, step) - 1, _lowval(K, step), corollary, 333, deep}
         for order in sorted(orders - {-1}):
-            k_eff = _top_member(step, K, order)
+            k_eff = min(K, _top_member(step, order))
             bits = _slot_bits(oracles.p2_bound_bits(step, order))
             lowests = {K - 1, K} | ({0, 1} if order <= 333 else set())
             if order <= 40 or order == corollary:
@@ -335,7 +335,7 @@ def test_total_theta_is_the_family_total_over_its_dense_series(step):
     # at t = 1 multiplied out factor by factor
     top = 300
     sparse = total_theta(step, top)
-    rows = [_theta_row(step, k, top) for k in range(_top_member(step, top, top) + 1)]
+    rows = [_theta_row(step, k, top) for k in range(_top_member(step, top) + 1)]
     summed = [0] * (top + 1)
     for row in rows:
         for c, e in row:
@@ -456,7 +456,7 @@ def test_members_sit_under_the_prefix_sums_of_their_series(build, step, order, g
     # p3(j), and C_k likewise under overp; and both under the binomial
     # C(d+3k, 3k), the same sum for (1-q)^-3k.  All three are 1 at d = 0;
     # past it the prefix sum holds the j = 0 term the member cannot reach
-    fam = build(_top_member(step, order, order), order)
+    fam = build(_top_member(step, order), order)
     sums = list(itertools.accumulate(gf(order).coeffs))
     for k in range(1, fam.degree_cap + 1):
         floor = _lowval(k, step)
@@ -485,13 +485,13 @@ def test_members_only_slot_widths():
     }
     widths = {
         (step, order, lowest, K): _slot_bits(
-            _fold_bound_bits(step, order, lowest, _top_member(step, K, order))
+            _fold_bound_bits(step, order, lowest, min(K, _top_member(step, order)))
         )
         for step, order, lowest, K in shapes
     }
     assert widths == shapes
     for step, order in [(1, 665), (2, 1295), (1, 578), (2, 644)]:
-        top = _top_member(step, order, order)
+        top = _top_member(step, order)
         assert _fold_bound_bits(step, order, 0, top) == _total_bound_bits(step, order)
     for order in (500, 3000):
         assert _fold_bound_bits(1, order, 1, 2) == math.comb(order - 1 + 6, 6).bit_length()
@@ -509,7 +509,8 @@ def test_members_only_builds_equal_the_reference_fold_at_the_full_width(
     # loop at the wider p2 bound's width gives the same rows
     fam = build(K, order, lowest)
     wide = _slot_bits(oracles.p2_bound_bits(step, order))
-    assert _slot_bits(_fold_bound_bits(step, order, lowest, _top_member(step, K, order))) < wide
+    top = min(K, _top_member(step, order))
+    assert _slot_bits(_fold_bound_bits(step, order, lowest, top)) < wide
     rows = oracles.reference_fold(step, lowest, K, order, wide)
     mask = (1 << wide) - 1
     for k in range(lowest, K + 1):
@@ -537,7 +538,7 @@ def test_folds_satisfy_the_differential_recursion(tag, build, step):
     routes = [
         (build(12, 300).members, 300),
         (members(tag, range(13), 300), 300),
-        (members(tag, range(_top_member(step, 2000, 2000) + 1), 2000), 2000),
+        (members(tag, range(_top_member(step, 2000) + 1), 2000), 2000),
     ]
     if step == 1:
         routes.append((build(12, 1000).members, 1000))
@@ -719,7 +720,7 @@ def test_bool_parameters_rejected_after_cache_hit(build):
     # argument checks ahead of the lookup can refuse it
     build(3, 20)
     assert build(1, 5).lowest == 0 and build.cache_info().hits == 1
-    for bad in [(True, 5), (1, True), (1, 5, True), (True, 5, 1)]:
+    for bad in [(True, 5), (1, True), (1, 5, True), (True, 5, 1), (1.0, 5), (1, 5.0), (1, 5, 0.0)]:
         with pytest.raises(TypeError):
             build(*bad)
     for bad in [(-1, 5), (1, -5), (1, 5, -1), (1, 5, 2)]:
@@ -730,6 +731,8 @@ def test_bool_parameters_rejected_after_cache_hit(build):
         compute_A_family_uncached(False, 5)
     with pytest.raises(TypeError):
         compute_C_family_uncached(0, False)
+    with pytest.raises(TypeError, match="truncation order must be an int, not float"):
+        compute_C_family_uncached(0, 5.0)
 
 
 # -- the covering store ----------------------------------------------------------------
@@ -787,8 +790,11 @@ def test_store_keeps_at_most_twelve_families(build):
         assert build.cache_info().currsize <= 12
     assert build.cache_info() == (0, 30, 12, 12)
     build(*keys[-1])  # kept
-    build(*keys[0])  # dropped long ago as the least recently used
-    assert build.cache_info()[:2] == (1, 31)
+    build(*keys[18])  # kept as the oldest; a hit does not move it
+    build(*keys[0])  # dropped long ago as the oldest; a miss drops keys[18]
+    assert build.cache_info()[:2] == (2, 31)
+    build(*keys[18])  # gone although it was just read
+    assert build.cache_info()[:2] == (2, 32)
 
 
 def _sweep(rng):
@@ -977,8 +983,14 @@ def test_members_keep_the_order_of_ks(tag):
 
 
 def test_members_validate_their_arguments():
-    for bad in [("A", [True], 10), ("C", [1], True), ("A", [1, False], 10)]:
-        with pytest.raises(TypeError):
+    for bad, message in [
+        (("A", [True], 10), "member indices must be an int, not bool"),
+        (("C", [1], True), "truncation order must be an int, not bool"),
+        (("A", [1, False], 10), "member indices must be an int, not bool"),
+        (("A", [2], 10.0), "truncation order must be an int, not float"),
+        (("C", [1.0], 10), "member indices must be an int, not float"),
+    ]:
+        with pytest.raises(TypeError, match=message):
             members(*bad)
     for bad, message in [
         (("A", [-1], 10), "member indices"),
@@ -1039,7 +1051,7 @@ def test_members_check_each_member_against_its_own_bound(tag, order, monkeypatch
     dense = p3_series(order) if tag == "A" else overpartition_series(order)
     sums = list(itertools.accumulate(dense.coeffs))
     checked = spy_on_unpack(monkeypatch)
-    ks = [0, 1, 100, _top_member(step, order, order)]
+    ks = [0, 1, 100, _top_member(step, order)]
     members(tag, ks, order)
     total = _total_bound_bits(step, order)
     reach = {k: order - _lowval(k, step) for k in ks}
@@ -1075,7 +1087,7 @@ def test_theta_slots_are_sized_by_the_series_they_hold(
     orders = [0, 1, 600, 1295, MAX_ORDER]
     for order in orders:
         dense = order_limit_stores[tag].truncate(order)
-        top = _top_member(step, order, order)
+        top = _top_member(step, order)
         # the top member's theta row has a single term
         members(tag, [top], order)
         width = widths[-1]

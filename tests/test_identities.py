@@ -12,7 +12,6 @@ import pytest
 
 import macmahon.identities as identities
 from macmahon.families import (
-    _top_member,
     compute_A_family,
     compute_A_family_uncached,
     compute_C_family,
@@ -33,6 +32,7 @@ from macmahon.identities import (
 from macmahon.partitions import (
     MAX_ORDER,
     _lowval,
+    _top_member,
     mk_bruteforce,
     mk_odd_bruteforce,
     overpartition_series,
@@ -252,10 +252,10 @@ def test_family_order_is_the_highest_order_each_verifier_builds(monkeypatch):
                         if target.startswith("thm"):
                             order = min(-(-order // 32) * 32, MAX_ORDER)
                             lowest -= lowest % 2
-                            K = _top_member(step, order, order)
+                            K = _top_member(step, order)
                         assert families == [(tag, K, order, lowest)], (target, k, j, N)
                         assert order >= request[2] and lowest <= request[3]
-                        assert _top_member(step, K, order) >= request[1]
+                        assert min(K, _top_member(step, order)) >= request[1]
                         assert max(requested) == order, (target, k, j, N)
                     checked += 1
     assert checked > 1000
@@ -585,14 +585,23 @@ def test_corollary_rejects_negative_parameters():
         (verify_limit_A, (True, 5)),
         (verify_limit_C, (False, 5)),
         (verify_divisor_identities, (True,)),
+        (verify_theorem_A, (2.0, 20)),
+        (verify_corollary_C, (1, 2.0)),
+        (verify_limit_A, (1, 3.5)),
+        (verify_limit_C, (2, 7.25)),
+        (verify_divisor_identities, (5.0,)),
     ],
-    ids=["thm-a", "thm-c", "cor-a", "cor-c", "limit-a", "limit-c", "divisor"],
+    ids=[
+        "thm-a", "thm-c", "cor-a", "cor-c", "limit-a", "limit-c", "divisor",
+        "thm-a-float", "cor-c-float", "limit-a-float", "limit-c-float", "divisor-float",
+    ],
 )
 def test_verifiers_reject_bool_parameters(verify, args):
     # bool is an int subclass; without the check True would run as 1 and be
-    # reported back as true.  The verifier itself must refuse it, before any
+    # reported back as true, and a float order would pass as 3.5.  The
+    # verifier itself must refuse either, naming the parameter, before any
     # family build does
-    with pytest.raises(TypeError, match="must be an int, not bool"):
+    with pytest.raises(TypeError, match=r"^(k|j|order) must be an int, not (bool|float)$"):
         verify(*args)
 
 

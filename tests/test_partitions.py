@@ -11,6 +11,7 @@ from macmahon.families import compute_A_family_uncached
 from macmahon.partitions import (
     MAX_ORDER,
     _divisor_sums,
+    _top_member,
     jacobi_cube,
     mk_bruteforce,
     mk_odd_bruteforce,
@@ -23,6 +24,16 @@ from macmahon.series import TruncatedSeries
 
 
 # -- theta generators ---------------------------------------------------------
+
+
+def test_top_member_equals_the_search_through_the_order_limit():
+    # the closed form against the countdown search, capped at 0, at 1 and
+    # above every top member, at every order a build or request can reach
+    for step in (1, 2):
+        for order in range(MAX_ORDER + 1):
+            top = _top_member(step, order)
+            for cap in (0, 1, MAX_ORDER):
+                assert min(cap, top) == oracles.top_member(step, cap, order), (step, order, cap)
 
 
 def test_jacobi_cube_initial_terms():
@@ -153,10 +164,10 @@ def test_sigma_rejects_nonpositive():
 
 
 def test_sigma_rejects_bool_and_negative_arguments():
-    # bool is an int subclass, so True would run as 1, and a negative nu
-    # makes d**nu a float
-    for bad in [(True, 6), (1, True), (False, 6)]:
-        with pytest.raises(TypeError, match="must be an int, not bool"):
+    # bool is an int subclass, so True would run as 1; a float n would fail
+    # in isqrt, naming no parameter; and a negative nu makes d**nu a float
+    for bad in [(True, 6), (1, True), (False, 6), (1.0, 6), (1, 6.0)]:
+        with pytest.raises(TypeError, match=r"^(nu|n) must be an int, not (bool|float)$"):
             sigma(*bad)
     with pytest.raises(ValueError, match="nu must be non-negative"):
         sigma(-1, 6)

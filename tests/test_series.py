@@ -33,9 +33,10 @@ def test_coefficient_accessor_bounds():
 
 
 def test_truncation_order_is_a_non_negative_int():
-    # a bool order would pass as 1 or 0 and serialize as true or false
-    for order, coeffs in ((True, (1, 0)), (False, (1,))):
-        with pytest.raises(TypeError, match="truncation order must be an int, not bool"):
+    # a bool order would pass as 1 or 0 and serialize as true or false, and
+    # a float one as 1.0
+    for order, coeffs in ((True, (1, 0)), (False, (1,)), (1.0, (1, 2))):
+        with pytest.raises(TypeError, match="truncation order must be an int, not (bool|float)"):
             TruncatedSeries(coeffs, order)
     with pytest.raises(ValueError, match="truncation order must be non-negative"):
         TruncatedSeries((), -1)

@@ -30,11 +30,11 @@ from macmahon.families import (
     MacmahonFamily,
     _fold_bound_bits,
     _slot_bits,
-    _top_member,
     compute_A_family,
     compute_C_family,
 )
 from macmahon.identities import _first_mismatch, _verify
+from macmahon.partitions import _top_member
 from macmahon.series import TruncatedSeries
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -142,7 +142,7 @@ def _work(built):
     widest = volume = 0
     for tag, K, order, lowest in built:
         step = 1 if tag == "A" else 2
-        top = _top_member(step, K, order)
+        top = min(K, _top_member(step, order))
         if lowest > top:
             continue
         bits = _slot_bits(_fold_bound_bits(step, order, lowest, top))
